@@ -1,10 +1,10 @@
 """Application simulators built on the product-formula core."""
 
+from ..bases import f_r_signed
 from .cd import (CDConfig, CDPoint, Protocol, cd_beta, cd_hamiltonians,
                  cd_run, schedule, schedule_rate)
 from .chain import (ChainConfig, chain_error, chain_gate_count, chain_heff,
                     chain_hoppings, chain_simulate)
-from .common import f_r_signed
 from .km import (KMConfig, flat_band_coupling, km_commutator_check,
                  km_gate_count, km_hoppings, km_nnn_identities, km_simulate,
                  phases_wrap_consistently)

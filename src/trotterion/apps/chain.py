@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ..certify import ScanResult, fit_loglog
+from ..bases import f_r_signed
+from ..certify import ScanResult, step_count_scan
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair
 from ..matcore import commutator, expm, spectral_norm
-from .common import f_r_signed, quiet_small_r
-
-DEFAULT_STEP_GRID = (8, 16, 32, 64, 128, 256)
+from .common import quiet_small_r
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,8 @@ def chain_gate_count(cfg: ChainConfig, n: int) -> int:
     return 3 * n * cfg.L
 
 
-def chain_error(cfg: ChainConfig, n: int) -> float:
-    """Distance of the n-step product from the exact effective evolution.
+def _step_error(cfg: ChainConfig) -> Callable[[int], float]:
+    """The error of an n-step run as a function of n, target built once.
 
     One step is the signed 6-gate sum-plus-commutator formula at
     argument -t1*T/n with weight chosen so the n-fold product targets
@@ -84,29 +83,29 @@ def chain_error(cfg: ChainConfig, n: int) -> float:
     gens = GeneratorPair(1j * h0, 1j * h1)
     alpha = -cfg.t1 * cfg.T
     beta = -cfg.t2 * cfg.T
-    R = beta * n / alpha**2
-    with quiet_small_r():
-        step = f_r_signed(R).evaluate(gens, alpha / n)
-    product = np.linalg.matrix_power(step, n)
     exact = expm(-1j * cfg.T * chain_heff(cfg))
-    return spectral_norm(product - exact)
+
+    def error(n: int) -> float:
+        R = beta * n / alpha**2
+        with quiet_small_r():
+            step = f_r_signed(R).evaluate(gens, alpha / n)
+        return spectral_norm(np.linalg.matrix_power(step, n) - exact)
+
+    return error
+
+
+def chain_error(cfg: ChainConfig, n: int) -> float:
+    """Distance of the n-step product from the exact effective evolution."""
+    return _step_error(cfg)(n)
 
 
 def chain_simulate(cfg: ChainConfig, ns: Sequence[int] | None = None) -> ScanResult:
     """Error of the n-step product over a grid of step counts.
 
-    The log-log fit of error against n runs over the full grid; the
-    expected slope is -1.
+    The grid defaults to the single count cfg.n when set, otherwise to
+    the shared step grid; the log-log fit of error against n runs over
+    the full grid and the expected slope is -1.
     """
-    if ns is None:
-        ns = (cfg.n,) if cfg.n is not None else DEFAULT_STEP_GRID
-    grid = [int(n) for n in ns]
-    if not grid or any(n < 1 for n in grid):
-        raise InvalidInputError("step grid must contain positive counts")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidInputError("step grid must be strictly increasing")
-    rows = tuple((float(n), chain_error(cfg, n)) for n in grid)
-    window = (float(grid[0]), float(grid[-1]))
-    slope, intercept = fit_loglog(rows, window)
-    return ScanResult(rows=rows, fit_window=window, slope=slope,
-                      intercept=intercept, target="custom")
+    if ns is None and cfg.n is not None:
+        ns = (cfg.n,)
+    return step_count_scan(_step_error(cfg), ns)

@@ -5,8 +5,7 @@ from __future__ import annotations
 import warnings
 from contextlib import contextmanager
 
-from ..bases import AccuracyWarning, f_r
-from ..formula import ProductFormula
+from ..bases import AccuracyWarning
 
 
 @contextmanager
@@ -21,22 +20,3 @@ def quiet_small_r():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AccuracyWarning)
         yield
-
-
-def f_r_signed(R: float) -> ProductFormula:
-    """Sum-plus-commutator step valid for either sign of the weight R.
-
-    For R > -1/2 this is the closed-form 6-gate step. Otherwise the
-    factor order of the weight -R step is reversed without negating the
-    coefficients: that product equals the inverse of the original
-    evaluated at -x, which flips the sign of every even-order term of
-    its logarithm. The result approximates exp(x(A+B) + R x^2 [A,B])
-    with the same third-order defect as the positive-weight step.
-    """
-    R = float(R)
-    if R > -0.5:
-        return f_r(R)
-    base = f_r(-R)
-    steps = tuple(reversed(base.steps))
-    return ProductFormula(steps, label=f"fR[R={R:.12g}][reflected]",
-                          claimed_order=base.claimed_order)

@@ -17,13 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from ..bases import f_r_with_c
-from ..certify import ScanResult, fit_loglog
+from ..certify import ScanResult, step_count_scan
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair
 from ..matcore import commutator, expm, spectral_norm
 from .common import quiet_small_r
-
-DEFAULT_STEP_GRID = (8, 16, 32, 64, 128, 256)
 
 BOUNDARIES = ("auto", "torus", "open")
 
@@ -191,15 +189,12 @@ def km_simulate(cfg: KMConfig, ns: Sequence[int] | None = None) -> ScanResult:
 
     Generators are the phase-carrying bond-color differences plus a
     commuting-cost term; the per-step commutator weight grows with n so
-    the composite converges like 1/n.
+    the composite converges like 1/n. Either sign of the weight works,
+    so any nonzero J and any flux off the multiples of 2*pi run. The
+    grid defaults as in chain_simulate.
     """
-    if ns is None:
-        ns = (cfg.n,) if cfg.n is not None else DEFAULT_STEP_GRID
-    grid = [int(n) for n in ns]
-    if not grid or any(n < 1 for n in grid):
-        raise InvalidInputError("step grid must contain positive counts")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidInputError("step grid must be strictly increasing")
+    if ns is None and cfg.n is not None:
+        ns = (cfg.n,)
     h1, h2, h3, h4 = km_hoppings(cfg)
     gens = GeneratorPair(1j * (h1 - h2), 1j * (h3 - h4), 1j * (2.0 * h2 + 2.0 * h4))
     alpha = cfg.T
@@ -213,8 +208,4 @@ def km_simulate(cfg: KMConfig, ns: Sequence[int] | None = None) -> ScanResult:
             step = f_r_with_c(R).evaluate(gens, alpha / n)
         return spectral_norm(np.linalg.matrix_power(step, n) - target)
 
-    rows = tuple((float(n), one_error(n)) for n in grid)
-    window = (float(grid[0]), float(grid[-1]))
-    slope, intercept = fit_loglog(rows, window)
-    return ScanResult(rows=rows, fit_window=window, slope=slope,
-                      intercept=intercept, target="custom")
+    return step_count_scan(one_error, ns)

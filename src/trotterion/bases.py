@@ -128,12 +128,32 @@ def f_r(R: float) -> ProductFormula:
     return params.as_formula(label=f"fR[R={R:.12g}]", claimed_order=3)
 
 
+def f_r_signed(R: float) -> ProductFormula:
+    """Sum-plus-commutator step valid for either sign of the weight R.
+
+    For R > -1/2 this is the closed-form 6-gate step. Otherwise the
+    factor order of the weight -R step is reversed without negating the
+    coefficients: that product equals the inverse of the original
+    evaluated at -x, which flips the sign of every even-order term of
+    its logarithm. The result approximates exp(x(A+B) + R x^2 [A,B])
+    with the same third-order defect as the positive-weight step.
+    """
+    R = float(R)
+    if R > -0.5:
+        return f_r(R)
+    base = f_r(-R)
+    steps = tuple(reversed(base.steps))
+    return ProductFormula(steps, label=f"fR[R={R:.12g}][reflected]",
+                          claimed_order=base.claimed_order)
+
+
 def f_r_with_c(R: float) -> ProductFormula:
     """7-gate step exp(xC) * f_R(x) for a third commuting-cost term.
 
     One step of this approximates exp(x(A+B+C) + R x^2 [A,B]) with an
-    O(x^2) defect at fixed R x, which repetition suppresses.
+    O(x^2) defect at fixed R x, which repetition suppresses. Either sign
+    of R is accepted, through f_r_signed.
     """
-    base = f_r(R)
+    base = f_r_signed(R)
     steps = (("C", 1.0),) + base.steps
     return ProductFormula(steps, label=f"fRC[R={R:.12g}]", claimed_order=1)

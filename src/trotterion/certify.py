@@ -8,8 +8,6 @@ extraction of the leading terms of log(f(x)).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,26 +21,7 @@ from .formula import GeneratorPair, ProductFormula, concat, repeat
 NOISE_FLOOR = 1e-14
 DEFAULT_XS = tuple(np.logspace(-2.0, -1.0, 20).tolist())
 DEFAULT_WINDOW = (DEFAULT_XS[10], DEFAULT_XS[-1])
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("TROTTERION_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError:
-            raise InvalidInputError("TROTTERION_THREADS must be an integer")
-        return max(1, n)
-    return os.cpu_count() or 1
-
-
-def _map_grid(fn: Callable[[float], float], xs: Sequence[float]) -> list[float]:
-    """Evaluate fn over the grid, in grid order; points are independent."""
-    workers = _thread_count()
-    if workers <= 1 or len(xs) < 4:
-        return [fn(x) for x in xs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, xs))
+DEFAULT_STEP_GRID = (8, 16, 32, 64, 128, 256)
 
 
 @dataclass(frozen=True)
@@ -55,23 +34,26 @@ class ScanResult:
     intercept: float | None
     target: str
 
-    def to_csv(self) -> str:
-        lines = ["x,error"]
-        for x, err in self.rows:
-            lines.append(f"{x:.17g},{err:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def fit_loglog(rows: Sequence[tuple[float, float]],
                window: tuple[float, float] | None) -> tuple[float | None, float | None]:
-    """Least-squares slope and intercept of log(err) vs log(x) in a window."""
+    """Least-squares slope and intercept of log(err) vs log(x) in a window.
+
+    Every row needs a finite x > 0 and a finite error >= 0; rows with
+    error exactly 0 carry no log-log signal and are dropped. Returns
+    (None, None) when fewer than two distinct x remain to fit.
+    """
+    if not all(0.0 < x < math.inf and 0.0 <= e < math.inf for x, e in rows):
+        raise InvalidInputError("fit rows need finite x > 0 and finite error >= 0")
     if window is None:
         selected = list(rows)
     else:
         lo, hi = window
+        if not lo < hi:
+            raise InvalidInputError("fit window needs LO < HI")
         selected = [(x, e) for x, e in rows if lo <= x <= hi]
     selected = [(x, e) for x, e in selected if e > 0.0]
-    if len(selected) < 2:
+    if len({x for x, _ in selected}) < 2:
         return None, None
     logx = np.log([x for x, _ in selected])
     loge = np.log([e for _, e in selected])
@@ -102,6 +84,25 @@ def _resolve_target(gens: GeneratorPair, target, R: float | None):
     raise InvalidInputError(f"unknown scan target {target!r}")
 
 
+def _scan(grid: list, error_of: Callable, window: tuple[float, float] | None,
+          target: str) -> ScanResult:
+    """Rows (x, error_of(x)) over a grid, evaluated in grid order, and their fit.
+
+    The grid must be strictly increasing and positive. The log-log fit
+    runs over `window` when given, otherwise over the whole grid.
+    """
+    if not grid or any(not x > 0 for x in grid):
+        raise InvalidInputError("scan grid must contain positive values")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidInputError("scan grid must be strictly increasing")
+    if window is None and len(grid) > 1:
+        window = (float(grid[0]), float(grid[-1]))
+    rows = tuple((float(x), error_of(x)) for x in grid)
+    slope, intercept = fit_loglog(rows, window)
+    return ScanResult(rows=rows, fit_window=window, slope=slope,
+                      intercept=intercept, target=target)
+
+
 def error_scan(f: ProductFormula, gens: GeneratorPair,
                xs: Sequence[float] | None = None,
                target="commutator", R: float | None = None,
@@ -112,20 +113,24 @@ def error_scan(f: ProductFormula, gens: GeneratorPair,
     runs over `window` when given, otherwise over every row.
     """
     grid = list(DEFAULT_XS) if xs is None else [float(x) for x in xs]
-    if not grid or any(x <= 0.0 for x in grid):
-        raise InvalidInputError("scan grid must contain positive x values")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidInputError("scan grid must be strictly increasing")
     target_fn, target_name = _resolve_target(gens, target, R)
 
     def one_point(x: float) -> float:
         return matcore.spectral_norm(f.evaluate(gens, x) - target_fn(x))
 
-    errors = _map_grid(one_point, grid)
-    rows = tuple(zip(grid, errors))
-    slope, intercept = fit_loglog(rows, window)
-    return ScanResult(rows=rows, fit_window=window, slope=slope,
-                      intercept=intercept, target=target_name)
+    return _scan(grid, one_point, window, target_name)
+
+
+def step_count_scan(error_of: Callable[[int], float],
+                    ns: Sequence[int] | None = None) -> ScanResult:
+    """Error of an n-step product over a grid of step counts.
+
+    error_of(n) is the error of the n-step run; the grid defaults to
+    DEFAULT_STEP_GRID and the log-log fit of error against n runs over
+    all of it.
+    """
+    grid = [int(n) for n in (DEFAULT_STEP_GRID if ns is None else ns)]
+    return _scan(grid, error_of, None, "custom")
 
 
 def estimate_order(f: ProductFormula, gens: GeneratorPair,
@@ -152,7 +157,7 @@ def gates_to_accuracy(f: ProductFormula, gens: GeneratorPair, x: float,
     doubling r until it passes, then binary search for the first passing
     r. Returns (r, gate count of the simplified repeated formula).
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise InvalidInputError("accuracy eps must be positive")
     target = commutator_target(gens)(x)
 

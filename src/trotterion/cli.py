@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .apps.cd import CDConfig, Protocol, cd_beta, cd_run
+from .apps.cd import SIGMA_X, SIGMA_Z, CDConfig, Protocol, cd_beta, cd_run
 from .apps.chain import ChainConfig, chain_gate_count, chain_simulate
 from .apps.km import BOUNDARIES, KMConfig, km_gate_count, km_simulate
 from .bases import f_r, s2, s3
@@ -29,12 +29,20 @@ from .formula import GeneratorPair, ProductFormula, from_json, to_json
 from .recursion import SchemeKind, apply_scheme
 from .solver import solve_p_of_r, solve_sqrt4
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+def _csv(header: str, rows: Iterable[Sequence], slope: float | None = None,
+         window: tuple[float, float] | None = None) -> str:
+    """Header, one line per row, and a slope footer when a fit exists.
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+    Float cells get 17 significant digits; other cells, including
+    strings formatted by the caller, are written with str().
+    """
+    lines = [header] + [",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                                 for v in row) for row in rows]
+    text = "\n".join(lines) + "\n"
+    if slope is not None and window is not None:
+        text += f"# slope={slope:.12g} window=[{window[0]:.12g},{window[1]:.12g}]\n"
+    return text
 
 
 def default_generators() -> GeneratorPair:
@@ -50,8 +58,9 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError:
         raise argparse.ArgumentTypeError("grid must look like LO:HI:STEP")
-    if step <= 0.0 or hi < lo:
-        raise argparse.ArgumentTypeError("grid needs STEP > 0 and HI >= LO")
+    # a NaN or infinite bound would never end the loop below
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < step < math.inf and lo <= hi):
+        raise argparse.ArgumentTypeError("grid needs finite LO <= HI and finite STEP > 0")
     out = []
     k = 0
     while True:
@@ -92,16 +101,7 @@ def _load_formula(path: str) -> ProductFormula:
             payload = fh.read()
     except OSError as exc:
         raise InvalidInputError(f"cannot read formula file: {exc}")
-    try:
-        return from_json(payload)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"formula file is not valid JSON: {exc}")
-
-
-def _slope_footer(slope: float | None, window: tuple[float, float] | None) -> str:
-    if slope is None or window is None:
-        return ""
-    return f"# slope={slope:.12g} window=[{window[0]:.12g},{window[1]:.12g}]\n"
+    return from_json(payload)
 
 
 def _cmd_build(args) -> int:
@@ -122,17 +122,6 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _scan_csv(result) -> str:
-    lines = ["x,error"]
-    for x, err in result.rows:
-        lines.append(f"{_fmt(x)},{_fmt(err)}")
-    body = "\n".join(lines) + "\n"
-    window = result.fit_window
-    if window is None and len(result.rows) > 1:
-        window = (result.rows[0][0], result.rows[-1][0])
-    return body + _slope_footer(result.slope, window)
-
-
 GNUPLOT_TEMPLATE = """set datafile separator ','
 set logscale xy
 set xlabel 'x'
@@ -149,7 +138,7 @@ def _cmd_scan(args) -> int:
     gens = default_generators()
     result = error_scan(f, gens, xs=args.xs, target=args.target, R=args.R,
                         window=args.window)
-    _write(_scan_csv(result), args.out)
+    _write(_csv("x,error", result.rows, result.slope, result.fit_window), args.out)
     if args.gnuplot is not None:
         script = GNUPLOT_TEMPLATE.format(csv=args.out, title=f.label or "formula")
         with open(args.gnuplot, "w", encoding="utf-8") as fh:
@@ -190,11 +179,8 @@ def _cmd_fit(args) -> int:
 def _cmd_gates(args) -> int:
     f = _load_formula(args.formula)
     gens = default_generators()
-    lines = ["x,r,gates"]
-    for x in args.xs:
-        r, gates = gates_to_accuracy(f, gens, x, args.eps)
-        lines.append(f"{_fmt(x)},{r},{gates}")
-    _write("\n".join(lines) + "\n", args.out)
+    rows = [(x, *gates_to_accuracy(f, gens, x, args.eps)) for x in args.xs]
+    _write(_csv("x,r,gates", rows), args.out)
     return 0
 
 
@@ -202,16 +188,14 @@ def _cmd_solve(args) -> int:
     # Solver CSV uses 12 significant digits, unlike the 17 of scan data.
     if args.sqrt4 is not None:
         sol = solve_sqrt4(args.sqrt4)
-        values = ",".join(f"{v:.12g}" for v in (sol.a, sol.b, sol.c, sol.d,
-                                                sol.signed_sum))
-        text = f"n,a,b,c,d,signed_sum\n{sol.n},{values}\n"
+        values = (sol.a, sol.b, sol.c, sol.d, sol.signed_sum)
+        text = _csv("n,a,b,c,d,signed_sum", [(sol.n, *(f"{v:.12g}" for v in values))])
     else:
         result = solve_p_of_r(args.pr)
         if not result.converged:
             raise SolverError(f"coefficient solve did not converge at R={args.pr:.6g}")
-        ps = ",".join(f"{v:.12g}" for v in result.params.as_tuple())
-        text = (f"R,p1,p2,p3,p4,p5,p6,max_residual\n"
-                f"{args.pr:.12g},{ps},{result.max_residual:.12g}\n")
+        values = (args.pr, *result.params.as_tuple(), result.max_residual)
+        text = _csv("R,p1,p2,p3,p4,p5,p6,max_residual", [[f"{v:.12g}" for v in values]])
     _write(text, args.out)
     return 0
 
@@ -222,26 +206,20 @@ def _cmd_cd(args) -> int:
     trotter = cd_run(base)
     cd_cfg = dataclasses.replace(base, protocol=Protocol.CD)
     cd_points = cd_run(cd_cfg, exact_coefficients=args.exact_pr)
-    lines = ["t,fidelity_trotter,fidelity_cd,beta"]
-    for tr, cd in zip(trotter, cd_points):
-        beta = cd_beta(cd_cfg, tr.t) if tr.t < args.tau else math.nan
-        lines.append(f"{_fmt(tr.t)},{_fmt(tr.fidelity)},{_fmt(cd.fidelity)},{_fmt(beta)}")
-    _write("\n".join(lines) + "\n", args.out)
+    # the last row sits at t = tau, where the weight is an endpoint limit;
+    # pick it by index, since N * (tau / N) can round below tau
+    rows = [(tr.t, tr.fidelity, cd.fidelity,
+             cd_beta(cd_cfg, tr.t) if k < args.N else math.nan)
+            for k, (tr, cd) in enumerate(zip(trotter, cd_points))]
+    _write(_csv("t,fidelity_trotter,fidelity_cd,beta", rows), args.out)
     return 0
-
-
-def _counts_csv(result, gates_of) -> str:
-    lines = ["n,error,gates"]
-    for n, err in result.rows:
-        lines.append(f"{int(n)},{_fmt(err)},{gates_of(int(n))}")
-    body = "\n".join(lines) + "\n"
-    return body + _slope_footer(result.slope, result.fit_window)
 
 
 def _cmd_chain(args) -> int:
     cfg = ChainConfig(L=args.L, t1=args.t1, t2=args.t2, T=args.T, n=args.n)
     result = chain_simulate(cfg, ns=args.ns)
-    _write(_counts_csv(result, lambda n: chain_gate_count(cfg, n)), args.out)
+    rows = [(int(n), err, chain_gate_count(cfg, int(n))) for n, err in result.rows]
+    _write(_csv("n,error,gates", rows, result.slope, result.fit_window), args.out)
     return 0
 
 
@@ -249,17 +227,15 @@ def _cmd_km(args) -> int:
     cfg = KMConfig(Lx=args.Lx, Ly=args.Ly, J=args.J, phi=args.phi, T=args.T,
                    n=args.n, boundary=args.boundary)
     result = km_simulate(cfg, ns=args.ns)
-    _write(_counts_csv(result, lambda n: km_gate_count(cfg, n)), args.out)
+    rows = [(int(n), err, km_gate_count(cfg, int(n))) for n, err in result.rows]
+    _write(_csv("n,error,gates", rows, result.slope, result.fit_window), args.out)
     return 0
 
 
 def _cmd_trajectory(args) -> int:
     f = _load_formula(args.formula)
     sums = f.trajectory(args.gen)
-    lines = ["step,partial_sum"]
-    for k, value in enumerate(sums, start=1):
-        lines.append(f"{k},{_fmt(value)}")
-    _write("\n".join(lines) + "\n", args.out)
+    _write(_csv("step,partial_sum", enumerate(sums, start=1)), args.out)
     return 0
 
 

@@ -102,7 +102,10 @@ class ProductFormula:
                 raise InvalidInputError(f"step {step!r} is not a (tag, coefficient) pair")
             if tag not in TAGS:
                 raise InvalidInputError(f"unknown step tag {tag!r}")
-            coeff = float(coeff)
+            try:
+                coeff = float(coeff)
+            except (TypeError, ValueError):
+                raise InvalidInputError(f"step coefficient {coeff!r} is not a number")
             if not math.isfinite(coeff):
                 raise InvalidInputError("step coefficients must be finite")
             clean.append((tag, coeff))
@@ -262,5 +265,4 @@ def from_json(text: str) -> ProductFormula:
     steps = payload["steps"]
     if not isinstance(steps, list):
         raise InvalidInputError("'steps' must be a list")
-    return ProductFormula(tuple((s[0], s[1]) for s in steps), label=label,
-                          claimed_order=order)
+    return ProductFormula(tuple(steps), label=label, claimed_order=order)

@@ -36,16 +36,14 @@ def two_copy(f: ProductFormula) -> ProductFormula:
     return out.simplify()
 
 
-def jean_koseleff(f: ProductFormula, n: int | None = None) -> ProductFormula:
+def jean_koseleff(f: ProductFormula) -> ProductFormula:
     """Triple-copy step raising order n to n+1, valid for either parity.
 
     Even n: f(tx) f(sx) f(tx) with t = (2 + 2^(2/(n+1)))^(-1/2) and
     s = -2^(1/(n+1)) t. Odd n: f(ux) f(vx)^(-1) f(ux) with
     u = (2 - 2^(2/(n+1)))^(-1/2) and v = 2^(1/(n+1)) u.
     """
-    n = _require_order(f) if n is None else n
-    if n != f.claimed_order:
-        raise InvalidInputError("order argument disagrees with the formula's claim")
+    n = _require_order(f)
     if n % 2 == 0:
         t = (2.0 + 2.0 ** (2.0 / (n + 1))) ** -0.5
         s = -(2.0 ** (1.0 / (n + 1))) * t
@@ -58,16 +56,14 @@ def jean_koseleff(f: ProductFormula, n: int | None = None) -> ProductFormula:
     return out.simplify()
 
 
-def childs_wiebe5(f: ProductFormula, n: int | None = None) -> ProductFormula:
+def childs_wiebe5(f: ProductFormula) -> ProductFormula:
     """5-copy step f(vx)^2 f(mx)^(-1) f(vx)^2 raising odd order n to n+1.
 
     With z = 4^(1/(n+1)), sigma = z^2 / (4 (4 - z^2)), v = sqrt(1/4 + sigma)
     and m = sqrt(4 sigma); then 4 v^2 - m^2 = 1 preserves the commutator
     weight and 4 v^(n+1) - m^(n+1) = 0 cancels the leading error.
     """
-    n = _require_order(f) if n is None else n
-    if n != f.claimed_order:
-        raise InvalidInputError("order argument disagrees with the formula's claim")
+    n = _require_order(f)
     if n % 2 == 0:
         raise InvalidInputError("the 5-copy step needs an odd-order input")
     z2 = 4.0 ** (2.0 / (n + 1))
@@ -82,7 +78,7 @@ def childs_wiebe5(f: ProductFormula, n: int | None = None) -> ProductFormula:
     return out.simplify()
 
 
-def build_q(f: ProductFormula, n: int | None = None) -> ProductFormula:
+def build_q(f: ProductFormula) -> ProductFormula:
     """4-copy scheme raising order n to n+2 with sqrt(4 n) copies per level.
 
     f(a x/s) f(b x/s)^(-1) f(c x/s) f(d x/s)^(-1) with (a, b, c, d) from
@@ -91,9 +87,7 @@ def build_q(f: ProductFormula, n: int | None = None) -> ProductFormula:
     the result is then tagged in its label and callers wanting the
     positive target take the inverse.
     """
-    n = _require_order(f) if n is None else n
-    if n != f.claimed_order:
-        raise InvalidInputError("order argument disagrees with the formula's claim")
+    n = _require_order(f)
     sol = solve_sqrt4(n)
     scale = 1.0 / math.sqrt(abs(sol.signed_sum))
     parts = [
@@ -109,7 +103,7 @@ def build_q(f: ProductFormula, n: int | None = None) -> ProductFormula:
     return out.simplify()
 
 
-def build_w(f: ProductFormula, n: int | None = None) -> ProductFormula:
+def build_w(f: ProductFormula) -> ProductFormula:
     """5-copy scheme raising order n to n+2 with sqrt(5 n) copies per level.
 
     f(-s'x/r) f(x/r)^(-1) f(sx/r) f(-x/r)^(-1) f(-s'x/r) with
@@ -118,9 +112,7 @@ def build_w(f: ProductFormula, n: int | None = None) -> ProductFormula:
     the +2 jump hold for odd n, which is every order this package feeds
     it; other n > 1 are accepted and built as printed.
     """
-    n = _require_order(f) if n is None else n
-    if n != f.claimed_order:
-        raise InvalidInputError("order argument disagrees with the formula's claim")
+    n = _require_order(f)
     if n <= 1:
         raise InvalidInputError("the 5-copy squared scheme needs order n > 1")
     s = (2.0 / (1.0 + 2.0 ** (1.0 / (n + 2)))) ** (1.0 / (n + 1))
@@ -138,27 +130,23 @@ def build_w(f: ProductFormula, n: int | None = None) -> ProductFormula:
     return out.simplify()
 
 
-def build_v(f: ProductFormula, n: int | None = None) -> ProductFormula:
+def build_v(f: ProductFormula) -> ProductFormula:
     """6-copy scheme raising odd order n to n+2: the odd triple-copy step
     at x/sqrt2 composed with its negated-argument twin."""
-    n = _require_order(f) if n is None else n
-    if n != f.claimed_order:
-        raise InvalidInputError("order argument disagrees with the formula's claim")
+    n = _require_order(f)
     if n % 2 == 0:
         raise InvalidInputError("the 6-copy scheme needs an odd-order input")
-    out = two_copy(jean_koseleff(f, n))
+    out = two_copy(jean_koseleff(f))
     return replace(out, label=f"v6({f.label})")
 
 
-def build_g(f: ProductFormula, n: int | None = None) -> ProductFormula:
+def build_g(f: ProductFormula) -> ProductFormula:
     """10-copy scheme raising odd order n to n+2: the 5-copy step followed
     by the 2-copy step."""
-    n = _require_order(f) if n is None else n
-    if n != f.claimed_order:
-        raise InvalidInputError("order argument disagrees with the formula's claim")
+    n = _require_order(f)
     if n % 2 == 0:
         raise InvalidInputError("the 10-copy scheme needs an odd-order input")
-    out = two_copy(childs_wiebe5(f, n))
+    out = two_copy(childs_wiebe5(f))
     return replace(out, label=f"g10({f.label})")
 
 
@@ -175,7 +163,7 @@ def build_cw_sqrt6_baseline(f: ProductFormula | None = None) -> ProductFormula:
     return replace(out, label=f"cw6({f.label})")
 
 
-def sum_comm_step(f: ProductFormula, m: int | None = None) -> ProductFormula:
+def sum_comm_step(f: ProductFormula) -> ProductFormula:
     """Order-raising step for sum-plus-commutator formulas.
 
     Even m: f(ax) f(bx)^(-1) f(ax) with a = (2 - 2^(1/(m+1)))^(-1) and
@@ -183,9 +171,7 @@ def sum_comm_step(f: ProductFormula, m: int | None = None) -> ProductFormula:
     step acts on the stored coefficients; the order bookkeeping follows
     the family in which the commutator weight scales linearly with x.
     """
-    m = _require_order(f) if m is None else m
-    if m != f.claimed_order:
-        raise InvalidInputError("order argument disagrees with the formula's claim")
+    m = _require_order(f)
     if m < 1:
         raise InvalidInputError("source order must be a positive integer")
     if m % 2 == 0:

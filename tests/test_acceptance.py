@@ -20,10 +20,7 @@ from trotterion.matcore import commutator, expm, logm_near_identity, spectral_no
 from trotterion.recursion import build_g, build_w, pure_commutator_library
 from trotterion.solver import solve_sqrt4
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI_PAIR = GeneratorPair(-1j * SIGMA_X, -1j * SIGMA_Z,
-                           np.zeros((2, 2), dtype=complex))
+from conftest import PAULI_PAIR
 
 
 def random_anti_hermitian(rng, dim, norm=None):

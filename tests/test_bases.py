@@ -11,11 +11,9 @@ from trotterion import (AccuracyWarning, GeneratorPair, SixGateParams, f_r,
                         f_r_params, f_r_with_c, reparam, s2, s3, word_sums)
 from trotterion.errors import DomainError
 
-GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
+from conftest import PAULI_PAIR
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI_PAIR = GeneratorPair(-1j * SIGMA_X, -1j * SIGMA_Z)
+GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
 
 
 def test_s2_structure():

@@ -16,9 +16,8 @@ from trotterion.certify import (DEFAULT_WINDOW, DEFAULT_XS, BCHCoefficients,
 from trotterion.errors import (BudgetExceededError, DegenerateScanError,
                                InvalidInputError)
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI_PAIR = GeneratorPair(-1j * SIGMA_X, -1j * SIGMA_Z)
+from conftest import PAULI_PAIR
+
 PAULI_COMM = commutator(PAULI_PAIR.a, PAULI_PAIR.b)
 
 
@@ -74,15 +73,6 @@ def test_error_scan_validates_grid():
         error_scan(s3(), PAULI_PAIR, xs=[])
     with pytest.raises(InvalidInputError):
         error_scan(s3(), PAULI_PAIR, target="sum-commutator")  # missing R
-
-
-def test_scan_csv_format():
-    result = error_scan(s3(), PAULI_PAIR, xs=[0.05, 0.1])
-    lines = result.to_csv().splitlines()
-    assert lines[0] == "x,error"
-    assert len(lines) == 3
-    x0 = float(lines[1].split(",")[0])
-    assert x0 == 0.05
 
 
 def test_estimate_order():
@@ -213,14 +203,3 @@ def test_sum_and_commutator_cost_matches_pure_commutator():
     slope_sum, _ = fit_loglog(rows_sum, None)
     slope_pure, _ = fit_loglog(rows_pure, None)
     assert abs(slope_sum - slope_pure) <= 0.15
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    monkeypatch.setenv("TROTTERION_THREADS", "1")
-    serial = error_scan(s3(), PAULI_PAIR)
-    monkeypatch.setenv("TROTTERION_THREADS", "4")
-    threaded = error_scan(s3(), PAULI_PAIR)
-    assert serial.rows == threaded.rows
-    monkeypatch.setenv("TROTTERION_THREADS", "zebra")
-    with pytest.raises(InvalidInputError):
-        error_scan(s3(), PAULI_PAIR)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from trotterion.apps import CDConfig, cd_beta
 from trotterion.cli import main
 from trotterion.formula import from_json
 
@@ -244,9 +245,10 @@ def test_scan_missing_formula_exits_2(capsys):
 
 def test_scan_rejects_malformed_grid(tmp_path, capsys):
     formula = build_file(tmp_path, capsys, "s3.json", "--base", "s3")
-    with pytest.raises(SystemExit) as info:
-        main(["scan", "--formula", formula, "--xs", "nope"])
-    assert info.value.code == 2
+    for grid in ("nope", "nan:0.1:0.01", "0.01:inf:0.01", "0.01:0.1:inf"):
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--formula", formula, "--xs", grid])
+        assert info.value.code == 2
     capsys.readouterr()
 
 
@@ -258,3 +260,69 @@ def test_console_script_entry_point(tmp_path):
     payload = json.loads(proc.stdout)
     assert len(payload["steps"]) == 4
     assert "gates=4" in proc.stderr
+
+
+def test_km_negative_coupling_runs(capsys):
+    # a negative J sends the per-step weight below -1/2, into the reflected step
+    code, out, err = run_cli(capsys, "km", "--Lx", "4", "--Ly", "4", "--J", "-1",
+                             "--phi", "1.5707963267948966", "--T", "1")
+    assert code == 0, err
+    footer = out.strip().split("\n")[-1]
+    slope = float(footer.split("slope=")[1].split()[0])
+    assert abs(slope - (-1.0)) <= 0.15
+
+
+def test_cd_endpoint_row_chosen_by_index(capsys):
+    # 49 * (1 / 49) rounds below 1, so the last t is not tau
+    code, out, err = run_cli(capsys, "cd", "--J", "-1", "--hz", "5", "--tau", "1",
+                             "--N", "49")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 50
+    assert rows[-1][3] == "nan"
+    cfg = CDConfig(J=-1.0, hz=5.0, tau=1.0, n_steps=49)
+    for t, _, _, beta in rows[:-1]:
+        assert float(beta) == cd_beta(cfg, float(t))
+
+
+GOOD_JSON = '{"steps": [["A", 1.0], ["B", 1.0]]}'
+BAD_INPUTS = [
+    # files to write, argv (file names replaced by their paths), exit code
+    pytest.param({"f.json": '{"steps": [5]}'}, ["scan", "--formula", "f.json"], 2,
+                 id="step-not-a-pair"),
+    pytest.param({"f.json": '{"steps": [["A"]]}'},
+                 ["trajectory", "--formula", "f.json", "--gen", "A"], 2, id="step-too-short"),
+    pytest.param({"f.json": '{"steps": [["A", "x"]]}'},
+                 ["gates", "--formula", "f.json", "--eps", "1e-4", "--xs", "0.1:0.1:0.1"], 2,
+                 id="step-coefficient-not-a-number"),
+    pytest.param({"f.json": GOOD_JSON},
+                 ["gates", "--formula", "f.json", "--eps", "nan", "--xs", "0.1:0.1:0.1"], 2,
+                 id="gates-eps-nan"),
+    pytest.param({"f.json": GOOD_JSON}, ["scan", "--formula", "f.json", "--window", "1:0"], 2,
+                 id="scan-inverted-window"),
+    pytest.param({"s.csv": "x,error\n0.05,1e-3\n0.1,1e-4\n"},
+                 ["fit", "--csv", "s.csv", "--window", "1:0"], 2, id="fit-inverted-window"),
+    pytest.param({"s.csv": "x,error\n0,1e-3\n0.1,1e-4\n"}, ["fit", "--csv", "s.csv"], 2,
+                 id="fit-zero-x"),
+    pytest.param({"s.csv": "x,error\n-0.05,1e-3\n0.1,1e-4\n"}, ["fit", "--csv", "s.csv"], 2,
+                 id="fit-negative-x"),
+    pytest.param({"s.csv": "x,error\n0.05,inf\n0.1,1e-4\n"}, ["fit", "--csv", "s.csv"], 2,
+                 id="fit-infinite-error"),
+    pytest.param({"s.csv": "x,error\n0.05,nan\n0.1,1e-4\n"}, ["fit", "--csv", "s.csv"], 2,
+                 id="fit-nan-error"),
+    pytest.param({"s.csv": "x,error\n0.1,1e-3\n0.1,2e-3\n"}, ["fit", "--csv", "s.csv"], 3,
+                 id="fit-one-distinct-x"),
+]
+
+
+@pytest.mark.parametrize("files,argv,want", BAD_INPUTS)
+def test_malformed_input_exits_with_one_error_line(tmp_path, capsys, files, argv, want):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == want
+    assert out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err

@@ -10,9 +10,8 @@ from trotterion import (GeneratorPair, ProductFormula, concat, from_json,
                         repeat, s2, s3, to_json, word_sums)
 from trotterion.errors import InvalidInputError
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI_PAIR = GeneratorPair(-1j * SIGMA_X, -1j * SIGMA_Z)
+from conftest import PAULI_PAIR
+
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 

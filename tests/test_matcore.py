@@ -6,9 +6,7 @@ import pytest
 from trotterion import matcore
 from trotterion.errors import DomainError, InvalidInputError
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
 def random_matrix(rng, dim, scale=1.0):

@@ -25,6 +25,9 @@ P_OF_R_TOL = 1e-10
 P_OF_R_MAX_ITER = 100
 P_OF_R_MAX_RETRIES = 5
 P_OF_R_MULTISTART = 40
+P_OF_R_MULTISTART_ROUNDS = 4
+# Backtracking scales 2^0 .. 2^-30 of a Newton step.
+_BACKTRACK_SCALES = np.ldexp(1.0, -np.arange(31))
 
 
 @dataclass(frozen=True)
@@ -137,28 +140,58 @@ class PofRResult:
 
 
 def _p_of_r_residuals(p: np.ndarray, R: float) -> np.ndarray:
-    rp = reparam(SixGateParams(*p))
-    return np.array([
+    """The five residuals over the last axis: shape (..., 6) -> (..., 5)."""
+    rp = reparam(SixGateParams(*np.moveaxis(p, -1, 0)))
+    return np.stack([
         rp.l - 1.0,
         rp.m - 1.0,
         rp.q + R - 0.5,
         rp.r - 1.0 / 6.0,
         rp.s - 1.0 / 6.0,
-    ])
+    ], axis=-1)
 
 
-def _p_of_r_jacobian(p: np.ndarray) -> np.ndarray:
-    """Partials of (l, m, q, r, s) with respect to p1..p5 (p6 held fixed)."""
-    p1, p2, p3, p4, p5, p6 = p
-    return np.array([
-        [1.0, 0.0, 1.0, 0.0, 1.0],
-        [0.0, 1.0, 0.0, 1.0, 0.0],
-        [0.0, p3 + p5, p2, p5, p2 + p4],
+def _p_of_r_jacobians(p: np.ndarray) -> np.ndarray:
+    """Partials of (l, m, q, r, s) with respect to p1..p5 (p6 held fixed).
+
+    Shape (k, 6) -> (k, 5, 5), one Jacobian per row of p.
+    """
+    p1, p2, p3, p4, p5, p6 = p.T
+    zero, one = np.zeros_like(p1), np.ones_like(p1)
+    rows = [
+        [one, zero, one, zero, one],
+        [zero, one, zero, one, zero],
+        [zero, p3 + p5, p2, p5, p2 + p4],
         [p2 * p3 + p2 * p5 + p4 * p5, p1 * p3 + p1 * p5, p1 * p2 + p4 * p5,
          p1 * p5 + p3 * p5, p1 * p2 + p1 * p4 + p3 * p4],
-        [0.0, p3 * p4 + p3 * p6 + p5 * p6, p2 * p4 + p2 * p6, p2 * p3 + p5 * p6,
+        [zero, p3 * p4 + p3 * p6 + p5 * p6, p2 * p4 + p2 * p6, p2 * p3 + p5 * p6,
          p2 * p6 + p4 * p6],
-    ])
+    ]
+    return np.moveaxis(np.array(rows), -1, 0)
+
+
+def _newton_steps(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Solve jac @ step = -res row by row; a singular row's step is NaN."""
+    try:
+        return np.linalg.solve(jac, -res[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        steps = np.full_like(res, np.nan)
+        for i in range(len(res)):
+            try:
+                steps[i] = np.linalg.solve(jac[i], -res[i])
+            except np.linalg.LinAlgError:
+                pass
+        return steps
+
+
+def _norm(res: np.ndarray) -> np.ndarray:
+    """2-norm over the last axis, rounded as np.linalg.norm of each row:
+    matmul takes the same dot kernel, a sum over the axis would not."""
+    return np.sqrt((res[..., None, :] @ res[..., :, None])[..., 0, 0])
+
+
+def _r_seed(R: float) -> int:
+    return 1 + abs(hash(round(R, 12))) % (2**32)
 
 
 def solve_p_of_r(R: float, seed: SixGateParams | None = None) -> PofRResult:
@@ -171,32 +204,40 @@ def solve_p_of_r(R: float, seed: SixGateParams | None = None) -> PofRResult:
     honestly whether it converged. Without a seed the closed-form
     large-R coefficients seed the first attempt; the closed-form branch
     degenerates over a window of moderate R, so on failure a
-    deterministic multistart over pinning gauges hunts for any root.
+    deterministic multistart over pinning gauges hunts for any root,
+    in rounds of P_OF_R_MULTISTART draws solved as one batch.
     """
     R = float(R)
+    if not math.isfinite(R):
+        raise InvalidInputError("R must be finite for the coefficient solve")
     if seed is not None:
-        return _newton_p_of_r(R, seed)
+        return _newton_p_of_r(R, np.array([seed.as_tuple()]))[0]
     # The closed form is only a Newton seed here; its small-R accuracy
     # warning does not apply to the corrected output.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AccuracyWarning)
-        result = _newton_p_of_r(R, f_r_params(R))
-    if result.converged:
-        return result
-    rng = np.random.default_rng(1 + abs(hash(round(R, 12))) % (2**32))
-    for _ in range(P_OF_R_MULTISTART):
-        draw = SixGateParams(*rng.uniform(-2.0, 2.0, size=5),
-                             rng.uniform(0.1, 2.5))
-        attempt = _newton_p_of_r(R, draw)
-        if attempt.converged:
-            # among roots prefer small coefficients: they carry the
-            # smallest higher-order defects
-            if (not result.converged
-                    or _coeff_size(attempt) < _coeff_size(result)):
+        start = np.array([f_r_params(R).as_tuple()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(_p_of_r_residuals(start, R))):
+            raise InvalidInputError(
+                f"R={R:.6g} is too large: the closed-form seed's residuals overflow")
+    result = _newton_p_of_r(R, start)[0]
+    rng = np.random.default_rng(_r_seed(R))
+    for _ in range(P_OF_R_MULTISTART_ROUNDS):
+        if result.converged:
+            break
+        draws = np.array([(*rng.uniform(-2.0, 2.0, size=5), rng.uniform(0.1, 2.5))
+                          for _ in range(P_OF_R_MULTISTART)])
+        for attempt in _newton_p_of_r(R, draws):
+            if attempt.converged:
+                # among roots prefer small coefficients: they carry the
+                # smallest higher-order defects
+                if (not result.converged
+                        or _coeff_size(attempt) < _coeff_size(result)):
+                    result = attempt
+            elif (not result.converged
+                    and attempt.max_residual < result.max_residual):
                 result = attempt
-        elif (not result.converged
-                and attempt.max_residual < result.max_residual):
-            result = attempt
     return result
 
 
@@ -204,52 +245,77 @@ def _coeff_size(result: PofRResult) -> float:
     return max(abs(v) for v in result.params.as_tuple())
 
 
-def _newton_p_of_r(R: float, seed: SixGateParams) -> PofRResult:
-    p = np.array(seed.as_tuple(), dtype=float)
-    rng = np.random.default_rng(1 + abs(hash(round(R, 12))) % (2**32))
-    retries = 0
-    res = _p_of_r_residuals(p, R)
-    best_p, best_norm = p.copy(), float(np.max(np.abs(res)))
-    for _ in range(P_OF_R_MAX_ITER):
-        if float(np.max(np.abs(res))) <= P_OF_R_TOL:
-            return PofRResult(SixGateParams(*p), tuple(res.tolist()), converged=True)
-        jac = _p_of_r_jacobian(p)
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None or not np.all(np.isfinite(step)):
-            retries += 1
-            if retries > P_OF_R_MAX_RETRIES:
+def _newton_p_of_r(R: float, starts: np.ndarray) -> list[PofRResult]:
+    """Damped Newton from every row of a (k, 6) array of starts at once.
+
+    Each row runs on its own: P_OF_R_MAX_ITER iterations, a retry (a
+    kick of p1..p5) taking one of them; a row that converges returns its
+    current p, any other the best p it reached. The j-th retry of every
+    row uses the j-th kick drawn from the R-seeded generator, and a
+    Jacobian still singular after P_OF_R_MAX_RETRIES retries raises.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        kicks = np.random.default_rng(_r_seed(R)).normal(
+            scale=1e-6, size=(P_OF_R_MAX_RETRIES, 5))
+        p = np.array(starts, dtype=float)
+        res = _p_of_r_residuals(p, R)
+        best_p, best_norm = p.copy(), np.max(np.abs(res), axis=1)
+        retries = np.zeros(len(p), dtype=int)
+        results: list[PofRResult | None] = [None] * len(p)
+        live = np.arange(len(p))
+        for _ in range(P_OF_R_MAX_ITER):
+            # not `> tol`: a NaN row stays live, as it would alone
+            done = np.max(np.abs(res[live]), axis=1) <= P_OF_R_TOL
+            for i in live[done]:
+                results[i] = PofRResult(SixGateParams(*p[i]), tuple(res[i].tolist()),
+                                        converged=True)
+            live = live[~done]
+            if not live.size:
+                break
+            step = _newton_steps(_p_of_r_jacobians(p[live]), res[live])
+            solved = np.all(np.isfinite(step), axis=1)
+            moved = np.zeros_like(solved)
+            moved[solved] = _backtrack(R, p, res, live[solved], step[solved])
+            rows = live[moved]
+            norm = np.max(np.abs(res[rows]), axis=1)
+            gain = norm < best_norm[rows]
+            best_p[rows[gain]], best_norm[rows[gain]] = p[rows[gain]], norm[gain]
+            # Retries: a row that did not move kicks p1..p5; once they run
+            # out, a singular Jacobian raises and a stalled row ends.
+            retries[live[~moved]] += 1
+            over = retries[live] > P_OF_R_MAX_RETRIES
+            if np.any(over & ~solved):
                 raise SolverError("Newton Jacobian stayed singular after retries")
-            p[:5] = p[:5] + rng.normal(scale=1e-6, size=5)
-            res = _p_of_r_residuals(p, R)
-            continue
-        # Backtracking: halve the step until the residual norm improves.
-        base_norm = float(np.linalg.norm(res))
-        scale = 1.0
-        moved = False
-        while scale >= 2.0**-30:
-            trial = p.copy()
-            trial[:5] = p[:5] + scale * step
-            trial_res = _p_of_r_residuals(trial, R)
-            if float(np.linalg.norm(trial_res)) < base_norm:
-                p, res = trial, trial_res
-                moved = True
-                break
-            scale /= 2.0
-        if not moved:
-            retries += 1
-            if retries > P_OF_R_MAX_RETRIES:
-                break
-            p[:5] = p[:5] + rng.normal(scale=1e-6, size=5)
-            res = _p_of_r_residuals(p, R)
-            continue
-        if float(np.max(np.abs(res))) < best_norm:
-            best_p, best_norm = p.copy(), float(np.max(np.abs(res)))
-    final_res = _p_of_r_residuals(best_p, R)
-    converged = float(np.max(np.abs(final_res))) <= P_OF_R_TOL
-    return PofRResult(SixGateParams(*best_p), tuple(final_res.tolist()), converged)
+            kicked = live[~moved & ~over]
+            if kicked.size:
+                p[kicked, :5] = p[kicked, :5] + kicks[retries[kicked] - 1]
+                res[kicked] = _p_of_r_residuals(p[kicked], R)
+            live = live[~over]
+        # every other row stopped unconverged and returns its best point
+        rest = [i for i, r in enumerate(results) if r is None]
+        if rest:
+            for i, final in zip(rest, _p_of_r_residuals(best_p[rest], R)):
+                results[i] = PofRResult(SixGateParams(*best_p[i]), tuple(final.tolist()),
+                                        converged=float(np.max(np.abs(final))) <= P_OF_R_TOL)
+    return results
+
+
+def _backtrack(R: float, p: np.ndarray, res: np.ndarray, rows: np.ndarray,
+               step: np.ndarray) -> np.ndarray:
+    """Move each row to the first scale 2^0 .. 2^-30 of its step whose
+    residual norm improves, all scales of all rows in one evaluation.
+
+    Updates p and res in place and returns which rows moved.
+    """
+    trial = np.repeat(p[rows, None, :], len(_BACKTRACK_SCALES), axis=1)
+    trial[:, :, :5] = p[rows, None, :5] + _BACKTRACK_SCALES[:, None] * step[:, None, :]
+    trial_res = _p_of_r_residuals(trial, R)
+    better = _norm(trial_res) < _norm(res[rows])[:, None]
+    moved = better.any(axis=1)
+    first = better.argmax(axis=1)[moved]
+    p[rows[moved]] = trial[moved, first]
+    res[rows[moved]] = trial_res[moved, first]
+    return moved
 
 
 def residuals_order4(f: ProductFormula) -> np.ndarray:

@@ -285,6 +285,15 @@ def test_cd_endpoint_row_chosen_by_index(capsys):
         assert float(beta) == cd_beta(cfg, float(t))
 
 
+def test_cd_exact_pr_rescues_slice_beyond_first_multistart_round(capsys):
+    # slice 7 sits at R=0.594648, where all 40 draws of the first round fail
+    code, out, err = run_cli(capsys, "cd", "--J", "-0.7844027253947177",
+                             "--hz", "5.3319924341205285", "--tau", "1", "--N", "14",
+                             "--exact-pr")
+    assert code == 0, err
+    assert len(out.strip().split("\n")) == 16
+
+
 GOOD_JSON = '{"steps": [["A", 1.0], ["B", 1.0]]}'
 BAD_INPUTS = [
     # files to write, argv (file names replaced by their paths), exit code
@@ -312,6 +321,9 @@ BAD_INPUTS = [
                  id="fit-nan-error"),
     pytest.param({"s.csv": "x,error\n0.1,1e-3\n0.1,2e-3\n"}, ["fit", "--csv", "s.csv"], 3,
                  id="fit-one-distinct-x"),
+    pytest.param({}, ["solve", "--pr", "nan"], 2, id="solve-pr-nan"),
+    pytest.param({}, ["solve", "--pr", "inf"], 2, id="solve-pr-inf"),
+    pytest.param({}, ["solve", "--pr", "1e300"], 2, id="solve-pr-overflowing-seed"),
 ]
 
 

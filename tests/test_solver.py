@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from trotterion import (AccuracyWarning, SixGateParams, f_r_params, reparam,
-                        residuals_order4, s3, solve_p_of_r, solve_sqrt4)
-from trotterion.errors import InvalidInputError
+                        residuals_order4, s3, solve_p_of_r, solve_sqrt4, solver)
+from trotterion.errors import InvalidInputError, SolverError
 from trotterion.formula import ProductFormula
 
 GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
@@ -113,6 +113,102 @@ def test_p_of_r_multistart_crosses_seed_degeneracy():
     assert first.max_residual <= 1e-10
     assert first.params.as_tuple() == again.params.as_tuple()
     assert max(abs(v) for v in first.params.as_tuple()) < 3.0
+
+
+# Roots the default solve returns, recorded to the last bit; a change to the
+# Newton loop that moves them changes which coefficients `cd` runs with.
+PINNED_ROOTS = {
+    0.35: (1.2310460814320492, -0.38140460477332844, -0.2907375318425695,
+           1.0366302075326546, 0.059691450410520416, 0.344774397240674),
+    0.45: (0.4630575346231174, 0.8468238129465825, -0.35462151448875573,
+           -0.4539165724532513, 0.8915639798656383, 0.6070927595066689),
+    0.5: (0.6540039785638672, 0.8882807653464226, -0.5422847439102904,
+          -0.3459960214361327, 0.8882807653464231, 0.4577152560897101),
+    0.6: (0.5070609374970426, 0.9519496449255647, -0.38185604153459585,
+          -0.6507274250761914, 0.8747951040375532, 0.6987777801506269),
+    2.0: (0.6354676124543112, 1.970549191594262, -0.5048250663208333,
+          -2.5516880216784514, 0.8693574538665222, 1.5811388300841898),
+    10.0: (1.7270132632362805, 2.781094412936675, -2.2162415720484825,
+           -5.021464762140605, 1.489228308812202, 3.24037034920393),
+    50.0: (4.122156965062353, 5.132802196710665, -6.1005515414789,
+           -11.239137398486612, 2.9783945764165476, 7.106335201775948),
+}
+# solve_p_of_r(1.5, seed=...) with the p6 = 1.6 seed of test_p_of_r_honors_custom_seed
+PINNED_CUSTOM_SEED_ROOT = (0.33504993632600416, 2.939398663865198, -0.1698113207540937,
+                           -3.539398663865198, 0.8347613844280896, 1.6)
+
+
+@pytest.mark.parametrize("R", sorted(PINNED_ROOTS))
+def test_p_of_r_roots_are_pinned(R):
+    result = solve_p_of_r(R)
+    assert result.converged
+    assert result.params.as_tuple() == pytest.approx(PINNED_ROOTS[R], abs=1e-10)
+
+
+def test_p_of_r_custom_seed_root_is_pinned():
+    import dataclasses
+
+    seed = dataclasses.replace(solve_p_of_r(1.5).params, p6=1.6)
+    result = solve_p_of_r(1.5, seed=seed)
+    assert result.converged
+    assert result.params.as_tuple() == pytest.approx(PINNED_CUSTOM_SEED_ROOT, abs=1e-10)
+
+
+def _closed_form(R):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        return f_r_params(R).as_tuple()
+
+
+def _batch_outcome(R, starts):
+    try:
+        results = solver._newton_p_of_r(R, np.array(starts, dtype=float))
+    except SolverError as exc:
+        return str(exc)
+    return [(r.params.as_tuple(), r.residuals, r.converged) for r in results]
+
+
+def test_batched_newton_rows_are_independent():
+    # a singular Jacobian at the start, a far basin that fails, and two
+    # starts that converge after different numbers of steps
+    R = 1.5
+    starts = [(0.0, 0.0, 0.0, 0.0, 0.0, 1.0), _closed_form(R),
+              (0.5, 1.0, -0.3, -1.2, 0.8, 2.0), (1.0, 1.0, 1.0, 1.0, 1.0, 1.0)]
+    alone = [_batch_outcome(R, [s])[0] for s in starts]
+    assert [converged for _, _, converged in alone] == [False, True, False, True]
+    assert _batch_outcome(R, starts) == alone
+
+
+def test_batched_newton_raises_as_the_lone_row_does():
+    # a NaN start keeps a non-finite Jacobian through every retry
+    R = 1.5
+    bad, good = (math.nan, 0.0, 0.0, 0.0, 0.0, 1.0), _closed_form(R)
+    lone = _batch_outcome(R, [bad])
+    assert lone == "Newton Jacobian stayed singular after retries"
+    assert _batch_outcome(R, [good, bad]) == lone
+    assert _batch_outcome(R, [bad, good]) == lone
+
+
+def test_p_of_r_multistart_draws_further_rounds():
+    # every draw of the first round of 40 fails at this weight
+    result = solve_p_of_r(0.5946480095193062)
+    assert result.converged
+    assert result.max_residual <= 1e-10
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+def test_p_of_r_rejects_non_finite_weight(R):
+    with pytest.raises(InvalidInputError):
+        solve_p_of_r(R)
+    with pytest.raises(InvalidInputError):
+        solve_p_of_r(R, seed=SixGateParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
+
+
+def test_p_of_r_rejects_weight_whose_seed_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError):
+            solve_p_of_r(1e300)
 
 
 def test_residuals_order4_s3():

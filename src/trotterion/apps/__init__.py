@@ -1,8 +1,8 @@
 """Application simulators built on the product-formula core."""
 
 from ..bases import f_r_signed
-from .cd import (CDConfig, CDPoint, Protocol, cd_beta, cd_hamiltonians,
-                 cd_run, schedule, schedule_rate)
+from .cd import (CDConfig, CDPoint, cd_beta, cd_hamiltonians, cd_run,
+                 schedule, schedule_rate)
 from .chain import (ChainConfig, chain_error, chain_gate_count, chain_heff,
                     chain_hoppings, chain_simulate)
 from .km import (KMConfig, flat_band_coupling, km_commutator_check,
@@ -10,7 +10,7 @@ from .km import (KMConfig, flat_band_coupling, km_commutator_check,
                  phases_wrap_consistently)
 
 __all__ = [
-    "CDConfig", "CDPoint", "Protocol", "cd_beta", "cd_hamiltonians", "cd_run",
+    "CDConfig", "CDPoint", "cd_beta", "cd_hamiltonians", "cd_run",
     "schedule", "schedule_rate",
     "ChainConfig", "chain_error", "chain_gate_count", "chain_heff",
     "chain_hoppings", "chain_simulate",

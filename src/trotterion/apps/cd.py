@@ -5,12 +5,11 @@ counterdiabatic correction is a commutator term whose weight follows
 the schedule rate, so one 6-gate sum-plus-commutator step per time
 slice implements the corrected evolution. A first-order splitting with
 the same per-step exponential budget serves as the comparison
-protocol.
+protocol; one pass over the ramp evolves both.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,7 +21,7 @@ from ..errors import DomainError, InvalidInputError, SolverError
 from ..formula import GeneratorPair
 from ..matcore import eigh, expm
 from ..solver import solve_p_of_r
-from .common import quiet_small_r
+from .common import check_phase, quiet_small_r
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -33,26 +32,20 @@ GAP_TOL = 1e-10
 EXPONENTIALS_PER_STEP = 6
 
 
-class Protocol(enum.Enum):
-    TROTTER = "trotter"
-    CD = "cd"
-
-
 @dataclass(frozen=True)
 class CDConfig:
     J: float
     hz: float
     tau: float
     n_steps: int
-    protocol: Protocol = Protocol.CD
 
     def __post_init__(self) -> None:
         if not (self.tau > 0.0) or not math.isfinite(self.tau):
             raise InvalidInputError("ramp time tau must be positive and finite")
         if self.n_steps < 1:
             raise InvalidInputError("step count must be at least 1")
-        if not isinstance(self.protocol, Protocol):
-            raise InvalidInputError("protocol must be a Protocol member")
+        check_phase("J*tau", self.J * self.tau)
+        check_phase("hz*tau", self.hz * self.tau)
 
 
 def schedule(t: float, tau: float) -> float:
@@ -93,61 +86,64 @@ def cd_beta(cfg: CDConfig, t: float) -> float:
 
 
 class CDPoint(NamedTuple):
+    """Both protocols' fidelities at time t, and the weight of the slice
+    starting there (NaN at the endpoint, where no slice starts)."""
+
     t: float
-    fidelity: float
+    fidelity_trotter: float
+    fidelity_cd: float
+    beta: float
     degenerate: bool
 
 
-def _ground_state(h: np.ndarray) -> tuple[np.ndarray, float]:
-    vals, vecs = eigh(h)
-    return vecs[:, 0], float(vals[1] - vals[0])
+def _ground_state(cfg: CDConfig, t: float) -> tuple[np.ndarray, bool]:
+    """Ramp ground state at time t, and whether it is nearly degenerate."""
+    vals, vecs = eigh(sum(cd_hamiltonians(cfg, schedule(t, cfg.tau))))
+    return vecs[:, 0], float(vals[1] - vals[0]) < GAP_TOL
 
 
 def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
-    """Evolve the initial ground state and track instantaneous fidelity.
+    """Evolve the initial ground state under both protocols in one pass.
 
     Starts in the ground state of the ramp-start Hamiltonian and applies
-    one step per time slice, sampling the ramp at the left endpoint.
-    After each step the overlap with the instantaneous ground state at
-    the right endpoint is recorded. Rows where the reference ground
-    state is nearly degenerate are flagged.
+    one step per time slice, sampling the ramp at the left endpoint: the
+    corrected step, and the first-order splitting with the same
+    exponential budget. After each step both overlaps with the
+    instantaneous ground state at the right endpoint are recorded. Rows
+    where the reference ground state is nearly degenerate are flagged.
 
-    With exact_coefficients=True the per-step coefficients come from the
-    damped Newton solve instead of the closed form.
+    With exact_coefficients=True the corrected step's coefficients come
+    from the damped Newton solve instead of the closed form.
     """
     dt = cfg.tau / cfg.n_steps
-    h_a0, h_b = cd_hamiltonians(cfg, schedule(0.0, cfg.tau))
-    psi, gap = _ground_state(h_a0 + h_b)
-    points = [CDPoint(0.0, 1.0, gap < GAP_TOL)]
+    _, h_b = cd_hamiltonians(cfg, 0.0)
     exp_b_third = expm(-1j * h_b * (dt / 3.0))
+    psi_tr, degenerate = _ground_state(cfg, 0.0)
+    psi_cd = psi_tr
+    t, fid_tr, fid_cd = 0.0, 1.0, 1.0
+    points = []
     for k in range(cfg.n_steps):
-        t_k = k * dt
-        lam_k = schedule(t_k, cfg.tau)
-        h_a, _ = cd_hamiltonians(cfg, lam_k)
-        if cfg.protocol is Protocol.TROTTER:
-            pair = expm(-1j * h_a * (dt / 3.0)) @ exp_b_third
-            step = pair @ pair @ pair
-        else:
-            R = cd_beta(cfg, t_k) / dt
-            with quiet_small_r():
-                if exact_coefficients:
-                    # fresh solve per slice: the default seeding tracks the
-                    # well-conditioned closed-form branch wherever it
-                    # converges instead of dragging one branch across the
-                    # whole ramp
-                    result = solve_p_of_r(R)
-                    if not result.converged:
-                        raise SolverError(
-                            f"per-step coefficient solve stalled at R={R:.6g}")
-                    formula = result.params.as_formula(
-                        label=f"fR*[R={R:.12g}]", claimed_order=3)
-                else:
-                    formula = f_r(R)
-            gens = GeneratorPair(-1j * h_a, -1j * h_b)
-            step = formula.evaluate(gens, dt)
-        psi = step @ psi
-        t_next = (k + 1) * dt
-        gs, gap = _ground_state(sum(cd_hamiltonians(cfg, schedule(t_next, cfg.tau))))
-        fid = float(abs(np.vdot(gs, psi)) ** 2)
-        points.append(CDPoint(t_next, fid, gap < GAP_TOL))
+        beta = cd_beta(cfg, t)
+        points.append(CDPoint(t, fid_tr, fid_cd, beta, degenerate))
+        h_a, _ = cd_hamiltonians(cfg, schedule(t, cfg.tau))
+        pair = expm(-1j * h_a * (dt / 3.0)) @ exp_b_third
+        psi_tr = pair @ pair @ pair @ psi_tr
+        R = beta / dt
+        with quiet_small_r():
+            if exact_coefficients:
+                # fresh solve per slice: the default seeding tracks the
+                # well-conditioned closed-form branch wherever it converges
+                # instead of dragging one branch across the whole ramp
+                result = solve_p_of_r(R)
+                if not result.converged:
+                    raise SolverError(f"per-step coefficient solve stalled at R={R:.6g}")
+                formula = result.params.as_formula(label=f"fR*[R={R:.12g}]", claimed_order=3)
+            else:
+                formula = f_r(R)
+        psi_cd = formula.evaluate(GeneratorPair(-1j * h_a, -1j * h_b), dt) @ psi_cd
+        t = (k + 1) * dt
+        gs, degenerate = _ground_state(cfg, t)
+        fid_tr = float(abs(np.vdot(gs, psi_tr)) ** 2)
+        fid_cd = float(abs(np.vdot(gs, psi_cd)) ** 2)
+    points.append(CDPoint(t, fid_tr, fid_cd, math.nan, degenerate))
     return points

@@ -20,7 +20,7 @@ from ..certify import ScanResult, step_count_scan
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair
 from ..matcore import commutator, expm, spectral_norm
-from .common import quiet_small_r
+from .common import MAX_MODES, check_phase, quiet_small_r
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,14 @@ class ChainConfig:
     def __post_init__(self) -> None:
         if self.L < 4 or self.L % 2 != 0:
             raise InvalidInputError("chain length must be even and at least 4")
+        if self.L > MAX_MODES:
+            raise InvalidInputError(f"chain length must be at most {MAX_MODES}")
         if not (self.T > 0.0) or not math.isfinite(self.T):
             raise InvalidInputError("total time must be positive and finite")
         if self.t1 == 0.0:
             raise InvalidInputError("nearest-neighbor amplitude must be nonzero")
+        check_phase("t1*T", self.t1 * self.T)
+        check_phase("t2*T", self.t2 * self.T)
         if self.n is not None and self.n < 1:
             raise InvalidInputError("step count must be at least 1")
 

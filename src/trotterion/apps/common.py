@@ -6,6 +6,22 @@ import warnings
 from contextlib import contextmanager
 
 from ..bases import AccuracyWarning
+from ..errors import InvalidInputError
+
+# Largest mode space of the chain and the flux lattice: a run builds about a
+# dozen dense complex matrices of this side, 16 MB each at 1024 modes, 16x
+# the side of the largest benchmarked lattice (64 modes).
+MAX_MODES = 1024
+# Largest evolution phase (a coupling times a time) the simulators accept: a
+# double holds a phase near 1e15 rad only to about 0.2 rad, and the cap keeps
+# the squared phases of the commutator weights far from overflow.
+MAX_PHASE = 1e15
+
+
+def check_phase(name: str, phase: float) -> None:
+    """Reject a non-finite phase or one beyond MAX_PHASE in magnitude."""
+    if not abs(phase) <= MAX_PHASE:
+        raise InvalidInputError(f"{name} must be finite and at most {MAX_PHASE:g} in magnitude")
 
 
 @contextmanager

@@ -21,7 +21,7 @@ from ..certify import ScanResult, step_count_scan
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair
 from ..matcore import commutator, expm, spectral_norm
-from .common import quiet_small_r
+from .common import MAX_MODES, check_phase, quiet_small_r
 
 BOUNDARIES = ("auto", "torus", "open")
 
@@ -42,8 +42,13 @@ class KMConfig:
     def __post_init__(self) -> None:
         if self.Lx < 3 or self.Ly < 3:
             raise InvalidInputError("lattice extents must be at least 3")
+        if self.Lx * self.Ly > MAX_MODES:
+            raise InvalidInputError(f"lattice must have at most {MAX_MODES} sites")
         if not (self.T > 0.0) or not math.isfinite(self.T):
             raise InvalidInputError("total time must be positive and finite")
+        if not math.isfinite(self.phi):
+            raise InvalidInputError("flux must be finite")
+        check_phase("J*T", self.J * self.T)
         if self.n is not None and self.n < 1:
             raise InvalidInputError("step count must be at least 1")
         if self.boundary not in BOUNDARIES:
@@ -72,7 +77,10 @@ def flat_band_coupling(J: float, phi: float) -> float:
         raise InvalidInputError("flux must not be a multiple of 2*pi")
     if J == 0.0:
         raise InvalidInputError("hopping amplitude must be nonzero")
-    return math.exp(0.25 * phi - 0.5 * math.pi) / (2.0 * J * s)
+    try:
+        return math.exp(0.25 * phi - 0.5 * math.pi) / (2.0 * J * s)
+    except OverflowError:
+        raise InvalidInputError("flux is too large: the flat-band coupling overflows")
 
 
 def km_hoppings(cfg: KMConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

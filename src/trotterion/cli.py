@@ -11,14 +11,13 @@ solver failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .apps.cd import SIGMA_X, SIGMA_Z, CDConfig, Protocol, cd_beta, cd_run
+from .apps.cd import SIGMA_X, SIGMA_Z, CDConfig, cd_run
 from .apps.chain import ChainConfig, chain_gate_count, chain_simulate
 from .apps.km import BOUNDARIES, KMConfig, km_gate_count, km_simulate
 from .bases import f_r, s2, s3
@@ -51,6 +50,11 @@ def default_generators() -> GeneratorPair:
                          np.zeros((2, 2), dtype=complex))
 
 
+# Largest --xs grid: the default scan has 20 points, and a scan of the
+# 56-gate G5 on 2x2 generators costs about 1 ms a point.
+MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(text: str) -> list[float]:
     """LO:HI:STEP inclusive linear grid."""
     try:
@@ -61,6 +65,8 @@ def _parse_grid(text: str) -> list[float]:
     # a NaN or infinite bound would never end the loop below
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < step < math.inf and lo <= hi):
         raise argparse.ArgumentTypeError("grid needs finite LO <= HI and finite STEP > 0")
+    if not (hi - lo) / step < MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"grid must have at most {MAX_GRID_POINTS} points")
     out = []
     k = 0
     while True:
@@ -201,16 +207,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_cd(args) -> int:
-    base = CDConfig(J=args.J, hz=args.hz, tau=args.tau, n_steps=args.N,
-                    protocol=Protocol.TROTTER)
-    trotter = cd_run(base)
-    cd_cfg = dataclasses.replace(base, protocol=Protocol.CD)
-    cd_points = cd_run(cd_cfg, exact_coefficients=args.exact_pr)
-    # the last row sits at t = tau, where the weight is an endpoint limit;
-    # pick it by index, since N * (tau / N) can round below tau
-    rows = [(tr.t, tr.fidelity, cd.fidelity,
-             cd_beta(cd_cfg, tr.t) if k < args.N else math.nan)
-            for k, (tr, cd) in enumerate(zip(trotter, cd_points))]
+    cfg = CDConfig(J=args.J, hz=args.hz, tau=args.tau, n_steps=args.N)
+    rows = [(p.t, p.fidelity_trotter, p.fidelity_cd, p.beta)
+            for p in cd_run(cfg, exact_coefficients=args.exact_pr)]
     _write(_csv("t,fidelity_trotter,fidelity_cd,beta", rows), args.out)
     return 0
 

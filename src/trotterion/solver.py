@@ -21,13 +21,16 @@ from .formula import ProductFormula, word_sums
 
 SQRT4_BISECT_TOL = 1e-14
 SQRT4_RESIDUAL_TOL = 1e-12
+# The power conditions carry 2^(n+2), which overflows a double past n = 1021.
+SQRT4_MAX_ORDER = 1021
 P_OF_R_TOL = 1e-10
 P_OF_R_MAX_ITER = 100
-P_OF_R_MAX_RETRIES = 5
 P_OF_R_MULTISTART = 40
 P_OF_R_MULTISTART_ROUNDS = 4
 # Backtracking scales 2^0 .. 2^-30 of a Newton step.
 _BACKTRACK_SCALES = np.ldexp(1.0, -np.arange(31))
+# Degree in p of each residual: l, m, q, r, s.
+_RESIDUAL_DEGREES = np.array([1, 1, 2, 3, 3])
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,9 @@ def solve_sqrt4(n: int) -> Sqrt4Solution:
     one bracketed root. Bisection to 1e-14 plus one Newton polish on
     (c, d) gives the crossing.
     """
-    if n < 3 or n % 2 == 0:
-        raise InvalidInputError("the 4-copy solve needs an odd source order n >= 3")
+    if n < 3 or n % 2 == 0 or n > SQRT4_MAX_ORDER:
+        raise InvalidInputError(
+            f"the 4-copy solve needs an odd source order 3 <= n <= {SQRT4_MAX_ORDER}")
     k = (n + 1) // 2
     curve_even, curve_odd = _sqrt4_curves(k)
 
@@ -139,6 +143,14 @@ class PofRResult:
         return max(abs(v) for v in self.residuals)
 
 
+def _converged(p: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Whether each residual is within P_OF_R_TOL or the rounding of its terms,
+    eps * max|p|^degree, over the last axis. For the cubic r and s that floor
+    passes P_OF_R_TOL once the coefficients grow like sqrt(R) past R ~ 1e4."""
+    floor = np.finfo(float).eps * np.max(np.abs(p), axis=-1)[..., None] ** _RESIDUAL_DEGREES
+    return np.all(np.abs(res) <= np.maximum(P_OF_R_TOL, floor), axis=-1)
+
+
 def _p_of_r_residuals(p: np.ndarray, R: float) -> np.ndarray:
     """The five residuals over the last axis: shape (..., 6) -> (..., 5)."""
     rp = reparam(SixGateParams(*np.moveaxis(p, -1, 0)))
@@ -190,10 +202,6 @@ def _norm(res: np.ndarray) -> np.ndarray:
     return np.sqrt((res[..., None, :] @ res[..., :, None])[..., 0, 0])
 
 
-def _r_seed(R: float) -> int:
-    return 1 + abs(hash(round(R, 12))) % (2**32)
-
-
 def solve_p_of_r(R: float, seed: SixGateParams | None = None) -> PofRResult:
     """Exact 6-gate coefficients for target exp(x(A+B) + R x^2 [A,B]).
 
@@ -222,7 +230,7 @@ def solve_p_of_r(R: float, seed: SixGateParams | None = None) -> PofRResult:
             raise InvalidInputError(
                 f"R={R:.6g} is too large: the closed-form seed's residuals overflow")
     result = _newton_p_of_r(R, start)[0]
-    rng = np.random.default_rng(_r_seed(R))
+    rng = np.random.default_rng(1 + abs(hash(round(R, 12))) % (2**32))
     for _ in range(P_OF_R_MULTISTART_ROUNDS):
         if result.converged:
             break
@@ -248,56 +256,24 @@ def _coeff_size(result: PofRResult) -> float:
 def _newton_p_of_r(R: float, starts: np.ndarray) -> list[PofRResult]:
     """Damped Newton from every row of a (k, 6) array of starts at once.
 
-    Each row runs on its own: P_OF_R_MAX_ITER iterations, a retry (a
-    kick of p1..p5) taking one of them; a row that converges returns its
-    current p, any other the best p it reached. The j-th retry of every
-    row uses the j-th kick drawn from the R-seeded generator, and a
-    Jacobian still singular after P_OF_R_MAX_RETRIES retries raises.
+    Each row runs on its own for at most P_OF_R_MAX_ITER iterations and
+    stops where it converges or where no backtracking scale of its step
+    lowers the residual norm; a singular Jacobian gives no step. A row
+    returns the p it stopped at.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        kicks = np.random.default_rng(_r_seed(R)).normal(
-            scale=1e-6, size=(P_OF_R_MAX_RETRIES, 5))
         p = np.array(starts, dtype=float)
         res = _p_of_r_residuals(p, R)
-        best_p, best_norm = p.copy(), np.max(np.abs(res), axis=1)
-        retries = np.zeros(len(p), dtype=int)
-        results: list[PofRResult | None] = [None] * len(p)
         live = np.arange(len(p))
         for _ in range(P_OF_R_MAX_ITER):
-            # not `> tol`: a NaN row stays live, as it would alone
-            done = np.max(np.abs(res[live]), axis=1) <= P_OF_R_TOL
-            for i in live[done]:
-                results[i] = PofRResult(SixGateParams(*p[i]), tuple(res[i].tolist()),
-                                        converged=True)
-            live = live[~done]
+            live = live[~_converged(p[live], res[live])]
             if not live.size:
                 break
             step = _newton_steps(_p_of_r_jacobians(p[live]), res[live])
             solved = np.all(np.isfinite(step), axis=1)
-            moved = np.zeros_like(solved)
-            moved[solved] = _backtrack(R, p, res, live[solved], step[solved])
-            rows = live[moved]
-            norm = np.max(np.abs(res[rows]), axis=1)
-            gain = norm < best_norm[rows]
-            best_p[rows[gain]], best_norm[rows[gain]] = p[rows[gain]], norm[gain]
-            # Retries: a row that did not move kicks p1..p5; once they run
-            # out, a singular Jacobian raises and a stalled row ends.
-            retries[live[~moved]] += 1
-            over = retries[live] > P_OF_R_MAX_RETRIES
-            if np.any(over & ~solved):
-                raise SolverError("Newton Jacobian stayed singular after retries")
-            kicked = live[~moved & ~over]
-            if kicked.size:
-                p[kicked, :5] = p[kicked, :5] + kicks[retries[kicked] - 1]
-                res[kicked] = _p_of_r_residuals(p[kicked], R)
-            live = live[~over]
-        # every other row stopped unconverged and returns its best point
-        rest = [i for i, r in enumerate(results) if r is None]
-        if rest:
-            for i, final in zip(rest, _p_of_r_residuals(best_p[rest], R)):
-                results[i] = PofRResult(SixGateParams(*best_p[i]), tuple(final.tolist()),
-                                        converged=float(np.max(np.abs(final))) <= P_OF_R_TOL)
-    return results
+            live = live[solved][_backtrack(R, p, res, live[solved], step[solved])]
+        return [PofRResult(SixGateParams(*row), tuple(r.tolist()), bool(c))
+                for row, r, c in zip(p, res, _converged(p, res))]
 
 
 def _backtrack(R: float, p: np.ndarray, res: np.ndarray, rows: np.ndarray,

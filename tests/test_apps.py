@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from trotterion.apps import (CDConfig, ChainConfig, KMConfig, Protocol,
+from trotterion.apps import (CDConfig, ChainConfig, KMConfig,
                              cd_beta, cd_hamiltonians, cd_run, chain_error,
                              chain_gate_count, chain_heff, chain_hoppings,
                              chain_simulate, f_r_signed, flat_band_coupling,
@@ -72,19 +72,20 @@ def test_cd_beta_on_the_sample_grid():
 
 def test_cd_run_fidelity_properties():
     n_steps = 20
-    base = CDConfig(J=-1.0, hz=5.0, tau=1.0, n_steps=n_steps)
-    cd_points = cd_run(base)
-    tr_points = cd_run(CDConfig(J=-1.0, hz=5.0, tau=1.0, n_steps=n_steps,
-                                protocol=Protocol.TROTTER))
-    for points in (cd_points, tr_points):
-        assert len(points) == n_steps + 1
-        assert points[0].fidelity == 1.0
-        assert all(-1e-10 <= p.fidelity <= 1.0 + 1e-10 for p in points)
-        assert not any(p.degenerate for p in points)
-        ts = [p.t for p in points]
-        assert np.allclose(ts, np.linspace(0.0, 1.0, n_steps + 1))
-    assert cd_points[-1].fidelity > tr_points[-1].fidelity
-    assert cd_points[-1].fidelity > 0.9
+    cfg = CDConfig(J=-1.0, hz=5.0, tau=1.0, n_steps=n_steps)
+    points = cd_run(cfg)
+    assert len(points) == n_steps + 1
+    for fidelities in ([p.fidelity_cd for p in points], [p.fidelity_trotter for p in points]):
+        assert fidelities[0] == 1.0
+        assert all(-1e-10 <= f <= 1.0 + 1e-10 for f in fidelities)
+    assert not any(p.degenerate for p in points)
+    ts = [p.t for p in points]
+    assert np.allclose(ts, np.linspace(0.0, 1.0, n_steps + 1))
+    # each row carries the weight of the slice that starts there
+    assert [p.beta for p in points[:-1]] == [cd_beta(cfg, p.t) for p in points[:-1]]
+    assert math.isnan(points[-1].beta)
+    assert points[-1].fidelity_cd > points[-1].fidelity_trotter
+    assert points[-1].fidelity_cd > 0.9
 
 
 def test_cd_step_product_is_unitary():
@@ -110,7 +111,9 @@ def test_cd_exact_coefficients_agree_with_closed_form():
     # at dt = 0.1 the per-step weight is large, so the closed form is
     # already near the solved coefficients
     for p, q in zip(closed, solved):
-        assert abs(p.fidelity - q.fidelity) <= 1e-2
+        assert abs(p.fidelity_cd - q.fidelity_cd) <= 1e-2
+        # the splitting takes no coefficients, so it is the same run
+        assert p.fidelity_trotter == q.fidelity_trotter
 
 
 def test_cd_config_validation():
@@ -120,8 +123,9 @@ def test_cd_config_validation():
         CDConfig(J=1.0, hz=1.0, tau=math.inf, n_steps=10)
     with pytest.raises(InvalidInputError):
         CDConfig(J=1.0, hz=1.0, tau=1.0, n_steps=0)
-    with pytest.raises(InvalidInputError):
-        CDConfig(J=1.0, hz=1.0, tau=1.0, n_steps=10, protocol="cd")
+    for J, hz in ((math.inf, 1.0), (1.0, math.nan), (1.0, 1e200)):
+        with pytest.raises(InvalidInputError):
+            CDConfig(J=J, hz=hz, tau=1.0, n_steps=10)
 
 
 # ---------------------------------------------------------------- hopping chain

@@ -1,14 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import math
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 from trotterion.apps import CDConfig, cd_beta
-from trotterion.cli import main
+from trotterion.apps.common import MAX_MODES
+from trotterion.cli import MAX_GRID_POINTS, _parse_grid, main
 from trotterion.formula import from_json
 
 
@@ -245,7 +249,8 @@ def test_scan_missing_formula_exits_2(capsys):
 
 def test_scan_rejects_malformed_grid(tmp_path, capsys):
     formula = build_file(tmp_path, capsys, "s3.json", "--base", "s3")
-    for grid in ("nope", "nan:0.1:0.01", "0.01:inf:0.01", "0.01:0.1:inf"):
+    for grid in ("nope", "nan:0.1:0.01", "0.01:inf:0.01", "0.01:0.1:inf",
+                 f"1:{MAX_GRID_POINTS + 1}:1"):
         with pytest.raises(SystemExit) as info:
             main(["scan", "--formula", formula, "--xs", grid])
         assert info.value.code == 2
@@ -324,6 +329,19 @@ BAD_INPUTS = [
     pytest.param({}, ["solve", "--pr", "nan"], 2, id="solve-pr-nan"),
     pytest.param({}, ["solve", "--pr", "inf"], 2, id="solve-pr-inf"),
     pytest.param({}, ["solve", "--pr", "1e300"], 2, id="solve-pr-overflowing-seed"),
+    pytest.param({}, ["solve", "--sqrt4", "1025"], 2, id="solve-sqrt4-overflowing-order"),
+    pytest.param({}, ["km", "--Lx", "4", "--Ly", "4", "--J", "1", "--phi", "inf", "--T", "1"], 2,
+                 id="km-infinite-flux"),
+    pytest.param({}, ["km", "--Lx", "4", "--Ly", "4", "--J", "1e200", "--phi", "1", "--T", "1"], 2,
+                 id="km-overflowing-coupling"),
+    pytest.param({}, ["chain", "--L", "6", "--t1", "1e300", "--t2", "0.5", "--T", "1"], 2,
+                 id="chain-overflowing-t1"),
+    pytest.param({}, ["chain", "--L", "6", "--t1", "1", "--t2", "0.5", "--T", "1e300"], 2,
+                 id="chain-overflowing-time"),
+    pytest.param({}, ["chain", "--L", "6", "--t1", "1", "--t2", "inf", "--T", "1"], 2,
+                 id="chain-infinite-t2"),
+    pytest.param({}, ["cd", "--J", "-1", "--hz", "inf", "--tau", "1", "--N", "10"], 2,
+                 id="cd-infinite-field"),
 ]
 
 
@@ -332,9 +350,50 @@ def test_malformed_input_exits_with_one_error_line(tmp_path, capsys, files, argv
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in files else a for a in argv]
-    code, out, err = run_cli(capsys, *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
     assert code == want
     assert out == ""
     lines = err.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
+
+
+def _refuse_allocation(*args, **kwargs):
+    raise AssertionError("allocated before the size check")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "--L", str(MAX_MODES + 2), "--t1", "1", "--t2", "0.5", "--T", "1"],
+    ["km", "--Lx", "33", "--Ly", "32", "--J", "1", "--phi", "1", "--T", "1"],
+    ["km", "--Lx", "3", "--Ly", str(10**12), "--J", "1", "--phi", "1", "--T", "1"],
+], ids=["chain", "km", "km-huge"])
+def test_oversized_lattice_rejected_before_allocating(monkeypatch, capsys, argv):
+    monkeypatch.setattr(np, "zeros", _refuse_allocation)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "at most" in err
+
+
+def test_grid_point_cap():
+    assert len(_parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
+    for grid in (f"1:{MAX_GRID_POINTS + 1}:1", f"0:1:{1 / MAX_GRID_POINTS}"):
+        with pytest.raises(argparse.ArgumentTypeError, match="at most"):
+            _parse_grid(grid)
+
+
+def test_solve_pr_large_weight_converges(capsys):
+    code, out, err = run_cli(capsys, "solve", "--pr", "40000")
+    assert code == 0, err
+    assert out.startswith("R,p1,p2,p3,p4,p5,p6,max_residual\n40000,")
+
+
+def test_cd_exact_pr_long_ramp_reaches_large_weights(capsys):
+    # slices near the end of this ramp carry R up to about 4e4
+    code, out, err = run_cli(capsys, "cd", "--J", "-1", "--hz", "5", "--tau", "1",
+                             "--N", "200", "--exact-pr")
+    assert code == 0, err
+    assert len(out.strip().split("\n")) == 202

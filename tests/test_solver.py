@@ -1,5 +1,6 @@
 """Coefficient solvers: the 4-copy power conditions and the exact 6-gate solve."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 
 from trotterion import (AccuracyWarning, SixGateParams, f_r_params, reparam,
                         residuals_order4, s3, solve_p_of_r, solve_sqrt4, solver)
-from trotterion.errors import InvalidInputError, SolverError
+from trotterion.errors import InvalidInputError
 from trotterion.formula import ProductFormula
 
 GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
@@ -77,8 +78,6 @@ def test_p_of_r_fixes_the_closed_form_third_order():
 
 
 def test_p_of_r_honors_custom_seed():
-    import dataclasses
-
     R = 1.5
     base = solve_p_of_r(R)
     # moving the gauge parameter p6 selects a different family member
@@ -93,10 +92,12 @@ def test_p_of_r_honors_custom_seed():
 
 
 def test_p_of_r_reports_failed_basins():
-    # a seed far from any solution ends with an honest failure flag
-    result = solve_p_of_r(1.5, seed=SixGateParams(0.5, 1.0, -0.3, -1.2, 0.8, 2.0))
-    assert not result.converged
-    assert result.max_residual > 1e-10
+    # a seed far from any solution ends with an honest failure flag, also
+    # when one huge coefficient makes eps * max|p|^3 exceed every residual
+    for seed in ((0.5, 1.0, -0.3, -1.2, 0.8, 2.0), (1e60, 1.0, 1.0, 1.0, 1.0, 1.0)):
+        result = solve_p_of_r(1.5, seed=SixGateParams(*seed))
+        assert not result.converged
+        assert result.max_residual > 1e-10
 
 
 def test_p_of_r_multistart_crosses_seed_degeneracy():
@@ -146,8 +147,6 @@ def test_p_of_r_roots_are_pinned(R):
 
 
 def test_p_of_r_custom_seed_root_is_pinned():
-    import dataclasses
-
     seed = dataclasses.replace(solve_p_of_r(1.5).params, p6=1.6)
     result = solve_p_of_r(1.5, seed=seed)
     assert result.converged
@@ -161,32 +160,47 @@ def _closed_form(R):
 
 
 def _batch_outcome(R, starts):
-    try:
-        results = solver._newton_p_of_r(R, np.array(starts, dtype=float))
-    except SolverError as exc:
-        return str(exc)
+    results = solver._newton_p_of_r(R, np.array(starts, dtype=float))
     return [(r.params.as_tuple(), r.residuals, r.converged) for r in results]
 
 
 def test_batched_newton_rows_are_independent():
-    # a singular Jacobian at the start, a far basin that fails, and two
-    # starts that converge after different numbers of steps
+    # a singular Jacobian at the start, a far basin that fails, a start
+    # whose steps soon stop lowering the residual, and two starts that
+    # converge after different numbers of steps
     R = 1.5
+    gauge_moved = dataclasses.replace(SixGateParams(*_closed_form(R)), p6=1.6).as_tuple()
     starts = [(0.0, 0.0, 0.0, 0.0, 0.0, 1.0), _closed_form(R),
-              (0.5, 1.0, -0.3, -1.2, 0.8, 2.0), (1.0, 1.0, 1.0, 1.0, 1.0, 1.0)]
+              (0.5, 1.0, -0.3, -1.2, 0.8, 2.0), (1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+              gauge_moved]
     alone = [_batch_outcome(R, [s])[0] for s in starts]
-    assert [converged for _, _, converged in alone] == [False, True, False, True]
+    assert [converged for _, _, converged in alone] == [False, True, False, False, True]
+    # the singular start gets no step and stops where it began
+    assert alone[0][0] == starts[0]
     assert _batch_outcome(R, starts) == alone
 
 
-def test_batched_newton_raises_as_the_lone_row_does():
-    # a NaN start keeps a non-finite Jacobian through every retry
+def test_batched_newton_nan_start_ends_unconverged():
+    # a NaN start has no finite Newton step, so its row stops at once
     R = 1.5
     bad, good = (math.nan, 0.0, 0.0, 0.0, 0.0, 1.0), _closed_form(R)
-    lone = _batch_outcome(R, [bad])
-    assert lone == "Newton Jacobian stayed singular after retries"
-    assert _batch_outcome(R, [good, bad]) == lone
-    assert _batch_outcome(R, [bad, good]) == lone
+    lone, good_alone = _batch_outcome(R, [bad])[0], _batch_outcome(R, [good])[0]
+    assert not lone[2]
+    assert good_alone[2]
+    # NaN != NaN, so compare the outcomes by their text
+    assert repr(_batch_outcome(R, [good, bad])) == repr([good_alone, lone])
+    assert repr(_batch_outcome(R, [bad, good])) == repr([lone, good_alone])
+
+
+@pytest.mark.parametrize("R", [4e4, 1e6])
+def test_p_of_r_converges_at_large_weight(R):
+    # the residual's rounding floor grows like max|p|^3 ~ R^1.5 and passes
+    # P_OF_R_TOL near R = 1e4; the tolerance follows it
+    result = solve_p_of_r(R)
+    assert result.converged
+    p_max = max(abs(v) for v in result.params.as_tuple())
+    assert solver.P_OF_R_TOL < result.max_residual <= np.finfo(float).eps * p_max**3
+    assert reparam(result.params).q == pytest.approx(0.5 - R, rel=1e-12)
 
 
 def test_p_of_r_multistart_draws_further_rounds():

@@ -21,7 +21,7 @@ from ..errors import DomainError, InvalidInputError, SolverError
 from ..formula import GeneratorPair
 from ..matcore import eigh, expm
 from ..solver import solve_p_of_r
-from .common import check_phase, quiet_small_r
+from .common import check_magnitudes, quiet_small_r
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -44,8 +44,8 @@ class CDConfig:
             raise InvalidInputError("ramp time tau must be positive and finite")
         if self.n_steps < 1:
             raise InvalidInputError("step count must be at least 1")
-        check_phase("J*tau", self.J * self.tau)
-        check_phase("hz*tau", self.hz * self.tau)
+        check_magnitudes({"J": self.J, "hz": self.hz, "tau": self.tau,
+                          "J*tau": self.J * self.tau, "hz*tau": self.hz * self.tau})
 
 
 def schedule(t: float, tau: float) -> float:

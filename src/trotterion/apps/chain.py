@@ -20,7 +20,7 @@ from ..certify import ScanResult, step_count_scan
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair
 from ..matcore import commutator, expm, spectral_norm
-from .common import MAX_MODES, check_phase, quiet_small_r
+from .common import MAX_MODES, check_magnitudes, quiet_small_r
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class ChainConfig:
             raise InvalidInputError("total time must be positive and finite")
         if self.t1 == 0.0:
             raise InvalidInputError("nearest-neighbor amplitude must be nonzero")
-        check_phase("t1*T", self.t1 * self.T)
-        check_phase("t2*T", self.t2 * self.T)
+        check_magnitudes({"t1": self.t1, "t2": self.t2, "T": self.T,
+                          "t1*T": self.t1 * self.T, "t2*T": self.t2 * self.T})
         if self.n is not None and self.n < 1:
             raise InvalidInputError("step count must be at least 1")
 

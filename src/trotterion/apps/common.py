@@ -12,16 +12,18 @@ from ..errors import InvalidInputError
 # dozen dense complex matrices of this side, 16 MB each at 1024 modes, 16x
 # the side of the largest benchmarked lattice (64 modes).
 MAX_MODES = 1024
-# Largest evolution phase (a coupling times a time) the simulators accept: a
-# double holds a phase near 1e15 rad only to about 0.2 rad, and the cap keeps
-# the squared phases of the commutator weights far from overflow.
-MAX_PHASE = 1e15
+# Largest coupling, time and evolution phase (a coupling times a time) the
+# simulators accept: a double holds a phase near 1e15 rad only to about
+# 0.2 rad, and the cap keeps the squares in the commutator weights far from
+# overflow.
+MAX_MAGNITUDE = 1e15
 
 
-def check_phase(name: str, phase: float) -> None:
-    """Reject a non-finite phase or one beyond MAX_PHASE in magnitude."""
-    if not abs(phase) <= MAX_PHASE:
-        raise InvalidInputError(f"{name} must be finite and at most {MAX_PHASE:g} in magnitude")
+def check_magnitudes(values: dict[str, float]) -> None:
+    """Reject any non-finite value, or one beyond MAX_MAGNITUDE in magnitude."""
+    for name, value in values.items():
+        if not abs(value) <= MAX_MAGNITUDE:
+            raise InvalidInputError(f"{name} must be finite and at most {MAX_MAGNITUDE:g}")
 
 
 @contextmanager

@@ -21,7 +21,7 @@ from ..certify import ScanResult, step_count_scan
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair
 from ..matcore import commutator, expm, spectral_norm
-from .common import MAX_MODES, check_phase, quiet_small_r
+from .common import MAX_MODES, check_magnitudes, quiet_small_r
 
 BOUNDARIES = ("auto", "torus", "open")
 
@@ -48,7 +48,7 @@ class KMConfig:
             raise InvalidInputError("total time must be positive and finite")
         if not math.isfinite(self.phi):
             raise InvalidInputError("flux must be finite")
-        check_phase("J*T", self.J * self.T)
+        check_magnitudes({"J": self.J, "T": self.T, "J*T": self.J * self.T})
         if self.n is not None and self.n < 1:
             raise InvalidInputError("step count must be at least 1")
         if self.boundary not in BOUNDARIES:

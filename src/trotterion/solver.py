@@ -9,7 +9,6 @@ as a residual vector as well.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -24,6 +23,12 @@ SQRT4_RESIDUAL_TOL = 1e-12
 # The power conditions carry 2^(n+2), which overflows a double past n = 1021.
 SQRT4_MAX_ORDER = 1021
 P_OF_R_TOL = 1e-10
+# Largest |R| the exact solve takes, and largest rounding floor a residual may
+# stand on. The coefficients grow like sqrt(R), so the rounding eps*max|p|^3 of
+# the cubic residuals r and s grows like R^1.5: under 1e-3 up to R = 1e8, and
+# past their 1/6 target near R = 1e10, where a "root" has no correct digit.
+P_OF_R_MAX_WEIGHT = 1e8
+P_OF_R_MAX_FLOOR = 1e-3
 P_OF_R_MAX_ITER = 100
 P_OF_R_MULTISTART = 40
 P_OF_R_MULTISTART_ROUNDS = 4
@@ -144,11 +149,11 @@ class PofRResult:
 
 
 def _converged(p: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Whether each residual is within P_OF_R_TOL or the rounding of its terms,
-    eps * max|p|^degree, over the last axis. For the cubic r and s that floor
-    passes P_OF_R_TOL once the coefficients grow like sqrt(R) past R ~ 1e4."""
+    """Whether each residual (last axis) is within P_OF_R_TOL or the rounding
+    of its terms, eps * max|p|^degree, which for r and s passes P_OF_R_TOL
+    near R = 1e4. P_OF_R_MAX_FLOOR keeps huge coefficients from passing."""
     floor = np.finfo(float).eps * np.max(np.abs(p), axis=-1)[..., None] ** _RESIDUAL_DEGREES
-    return np.all(np.abs(res) <= np.maximum(P_OF_R_TOL, floor), axis=-1)
+    return np.all(np.abs(res) <= np.clip(floor, P_OF_R_TOL, P_OF_R_MAX_FLOOR), axis=-1)
 
 
 def _p_of_r_residuals(p: np.ndarray, R: float) -> np.ndarray:
@@ -216,8 +221,9 @@ def solve_p_of_r(R: float, seed: SixGateParams | None = None) -> PofRResult:
     in rounds of P_OF_R_MULTISTART draws solved as one batch.
     """
     R = float(R)
-    if not math.isfinite(R):
-        raise InvalidInputError("R must be finite for the coefficient solve")
+    if not abs(R) <= P_OF_R_MAX_WEIGHT:
+        raise InvalidInputError(
+            f"R must be finite and at most {P_OF_R_MAX_WEIGHT:g} in magnitude")
     if seed is not None:
         return _newton_p_of_r(R, np.array([seed.as_tuple()]))[0]
     # The closed form is only a Newton seed here; its small-R accuracy
@@ -225,10 +231,6 @@ def solve_p_of_r(R: float, seed: SixGateParams | None = None) -> PofRResult:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AccuracyWarning)
         start = np.array([f_r_params(R).as_tuple()])
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.all(np.isfinite(_p_of_r_residuals(start, R))):
-            raise InvalidInputError(
-                f"R={R:.6g} is too large: the closed-form seed's residuals overflow")
     result = _newton_p_of_r(R, start)[0]
     rng = np.random.default_rng(1 + abs(hash(round(R, 12))) % (2**32))
     for _ in range(P_OF_R_MULTISTART_ROUNDS):
@@ -236,21 +238,17 @@ def solve_p_of_r(R: float, seed: SixGateParams | None = None) -> PofRResult:
             break
         draws = np.array([(*rng.uniform(-2.0, 2.0, size=5), rng.uniform(0.1, 2.5))
                           for _ in range(P_OF_R_MULTISTART)])
-        for attempt in _newton_p_of_r(R, draws):
-            if attempt.converged:
-                # among roots prefer small coefficients: they carry the
-                # smallest higher-order defects
-                if (not result.converged
-                        or _coeff_size(attempt) < _coeff_size(result)):
-                    result = attempt
-            elif (not result.converged
-                    and attempt.max_residual < result.max_residual):
-                result = attempt
+        result = min([result, *_newton_p_of_r(R, draws)], key=_rank)
     return result
 
 
-def _coeff_size(result: PofRResult) -> float:
-    return max(abs(v) for v in result.params.as_tuple())
+def _rank(result: PofRResult) -> tuple[int, float]:
+    """Order among multistart draws: roots first, by their largest coefficient
+    (small ones carry the smallest higher-order defects), then failures by
+    their residual. min keeps the earliest of equals."""
+    if result.converged:
+        return 0, max(abs(v) for v in result.params.as_tuple())
+    return 1, result.max_residual
 
 
 def _newton_p_of_r(R: float, starts: np.ndarray) -> list[PofRResult]:

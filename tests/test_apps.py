@@ -123,9 +123,11 @@ def test_cd_config_validation():
         CDConfig(J=1.0, hz=1.0, tau=math.inf, n_steps=10)
     with pytest.raises(InvalidInputError):
         CDConfig(J=1.0, hz=1.0, tau=1.0, n_steps=0)
-    for J, hz in ((math.inf, 1.0), (1.0, math.nan), (1.0, 1e200)):
+    # J*tau can be small while J alone overflows its square
+    for J, hz, tau in ((math.inf, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1e200, 1.0),
+                       (1e200, 5.0, 1e-200)):
         with pytest.raises(InvalidInputError):
-            CDConfig(J=J, hz=hz, tau=1.0, n_steps=10)
+            CDConfig(J=J, hz=hz, tau=tau, n_steps=10)
 
 
 # ---------------------------------------------------------------- hopping chain

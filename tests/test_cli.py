@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface."""
 
-import argparse
 import json
 import math
 import subprocess
@@ -250,11 +249,12 @@ def test_scan_missing_formula_exits_2(capsys):
 def test_scan_rejects_malformed_grid(tmp_path, capsys):
     formula = build_file(tmp_path, capsys, "s3.json", "--base", "s3")
     for grid in ("nope", "nan:0.1:0.01", "0.01:inf:0.01", "0.01:0.1:inf",
-                 f"1:{MAX_GRID_POINTS + 1}:1"):
+                 f"1:{MAX_GRID_POINTS + 1}:1", f"0:1:{1 / MAX_GRID_POINTS}"):
         with pytest.raises(SystemExit) as info:
             main(["scan", "--formula", formula, "--xs", grid])
         assert info.value.code == 2
     capsys.readouterr()
+    assert len(_parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
 
 
 def test_console_script_entry_point(tmp_path):
@@ -329,6 +329,8 @@ BAD_INPUTS = [
     pytest.param({}, ["solve", "--pr", "nan"], 2, id="solve-pr-nan"),
     pytest.param({}, ["solve", "--pr", "inf"], 2, id="solve-pr-inf"),
     pytest.param({}, ["solve", "--pr", "1e300"], 2, id="solve-pr-overflowing-seed"),
+    pytest.param({}, ["solve", "--pr", "1e10"], 2, id="solve-pr-beyond-weight-cap"),
+    pytest.param({}, ["solve", "--pr", "1e14"], 2, id="solve-pr-far-beyond-weight-cap"),
     pytest.param({}, ["solve", "--sqrt4", "1025"], 2, id="solve-sqrt4-overflowing-order"),
     pytest.param({}, ["km", "--Lx", "4", "--Ly", "4", "--J", "1", "--phi", "inf", "--T", "1"], 2,
                  id="km-infinite-flux"),
@@ -342,6 +344,10 @@ BAD_INPUTS = [
                  id="chain-infinite-t2"),
     pytest.param({}, ["cd", "--J", "-1", "--hz", "inf", "--tau", "1", "--N", "10"], 2,
                  id="cd-infinite-field"),
+    pytest.param({}, ["cd", "--J", "1e200", "--hz", "5", "--tau", "1e-200", "--N", "10"], 2,
+                 id="cd-overflowing-coupling"),
+    pytest.param({}, ["km", "--Lx", "4", "--Ly", "4", "--J", "1e-200", "--phi", "1",
+                      "--T", "1e200"], 2, id="km-overflowing-time"),
 ]
 
 
@@ -376,13 +382,6 @@ def test_oversized_lattice_rejected_before_allocating(monkeypatch, capsys, argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error:") and "at most" in err
-
-
-def test_grid_point_cap():
-    assert len(_parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
-    for grid in (f"1:{MAX_GRID_POINTS + 1}:1", f"0:1:{1 / MAX_GRID_POINTS}"):
-        with pytest.raises(argparse.ArgumentTypeError, match="at most"):
-            _parse_grid(grid)
 
 
 def test_solve_pr_large_weight_converges(capsys):

@@ -44,6 +44,8 @@ class CDConfig:
             raise InvalidInputError("ramp time tau must be positive and finite")
         if self.n_steps < 1:
             raise InvalidInputError("step count must be at least 1")
+        if self.tau / self.n_steps == 0.0:
+            raise InvalidInputError("time step tau/N underflows to zero")
         check_magnitudes({"J": self.J, "hz": self.hz, "tau": self.tau,
                           "J*tau": self.J * self.tau, "hz*tau": self.hz * self.tau})
 

@@ -20,7 +20,7 @@ from ..certify import ScanResult, step_count_scan
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair
 from ..matcore import commutator, expm, spectral_norm
-from .common import MAX_MODES, check_magnitudes, quiet_small_r
+from .common import MAX_MODES, check_magnitudes, quiet_small_r, step_weight
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def _step_error(cfg: ChainConfig) -> Callable[[int], float]:
     exact = expm(-1j * cfg.T * chain_heff(cfg))
 
     def error(n: int) -> float:
-        R = beta * n / alpha**2
+        R = step_weight(alpha, beta, n)
         with quiet_small_r():
             step = f_r_signed(R).evaluate(gens, alpha / n)
         return spectral_norm(np.linalg.matrix_power(step, n) - exact)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from contextlib import contextmanager
 
@@ -24,6 +25,20 @@ def check_magnitudes(values: dict[str, float]) -> None:
     for name, value in values.items():
         if not abs(value) <= MAX_MAGNITUDE:
             raise InvalidInputError(f"{name} must be finite and at most {MAX_MAGNITUDE:g}")
+
+
+def step_weight(alpha: float, beta: float, n: int) -> float:
+    """Commutator weight beta*n/alpha^2 of one step of an n-step run.
+
+    Divided one factor of alpha at a time, so a step scale whose square
+    underflows gives an overflowing weight, which is rejected like a
+    step scale that underflows to zero itself, rather than a division
+    by zero.
+    """
+    weight = (beta / alpha) * (n / alpha) if alpha != 0.0 else math.inf
+    if not math.isfinite(weight):
+        raise InvalidInputError("per-step commutator weight overflows; the step scale is too small")
+    return weight
 
 
 @contextmanager

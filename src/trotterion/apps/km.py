@@ -21,7 +21,7 @@ from ..certify import ScanResult, step_count_scan
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair
 from ..matcore import commutator, expm, spectral_norm
-from .common import MAX_MODES, check_magnitudes, quiet_small_r
+from .common import MAX_MODES, check_magnitudes, quiet_small_r, step_weight
 
 BOUNDARIES = ("auto", "torus", "open")
 
@@ -78,9 +78,13 @@ def flat_band_coupling(J: float, phi: float) -> float:
     if J == 0.0:
         raise InvalidInputError("hopping amplitude must be nonzero")
     try:
-        return math.exp(0.25 * phi - 0.5 * math.pi) / (2.0 * J * s)
-    except OverflowError:
-        raise InvalidInputError("flux is too large: the flat-band coupling overflows")
+        coupling = math.exp(0.25 * phi - 0.5 * math.pi) / (2.0 * J * s)
+    except (OverflowError, ZeroDivisionError):  # 2*J*s can underflow to zero
+        coupling = math.inf
+    if not math.isfinite(coupling):
+        raise InvalidInputError("the flat-band coupling overflows: the flux is too large "
+                                "or the hopping amplitude too small")
+    return coupling
 
 
 def km_hoppings(cfg: KMConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -211,7 +215,7 @@ def km_simulate(cfg: KMConfig, ns: Sequence[int] | None = None) -> ScanResult:
                   + beta * commutator(gens.a, gens.b))
 
     def one_error(n: int) -> float:
-        R = beta * n / alpha**2
+        R = step_weight(alpha, beta, n)
         with quiet_small_r():
             step = f_r_with_c(R).evaluate(gens, alpha / n)
         return spectral_norm(np.linalg.matrix_power(step, n) - target)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,12 +28,17 @@ class GeneratorPair:
     """The concrete matrices bound to the step tags.
 
     `c` is optional; it is only consulted when a formula contains
-    "C"-tagged steps.
+    "C"-tagged steps. Construction decides for each generator whether it
+    is anti-Hermitian (to matcore.HERMITICITY_TOL); such a generator's
+    eigendecomposition is built on its first exponential and kept on
+    this object, so each factor e^{tG} after that costs one product.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray | None = None
+    # tag -> its SkewSpectrum once built; holds the anti-Hermitian tags only
+    _spectra: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ma = matcore.as_square_matrix(self.a, "generator A")
@@ -47,6 +52,10 @@ class GeneratorPair:
             if mc.shape != ma.shape:
                 raise InvalidInputError("generator C must match A and B in dimension")
             object.__setattr__(self, "c", mc)
+        bound = {"A": self.a, "B": self.b, "C": self.c}
+        object.__setattr__(self, "_spectra", {
+            tag: None for tag, g in bound.items()
+            if g is not None and matcore.is_hermitian(-1j * g)})
 
     @property
     def dim(self) -> int:
@@ -62,6 +71,20 @@ class GeneratorPair:
                 raise InvalidInputError("formula uses tag C but no C generator was supplied")
             return self.c
         raise InvalidInputError(f"unknown generator tag {tag!r}")
+
+    def exp(self, tag: str, t: float) -> np.ndarray:
+        """e^{t G} for the generator bound to `tag`.
+
+        Spectral for an anti-Hermitian generator, from its kept
+        decomposition; matcore.expm (Pade) for any other.
+        """
+        g = self.matrix(tag)
+        if tag not in self._spectra:
+            return matcore.expm(t * g)
+        spectrum = self._spectra[tag]
+        if spectrum is None:
+            spectrum = self._spectra[tag] = matcore.SkewSpectrum(-1j * g)
+        return spectrum.exp(t)
 
 
 @dataclass(frozen=True)
@@ -122,14 +145,8 @@ class ProductFormula:
         if not math.isfinite(x):
             raise InvalidInputError("argument x must be finite")
         out = np.eye(gens.dim, dtype=complex)
-        cache: dict[tuple[str, float], np.ndarray] = {}
         for tag, coeff in self.steps:
-            key = (tag, coeff * x)
-            factor = cache.get(key)
-            if factor is None:
-                factor = matcore.expm((coeff * x) * gens.matrix(tag))
-                cache[key] = factor
-            out = out @ factor
+            out = out @ gens.exp(tag, coeff * x)
         return out
 
     def inverse(self) -> "ProductFormula":

@@ -1,13 +1,19 @@
 """Dense complex-matrix kernel used by every other module.
 
-All matrices handled here are small (64x64 at most), so every routine
-favors accuracy over speed: exponentials go through scaling-and-squaring
-with a Pade kernel, the spectral norm through a full SVD, and matrix
-logarithms through inverse scaling-and-squaring with an explicit domain
-check.
+All matrices handled here are small (64x64 at most). The exponential of
+an anti-Hermitian G, the generator of every unitary evolution in this
+package, is I + V diag(e^{i t lam} - 1) V^dagger from one Hermitian
+eigensolve of -iG (`SkewSpectrum`), which a caller can keep for every
+later t. `expm` takes that route for any anti-Hermitian input and
+scipy's Pade scaling-and-squaring for any other; `is_hermitian` is the
+one tolerance rule for that choice and for what `eigh` accepts. The
+spectral norm comes from a full SVD, and matrix logarithms from inverse
+scaling-and-squaring with an explicit domain check.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -31,9 +37,66 @@ def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def is_hermitian(h: np.ndarray) -> bool:
+    """Whether ||H - H^dagger||_2 <= HERMITICITY_TOL, for a square ndarray H.
+
+    G is anti-Hermitian when -iG passes. The bounds
+    ||D||_F / sqrt(n) <= ||D||_2 <= ||D||_F settle almost every input
+    without the SVD.
+    """
+    with np.errstate(over="ignore"):
+        defect = h - h.conj().T
+        frobenius = float(np.linalg.norm(defect))
+    if frobenius <= HERMITICITY_TOL:
+        return True
+    if frobenius > math.sqrt(h.shape[0]) * HERMITICITY_TOL:
+        return False
+    return float(np.linalg.norm(defect, 2)) <= HERMITICITY_TOL
+
+
+def _hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian part of H, eigenvalues ascending."""
+    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return np.asarray(vals, dtype=float), np.asarray(vecs, dtype=complex)
+
+
+class SkewSpectrum:
+    """Exponentials e^{tG} of one anti-Hermitian G, from one eigensolve.
+
+    Built from H = -iG, which must pass `is_hermitian`; the eigenvalues
+    and eigenvectors of H's Hermitian part are kept for every later t.
+    """
+
+    __slots__ = ("vals", "vecs", "_vecs_h", "_eye", "_bound")
+
+    def __init__(self, h: np.ndarray):
+        self.vals, self.vecs = _hermitian_eigh(h)
+        self._vecs_h = np.ascontiguousarray(self.vecs.conj().T)
+        self._eye = np.eye(h.shape[0], dtype=complex)
+        self._bound = float(np.max(np.abs(self.vals)))
+
+    def exp(self, t: float) -> np.ndarray:
+        """e^{tG} = I + V diag(e^{i t lam} - 1) V^dagger.
+
+        The identity is added last, so the rounding of V enters scaled by
+        ||e^{tG} - I|| as Pade's does, not in full: V diag(e^{i t lam})
+        V^dagger would put the rounding of V V^dagger into every factor.
+        """
+        t = float(t)
+        if not math.isfinite(t * self._bound):
+            raise InvalidInputError("exponent contains non-finite entries")
+        out = (self.vecs * (np.exp(1j * (t * self.vals)) - 1.0)) @ self._vecs_h
+        out += self._eye
+        return out
+
+
 def expm(m) -> np.ndarray:
-    """Matrix exponential e^M."""
-    return scipy.linalg.expm(as_square_matrix(m))
+    """Matrix exponential e^M: spectral for anti-Hermitian M, Pade otherwise."""
+    mat = as_square_matrix(m)
+    h = -1j * mat
+    if is_hermitian(h):
+        return SkewSpectrum(h).exp(1.0)
+    return scipy.linalg.expm(mat)
 
 
 def spectral_norm(m) -> float:
@@ -90,8 +153,6 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     checked for Hermiticity to 1e-10 and symmetrized before the solve.
     """
     mat = as_square_matrix(h, "H")
-    if spectral_norm(mat - mat.conj().T) > HERMITICITY_TOL:
+    if not is_hermitian(mat):
         raise InvalidInputError("matrix is not Hermitian to within 1e-10")
-    sym = (mat + mat.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
-    return np.asarray(vals, dtype=float), np.asarray(vecs, dtype=complex)
+    return _hermitian_eigh(mat)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import subprocess
 import sys
 import warnings
@@ -348,6 +349,18 @@ BAD_INPUTS = [
                  id="cd-overflowing-coupling"),
     pytest.param({}, ["km", "--Lx", "4", "--Ly", "4", "--J", "1e-200", "--phi", "1",
                       "--T", "1e200"], 2, id="km-overflowing-time"),
+    pytest.param({}, ["chain", "--L", "6", "--t1", "1e-200", "--t2", "0.5", "--T", "1"], 2,
+                 id="chain-step-scale-square-underflows"),
+    pytest.param({}, ["km", "--Lx", "4", "--Ly", "4", "--J", "1", "--phi", "1",
+                      "--T", "5e-324"], 2, id="km-step-weight-overflows"),
+    pytest.param({}, ["chain", "--L", "6", "--t1=5e-324", "--t2", "3", "--T=1e-160"], 2,
+                 id="chain-step-scale-underflows"),
+    pytest.param({}, ["km", "--Lx", "3", "--Ly", "3", "--J=5e-324", "--phi", "1", "--T", "1"], 2,
+                 id="km-flat-band-coupling-overflows"),
+    pytest.param({}, ["km", "--Lx", "3", "--Ly", "3", "--J=5e-324", "--phi", "0.37", "--T", "1"],
+                 2, id="km-flat-band-denominator-underflows"),
+    pytest.param({}, ["cd", "--J", "3", "--hz", "3", "--tau=5e-324", "--N", "5"], 2,
+                 id="cd-time-step-underflows"),
 ]
 
 
@@ -365,6 +378,70 @@ def test_malformed_input_exits_with_one_error_line(tmp_path, capsys, files, argv
     lines = err.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
+
+
+def test_km_step_scale_whose_square_underflows_runs(capsys):
+    # alpha^2 = 1e-400 underflows, but the weight beta*n/alpha^2 is the
+    # finite coupling*n/T ~ 1e200, so the run is valid and every error is
+    # at the rounding floor of a near-identity evolution.
+    code, out, err = run_cli(capsys, "km", "--Lx", "4", "--Ly", "4", "--J", "1",
+                             "--phi", "1", "--T", "1e-200", "--ns", "8,16")
+    assert code == 0 and err == ""
+    errs = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:3]]
+    assert all(0.0 <= e < 1e-100 for e in errs)
+
+
+# Magnitudes for the fuzz below. Each argument is extreme with probability
+# FUZZ_EXTREME_SHARE: zero, subnormal, underflowing squares, the 1e15 cap
+# and either side of it, overflowing squares or non-finite; otherwise it is
+# ordinary, so that runs also get past the argument checks.
+FUZZ_ORDINARY = (0.37, 1.0, 3.0)
+FUZZ_EXTREMES = (0.0, 5e-324, 1e-300, 1e-200, 1e-160, 1e-20, 1e8, 1e15, 1.1e15,
+                 1e200, 1e300, math.inf, math.nan)
+FUZZ_EXTREME_SHARE = 0.4
+FUZZ_CASES = 300
+
+
+def _fuzz_argv(rng: random.Random) -> list[str]:
+    def value(flag: str) -> str:
+        # "--flag=-1e-20": argparse reads a separate "-1e-20" as an option
+        v = rng.choice(FUZZ_EXTREMES if rng.random() < FUZZ_EXTREME_SHARE else FUZZ_ORDINARY)
+        return f"{flag}={-v if rng.random() < 0.5 else v!r}"
+
+    kind = rng.choice(("cd", "chain", "km", "solve"))
+    if kind == "cd":
+        argv = ["cd", value("--J"), value("--hz"), value("--tau"),
+                "--N", str(rng.choice((1, 2, 5)))]
+        return argv + ["--exact-pr"] if rng.random() < 0.5 else argv
+    if kind == "chain":
+        return ["chain", "--L", str(rng.choice((4, 6))), value("--t1"), value("--t2"),
+                value("--T"), "--ns", "8,64"]
+    if kind == "km":
+        return ["km", "--Lx", "3", "--Ly", str(rng.choice((3, 4))), value("--J"),
+                value("--phi"), value("--T"), "--ns", "8,64"]
+    return ["solve", value("--pr")]
+
+
+def test_extreme_arguments_fuzz(capsys):
+    """Seeded fuzz of extreme cd, chain, km and solve --pr arguments: every
+    run ends in exit 0, 2 or 3, a failure prints exactly one error line, and
+    nothing prints a traceback or a RuntimeWarning."""
+    rng = random.Random(20211)
+    for _ in range(FUZZ_CASES):
+        argv = _fuzz_argv(rng)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code, out, err = run_cli(capsys, *argv)
+            except Exception as exc:  # a traceback at the command line
+                pytest.fail(f"{argv} raised {exc!r}")
+        runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert runtime == [], argv
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err and "RuntimeWarning" not in err, argv
+        if code != 0:
+            lines = err.strip().split("\n")
+            assert len(lines) == 1 and lines[0].startswith("error:"), argv
 
 
 def _refuse_allocation(*args, **kwargs):

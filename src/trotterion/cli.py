@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import Iterable, Sequence
 
@@ -198,8 +199,6 @@ def _cmd_solve(args) -> int:
         text = _csv("n,a,b,c,d,signed_sum", [(sol.n, *(f"{v:.12g}" for v in values))])
     else:
         result = solve_p_of_r(args.pr)
-        if not result.converged:
-            raise SolverError(f"coefficient solve did not converge at R={args.pr:.6g}")
         values = (args.pr, *result.params.as_tuple(), result.max_residual)
         text = _csv("R,p1,p2,p3,p4,p5,p6,max_residual", [[f"{v:.12g}" for v in values]])
     _write(text, args.out)
@@ -238,8 +237,18 @@ def _cmd_trajectory(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative float in any form (-1e-3, -inf) as a value, where
+    argparse alone knows only -5 and -0.5; subparsers take this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trotterion",
         description="Product formulas for exponentials of commutators.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -284,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--sqrt4", type=int, default=None,
                        help="4-copy boundary solve at this odd order")
     group.add_argument("--pr", type=float, default=None,
-                       help="exact 6-gate coefficients at this weight R")
+                       help="exact 6-gate coefficients at weight R, smallest over a gauge set")
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(handler=_cmd_solve)
 
@@ -294,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cd.add_argument("--tau", type=float, required=True)
     p_cd.add_argument("--N", type=int, required=True)
     p_cd.add_argument("--exact-pr", action="store_true", dest="exact_pr",
-                      help="solve per-step coefficients instead of the closed form")
+                      help="exact per-step coefficients, as solve --pr, not the closed form")
     p_cd.add_argument("--out", default=None)
     p_cd.set_defaults(handler=_cmd_cd)
 

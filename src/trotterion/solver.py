@@ -1,21 +1,21 @@
 """Numeric coefficient solvers.
 
 Two jobs live here: the two-parameter root find that powers the 4-copy
-order-raising scheme, and a damped Newton solve for exact 6-gate
-sum-plus-commutator coefficients at a given commutator weight R. The
-ordered word sums that encode the fourth-order conditions are exposed
-as a residual vector as well.
+order-raising scheme, and the exact 6-gate sum-plus-commutator
+coefficients at a given commutator weight R, from two quadratics over a
+fixed set of gauges. The ordered word sums that encode the fourth-order
+conditions are exposed as a residual vector as well.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import AccuracyWarning, SixGateParams, f_r_params, reparam
-from .errors import InvalidInputError, SolverError
+from .bases import SixGateParams, reparam
+from .errors import DomainError, InvalidInputError, SolverError
 from .formula import ProductFormula, word_sums
 
 SQRT4_BISECT_TOL = 1e-14
@@ -29,11 +29,11 @@ P_OF_R_TOL = 1e-10
 # past their 1/6 target near R = 1e10, where a "root" has no correct digit.
 P_OF_R_MAX_WEIGHT = 1e8
 P_OF_R_MAX_FLOOR = 1e-3
-P_OF_R_MAX_ITER = 100
-P_OF_R_MULTISTART = 40
-P_OF_R_MULTISTART_ROUNDS = 4
-# Backtracking scales 2^0 .. 2^-30 of a Newton step.
-_BACKTRACK_SCALES = np.ldexp(1.0, -np.arange(31))
+# Gauges p6 = t * sqrt(R + 1/2) of the exact solve: 240 values of t evenly
+# spaced on [-3, 3]. On 165 weights in (-1/2, 1e8] each solve found a root
+# (best t from 0.09 to 2.25), at most 8e-4 larger than the former Newton
+# root (3.41 against 5.02 at R = 10); 25 or 50 gauges did worse at R = 0.66.
+P_OF_R_GAUGES = np.linspace(-3.0, 3.0, 240)
 # Degree in p of each residual: l, m, q, r, s.
 _RESIDUAL_DEGREES = np.array([1, 1, 2, 3, 3])
 
@@ -137,11 +137,10 @@ def solve_sqrt4(n: int) -> Sqrt4Solution:
 
 @dataclass(frozen=True)
 class PofRResult:
-    """Outcome of the exact 6-gate sum-plus-commutator solve."""
+    """Exact 6-gate coefficients at one weight R and their five residuals."""
 
     params: SixGateParams
     residuals: tuple[float, float, float, float, float]
-    converged: bool
 
     @property
     def max_residual(self) -> float:
@@ -168,128 +167,52 @@ def _p_of_r_residuals(p: np.ndarray, R: float) -> np.ndarray:
     ], axis=-1)
 
 
-def _p_of_r_jacobians(p: np.ndarray) -> np.ndarray:
-    """Partials of (l, m, q, r, s) with respect to p1..p5 (p6 held fixed).
-
-    Shape (k, 6) -> (k, 5, 5), one Jacobian per row of p.
-    """
-    p1, p2, p3, p4, p5, p6 = p.T
-    zero, one = np.zeros_like(p1), np.ones_like(p1)
-    rows = [
-        [one, zero, one, zero, one],
-        [zero, one, zero, one, zero],
-        [zero, p3 + p5, p2, p5, p2 + p4],
-        [p2 * p3 + p2 * p5 + p4 * p5, p1 * p3 + p1 * p5, p1 * p2 + p4 * p5,
-         p1 * p5 + p3 * p5, p1 * p2 + p1 * p4 + p3 * p4],
-        [zero, p3 * p4 + p3 * p6 + p5 * p6, p2 * p4 + p2 * p6, p2 * p3 + p5 * p6,
-         p2 * p6 + p4 * p6],
-    ]
-    return np.moveaxis(np.array(rows), -1, 0)
+def _quadratic_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray | float) -> np.ndarray:
+    """Both roots of a x^2 + b x + c = 0 on a new last axis, without cancellation.
+    A complex pair gives NaN; a = 0 gives the linear root c/w and a non-finite one."""
+    w = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    return np.stack([w / a, c / w], axis=-1)
 
 
-def _newton_steps(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Solve jac @ step = -res row by row; a singular row's step is NaN."""
-    try:
-        return np.linalg.solve(jac, -res[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        steps = np.full_like(res, np.nan)
-        for i in range(len(res)):
-            try:
-                steps[i] = np.linalg.solve(jac[i], -res[i])
-            except np.linalg.LinAlgError:
-                pass
-        return steps
-
-
-def _norm(res: np.ndarray) -> np.ndarray:
-    """2-norm over the last axis, rounded as np.linalg.norm of each row:
-    matmul takes the same dot kernel, a sum over the axis would not."""
-    return np.sqrt((res[..., None, :] @ res[..., :, None])[..., 0, 0])
-
-
-def solve_p_of_r(R: float, seed: SixGateParams | None = None) -> PofRResult:
+def solve_p_of_r(R: float) -> PofRResult:
     """Exact 6-gate coefficients for target exp(x(A+B) + R x^2 [A,B]).
 
-    Damped Newton iteration on the five residuals
-    (l-1, m-1, q+R-1/2, r-1/6, s-1/6) over p1..p5; the system is
-    underdetermined by one, so p6 stays pinned at its seed value. With
-    an explicit seed only that basin is searched and the result reports
-    honestly whether it converged. Without a seed the closed-form
-    large-R coefficients seed the first attempt; the closed-form branch
-    degenerates over a window of moderate R, so on failure a
-    deterministic multistart over pinning gauges hunts for any root,
-    in rounds of P_OF_R_MULTISTART draws solved as one batch.
+    Solves l = m = 1, q = 1/2 - R = Q and r = s = 1/6 in closed form, for
+    each gauge p6 of P_OF_R_GAUGES. As r = p1 q + p3 p4 p5 and s = p2 p3 p4
+    + p6 q, p1 solves one quadratic c2 p1^2 + c1 p1 + c0 = 0; then p5 = k p2
+    with k = (1/6 - p1 Q) / (1/6 - p6 Q), p2 solves -k p2^2 + (1 - p1 +
+    (1 - p6) k) p2 - Q = 0, p3 = 1 - p1 - p5 and p4 = 1 - p6 - p2. The
+    candidates that pass `_converged` are roots; complex branches and
+    degenerate gauges (c2 = 0, 1/6 = p6 Q) fail it by their NaN or inf.
+    Returns the root with the smallest largest coefficient, which carries
+    the smallest higher-order defects; among equals, the first in order.
     """
     R = float(R)
     if not abs(R) <= P_OF_R_MAX_WEIGHT:
         raise InvalidInputError(
             f"R must be finite and at most {P_OF_R_MAX_WEIGHT:g} in magnitude")
-    if seed is not None:
-        return _newton_p_of_r(R, np.array([seed.as_tuple()]))[0]
-    # The closed form is only a Newton seed here; its small-R accuracy
-    # warning does not apply to the corrected output.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AccuracyWarning)
-        start = np.array([f_r_params(R).as_tuple()])
-    result = _newton_p_of_r(R, start)[0]
-    rng = np.random.default_rng(1 + abs(hash(round(R, 12))) % (2**32))
-    for _ in range(P_OF_R_MULTISTART_ROUNDS):
-        if result.converged:
-            break
-        draws = np.array([(*rng.uniform(-2.0, 2.0, size=5), rng.uniform(0.1, 2.5))
-                          for _ in range(P_OF_R_MULTISTART)])
-        result = min([result, *_newton_p_of_r(R, draws)], key=_rank)
-    return result
-
-
-def _rank(result: PofRResult) -> tuple[int, float]:
-    """Order among multistart draws: roots first, by their largest coefficient
-    (small ones carry the smallest higher-order defects), then failures by
-    their residual. min keeps the earliest of equals."""
-    if result.converged:
-        return 0, max(abs(v) for v in result.params.as_tuple())
-    return 1, result.max_residual
-
-
-def _newton_p_of_r(R: float, starts: np.ndarray) -> list[PofRResult]:
-    """Damped Newton from every row of a (k, 6) array of starts at once.
-
-    Each row runs on its own for at most P_OF_R_MAX_ITER iterations and
-    stops where it converges or where no backtracking scale of its step
-    lowers the residual norm; a singular Jacobian gives no step. A row
-    returns the p it stopped at.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = np.array(starts, dtype=float)
+    if R <= -0.5:
+        raise DomainError("R must exceed -1/2 for the exact coefficients")
+    Q = 0.5 - R
+    p6 = P_OF_R_GAUGES * math.sqrt(R + 0.5)
+    with np.errstate(all="ignore"):
+        p1 = _quadratic_roots(
+            (72 * R - 36) * p6**2 - (72 * R - 48) * p6 - 12,
+            (48 - 72 * R) * p6**2 + (72 * R**2 - 72 * R - 30) * p6 + 72 * R**2 + 24 * R + 6,
+            -12 * p6**2 + (72 * R**2 + 24 * R + 6) * p6 - 72 * R**3 - 36 * R**2 - 6 * R - 1)
+        p6 = p6[:, None]
+        k = (1.0 / 6.0 - p1 * Q) / (1.0 / 6.0 - p6 * Q)
+        p2 = _quadratic_roots(-k, 1.0 - p1 + (1.0 - p6) * k, -Q)
+        p1, p6, k = p1[..., None], p6[..., None], k[..., None]
+        p5 = k * p2
+        p = np.stack(np.broadcast_arrays(p1, p2, 1.0 - p1 - p5, 1.0 - p6 - p2, p5, p6),
+                     axis=-1).reshape(-1, 6)
         res = _p_of_r_residuals(p, R)
-        live = np.arange(len(p))
-        for _ in range(P_OF_R_MAX_ITER):
-            live = live[~_converged(p[live], res[live])]
-            if not live.size:
-                break
-            step = _newton_steps(_p_of_r_jacobians(p[live]), res[live])
-            solved = np.all(np.isfinite(step), axis=1)
-            live = live[solved][_backtrack(R, p, res, live[solved], step[solved])]
-        return [PofRResult(SixGateParams(*row), tuple(r.tolist()), bool(c))
-                for row, r, c in zip(p, res, _converged(p, res))]
-
-
-def _backtrack(R: float, p: np.ndarray, res: np.ndarray, rows: np.ndarray,
-               step: np.ndarray) -> np.ndarray:
-    """Move each row to the first scale 2^0 .. 2^-30 of its step whose
-    residual norm improves, all scales of all rows in one evaluation.
-
-    Updates p and res in place and returns which rows moved.
-    """
-    trial = np.repeat(p[rows, None, :], len(_BACKTRACK_SCALES), axis=1)
-    trial[:, :, :5] = p[rows, None, :5] + _BACKTRACK_SCALES[:, None] * step[:, None, :]
-    trial_res = _p_of_r_residuals(trial, R)
-    better = _norm(trial_res) < _norm(res[rows])[:, None]
-    moved = better.any(axis=1)
-    first = better.argmax(axis=1)[moved]
-    p[rows[moved]] = trial[moved, first]
-    res[rows[moved]] = trial_res[moved, first]
-    return moved
+        roots = np.flatnonzero(_converged(p, res))
+    if not roots.size:
+        raise SolverError(f"no gauge gave a real root at R={R:.6g}")
+    best = roots[np.argmin(np.max(np.abs(p[roots]), axis=1))]
+    return PofRResult(SixGateParams(*p[best].tolist()), tuple(res[best].tolist()))
 
 
 def residuals_order4(f: ProductFormula) -> np.ndarray:

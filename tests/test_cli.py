@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from trotterion import SixGateParams, reparam
 from trotterion.apps import CDConfig, cd_beta
 from trotterion.apps.common import MAX_MODES
 from trotterion.cli import MAX_GRID_POINTS, _parse_grid, main
@@ -178,7 +179,27 @@ def test_solve_pr_row(capsys):
     fields = lines[1].split(",")
     assert fields[0] == "10"
     assert float(fields[-1]) <= 1e-10
-    assert abs(float(fields[6]) - math.sqrt(10.5)) <= 1e-9
+    # the printed 12 digits still meet every condition
+    rp = reparam(SixGateParams(*map(float, fields[1:7])))
+    want = (1.0, 1.0, 0.5 - 10.0, 1.0 / 6.0, 1.0 / 6.0)
+    assert np.allclose((rp.l, rp.m, rp.q, rp.r, rp.s), want, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["chain", "--L", "6", "--t1", "1", "--t2", "-1e-3", "--T", "1", "--ns", "8,16"], 0),
+    (["cd", "--J", "-1e0", "--hz", "5", "--tau", "1", "--N", "4"], 0),
+    (["solve", "--pr", "-1e-1"], 0),
+    (["km", "--Lx", "4", "--Ly", "4", "--J", "-inf", "--phi", "1", "--T", "1"], 2),
+], ids=["chain-e-notation", "cd-e-notation", "solve-e-notation", "km-minus-inf"])
+def test_negative_float_given_as_separate_argument(capsys, argv, want):
+    # argparse alone takes -1e-3 or -inf after a flag for an unknown option
+    code, out, err = run_cli(capsys, *argv)
+    assert code == want, err
+    if want == 0:
+        assert err == "" and out
+    else:
+        lines = err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_cd_run_csv(tmp_path, capsys):
@@ -292,7 +313,8 @@ def test_cd_endpoint_row_chosen_by_index(capsys):
 
 
 def test_cd_exact_pr_rescues_slice_beyond_first_multistart_round(capsys):
-    # slice 7 sits at R=0.594648, where all 40 draws of the first round fail
+    # slice 7 sits at R=0.594648, where the closed-form gauge has no root and
+    # the former Newton multistart needed a second round of draws
     code, out, err = run_cli(capsys, "cd", "--J", "-0.7844027253947177",
                              "--hz", "5.3319924341205285", "--tau", "1", "--N", "14",
                              "--exact-pr")
@@ -332,6 +354,8 @@ BAD_INPUTS = [
     pytest.param({}, ["solve", "--pr", "1e300"], 2, id="solve-pr-overflowing-seed"),
     pytest.param({}, ["solve", "--pr", "1e10"], 2, id="solve-pr-beyond-weight-cap"),
     pytest.param({}, ["solve", "--pr", "1e14"], 2, id="solve-pr-far-beyond-weight-cap"),
+    pytest.param({}, ["solve", "--pr=-0.5"], 2, id="solve-pr-at-domain-edge"),
+    pytest.param({}, ["solve", "--pr=-0.7"], 2, id="solve-pr-below-domain"),
     pytest.param({}, ["solve", "--sqrt4", "1025"], 2, id="solve-sqrt4-overflowing-order"),
     pytest.param({}, ["km", "--Lx", "4", "--Ly", "4", "--J", "1", "--phi", "inf", "--T", "1"], 2,
                  id="km-infinite-flux"),
@@ -361,6 +385,9 @@ BAD_INPUTS = [
                  2, id="km-flat-band-denominator-underflows"),
     pytest.param({}, ["cd", "--J", "3", "--hz", "3", "--tau=5e-324", "--N", "5"], 2,
                  id="cd-time-step-underflows"),
+    # every error sits at the rounding floor, so no slope is fitted
+    pytest.param({}, ["chain", "--L", "6", "--t1", "1e-300", "--t2", "1e-300", "--T", "1"], 3,
+                 id="chain-couplings-at-noise-floor"),
 ]
 
 
@@ -382,13 +409,14 @@ def test_malformed_input_exits_with_one_error_line(tmp_path, capsys, files, argv
 
 def test_km_step_scale_whose_square_underflows_runs(capsys):
     # alpha^2 = 1e-400 underflows, but the weight beta*n/alpha^2 is the
-    # finite coupling*n/T ~ 1e200, so the run is valid and every error is
-    # at the rounding floor of a near-identity evolution.
+    # finite coupling*n/T ~ 1e200, so the run is valid; every error sits at
+    # the rounding floor of a near-identity evolution, so no slope is fitted
     code, out, err = run_cli(capsys, "km", "--Lx", "4", "--Ly", "4", "--J", "1",
                              "--phi", "1", "--T", "1e-200", "--ns", "8,16")
-    assert code == 0 and err == ""
-    errs = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:3]]
-    assert all(0.0 <= e < 1e-100 for e in errs)
+    assert code == 3 and out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
 
 
 # Magnitudes for the fuzz below. Each argument is extreme with probability
@@ -404,7 +432,8 @@ FUZZ_CASES = 300
 
 def _fuzz_argv(rng: random.Random) -> list[str]:
     def value(flag: str) -> str:
-        # "--flag=-1e-20": argparse reads a separate "-1e-20" as an option
+        # "--flag=-1e-20"; test_negative_float_given_as_separate_argument
+        # covers the separate form
         v = rng.choice(FUZZ_EXTREMES if rng.random() < FUZZ_EXTREME_SHARE else FUZZ_ORDINARY)
         return f"{flag}={-v if rng.random() < 0.5 else v!r}"
 

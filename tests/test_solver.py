@@ -73,6 +73,20 @@ def test_p_of_r_fixes_the_closed_form_third_order():
     assert rp.s == pytest.approx(1.0 / 6.0, abs=1e-9)
 
 
+def test_p_of_r_multistart_crosses_seed_degeneracy():
+    # the closed-form gauge alone has no root over a window of moderate R
+    # (see test_p_of_r_without_a_root_raises); the default solve still finds
+    # a small root there, deterministically
+    R = 0.5
+    first = solve_p_of_r(R)
+    again = solve_p_of_r(R)
+    assert solver._converged(np.array(first.params.as_tuple()),
+                             np.array(first.residuals))
+    assert first.max_residual <= 1e-10
+    assert first.params.as_tuple() == again.params.as_tuple()
+    assert max(abs(v) for v in first.params.as_tuple()) < 3.0
+
+
 # Roots the former damped Newton solve returned. The exact solve may pick
 # another root, but never one with a larger coefficient than these.
 PINNED_ROOTS = {
@@ -139,6 +153,15 @@ def test_p_of_r_converges_at_large_weight(R):
     p_max = max(abs(v) for v in result.params.as_tuple())
     assert result.max_residual <= np.finfo(float).eps * p_max**3
     assert reparam(result.params).q == pytest.approx(0.5 - R, rel=1e-12)
+
+
+def test_p_of_r_multistart_draws_further_rounds():
+    # a weight at which every draw of the former solve's first round of 40
+    # Newton starts failed
+    result = solve_p_of_r(0.5946480095193062)
+    assert solver._converged(np.array(result.params.as_tuple()),
+                             np.array(result.residuals))
+    assert result.max_residual <= 1e-10
 
 
 # weights past P_OF_R_MAX_WEIGHT, where the rounding of r and s nears their

@@ -11,6 +11,7 @@ protocol; one pass over the ramp evolves both.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,8 +43,8 @@ class CDConfig:
     def __post_init__(self) -> None:
         if not (self.tau > 0.0) or not math.isfinite(self.tau):
             raise InvalidInputError("ramp time tau must be positive and finite")
-        if self.n_steps < 1:
-            raise InvalidInputError("step count must be at least 1")
+        if not 1 <= self.n_steps <= sys.float_info.max:
+            raise InvalidInputError("step count must be at least 1 and within the float range")
         if self.tau / self.n_steps == 0.0:
             raise InvalidInputError("time step tau/N underflows to zero")
         check_magnitudes({"J": self.J, "hz": self.hz, "tau": self.tau,

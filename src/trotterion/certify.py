@@ -8,6 +8,7 @@ extraction of the leading terms of log(f(x)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import matcore
 from .errors import (BudgetExceededError, DegenerateScanError, DomainError,
                      InvalidInputError)
-from .formula import GeneratorPair, ProductFormula, concat, repeat
+from .formula import GeneratorPair, ProductFormula, concat
 
 NOISE_FLOOR = 1e-14
 DEFAULT_XS = tuple(np.logspace(-2.0, -1.0, 20).tolist())
@@ -130,6 +131,8 @@ def step_count_scan(error_of: Callable[[int], float],
     all of it. Raises DegenerateScanError if every error is below NOISE_FLOOR.
     """
     grid = [int(n) for n in (DEFAULT_STEP_GRID if ns is None else ns)]
+    if any(n > sys.float_info.max for n in grid):
+        raise InvalidInputError("step counts must lie within the float range")
     return _above_noise_floor(_scan(grid, error_of, None, "custom"))
 
 
@@ -191,21 +194,14 @@ def gates_to_accuracy(f: ProductFormula, gens: GeneratorPair, x: float,
 def _repeat_gate_count(f: ProductFormula, r: int) -> int:
     """Gate count of repeat(f, r) without materializing the long formula.
 
-    Simplification only merges across copy junctions, so the count is
-    affine in r; the three-copy probe guards against junction merges
-    that cascade further.
+    Simplification merges only across copy junctions, and a junction
+    cascade cancels only while one copy's tail inverts the next copy's
+    head. A simplified word is never its own inverse, so no cascade spans
+    a copy and each of the r - 1 junctions drops the same number of gates.
     """
-    g1 = f.simplify().gate_count()
-    if r == 1:
-        return g1
-    g2 = concat([f, f]).simplify().gate_count()
-    drop = 2 * g1 - g2
-    if r == 2:
-        return g2
-    g3 = concat([f, f, f]).simplify().gate_count()
-    if g3 != 3 * g1 - 2 * drop:
-        return repeat(f, r).gate_count()
-    return r * g1 - (r - 1) * drop
+    copy = f.scale_argument(1.0 / math.sqrt(r)).simplify()
+    drop = 2 * len(copy) - concat([copy, copy]).gate_count()
+    return r * len(copy) - (r - 1) * drop
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,8 @@ class ProductFormula:
                 coeff = float(coeff)
             except (TypeError, ValueError):
                 raise InvalidInputError(f"step coefficient {coeff!r} is not a number")
+            except OverflowError:  # an int beyond the float range
+                coeff = math.inf
             if not math.isfinite(coeff):
                 raise InvalidInputError("step coefficients must be finite")
             clean.append((tag, coeff))
@@ -186,12 +188,6 @@ class ProductFormula:
                 acc += coeff
                 sums.append(acc)
         return sums
-
-    def word_sums(self) -> WordSums:
-        return word_sums(self)
-
-    def to_json(self) -> str:
-        return to_json(self)
 
 
 def concat(formulas: Sequence[ProductFormula], label: str = "",
@@ -277,9 +273,12 @@ def from_json(text: str) -> ProductFormula:
     order = payload.get("claimed_order")
     if not isinstance(label, str):
         raise InvalidInputError("'label' must be a string")
-    if order is not None and not isinstance(order, int):
+    if order is not None and type(order) is not int:
         raise InvalidInputError("'claimed_order' must be an integer or null")
     steps = payload["steps"]
     if not isinstance(steps, list):
         raise InvalidInputError("'steps' must be a list")
+    for step in steps:
+        if isinstance(step, list) and len(step) == 2 and type(step[1]) not in (int, float):
+            raise InvalidInputError(f"step coefficient {step[1]!r} is not a JSON number")
     return ProductFormula(tuple(steps), label=label, claimed_order=order)

@@ -1,6 +1,6 @@
 """Numeric coefficient solvers.
 
-Two jobs live here: the two-parameter root find that powers the 4-copy
+Two jobs live here: the one bracketed scalar root that powers the 4-copy
 order-raising scheme, and the exact 6-gate sum-plus-commutator
 coefficients at a given commutator weight R, from two quadratics over a
 fixed set of gauges. The ordered word sums that encode the fourth-order
@@ -18,9 +18,9 @@ from .bases import SixGateParams, reparam
 from .errors import DomainError, InvalidInputError, SolverError
 from .formula import ProductFormula, word_sums
 
-SQRT4_BISECT_TOL = 1e-14
 SQRT4_RESIDUAL_TOL = 1e-12
-# The power conditions carry 2^(n+2), which overflows a double past n = 1021.
+# The root's scale q = 4^-((n+1)/2) is 2^-1022, the smallest normal double, at
+# n = 1021; past it q goes subnormal and loses digits, and it is 0 from n = 1075.
 SQRT4_MAX_ORDER = 1021
 P_OF_R_TOL = 1e-10
 # Largest |R| the exact solve takes, and largest rounding floor a residual may
@@ -57,76 +57,33 @@ class Sqrt4Solution:
     signed_sum: float
 
 
-def _sqrt4_curves(k: int):
-    """The two (eps1 -> eps2) curves whose crossing solves the system."""
-    two_2k = 2.0 ** (2 * k)
-    two_2k1 = 2.0 ** (2 * k + 1)
-
-    def curve_even(e1: float) -> float:
-        return 2.0 - (two_2k - 1.0 + (1.0 - e1) ** (2 * k)) ** (1.0 / (2 * k))
-
-    def curve_odd(e1: float) -> float:
-        return 2.0 - (two_2k1 - 1.0 - (1.0 - e1) ** (2 * k + 1)) ** (1.0 / (2 * k + 1))
-
-    return curve_even, curve_odd
-
-
 def solve_sqrt4(n: int) -> Sqrt4Solution:
-    """Solve the 4-copy coefficient conditions for odd source order n >= 3.
+    """Solve the 4-copy conditions for odd source order 3 <= n <= SQRT4_MAX_ORDER.
 
-    Writing (c, d) = (2 - eps2, -1 + eps1), each power condition becomes
-    an explicit curve eps2(eps1); the even-power curve increases and the
-    odd-power curve decreases on (0, 1), so their difference has exactly
-    one bracketed root. Bisection to 1e-14 plus one Newton polish on
-    (c, d) gives the crossing.
+    With k = (n+1)/2, q = 4^-k, u = c/2 and t = -d, the two conditions
+    read u^(2k) = 1 - A(t) and u^(2k+1) = 1 - B(t), where
+    A = (1 - t^(2k)) q and B = (1 + t^(2k+1)) q/2. Eliminating u leaves
+        g(t) = ((2k+1) log1p(-A) - 2k log1p(-B)) / q = 0,
+    whose two terms both rise in t, from g(0) ~ -(k+1) to g(1) ~ 2k, so
+    g has exactly one root on (0, 1). Bisection runs until the bracket is
+    two adjacent doubles; then c = 2 exp(log1p(-A)/(2k)) and d = -t. No
+    digit of d is lost to c's nearness to 2, as in the raw powers.
     """
     if n < 3 or n % 2 == 0 or n > SQRT4_MAX_ORDER:
         raise InvalidInputError(
             f"the 4-copy solve needs an odd source order 3 <= n <= {SQRT4_MAX_ORDER}")
     k = (n + 1) // 2
-    curve_even, curve_odd = _sqrt4_curves(k)
-
-    grid = np.linspace(0.0, 1.0, 1000)
-    even_vals = np.array([curve_even(e) for e in grid])
-    odd_vals = np.array([curve_odd(e) for e in grid])
-    if np.any(np.diff(even_vals) < -1e-15) or np.any(np.diff(odd_vals) > 1e-15):
-        raise SolverError("coefficient curves lost monotonicity; cannot bracket")
-
-    gap = lambda e1: curve_even(e1) - curve_odd(e1)
+    q = 0.25 ** k
+    log_even = lambda t: math.log1p((t ** (2 * k) - 1.0) * q)  # 2k log u
+    log_odd = lambda t: math.log1p(-(1.0 + t ** (2 * k + 1)) * q / 2)  # (2k+1) log u
+    g = lambda t: ((2 * k + 1) * log_even(t) - 2 * k * log_odd(t)) / q
     lo, hi = 0.0, 1.0
-    if not (gap(lo) < 0.0 < gap(hi)):
-        raise SolverError("curve crossing is not bracketed on (0, 1)")
-    while hi - lo > SQRT4_BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    e1 = 0.5 * (lo + hi)
-    e2 = curve_even(e1)
-
-    c = 2.0 - e2
-    d = -1.0 + e1
-    rhs_even = 2.0 ** (2 * k) - 1.0
-    rhs_odd = 2.0 ** (2 * k + 1) - 1.0
-    res = np.array([
-        c ** (2 * k) - d ** (2 * k) - rhs_even,
-        c ** (2 * k + 1) - d ** (2 * k + 1) - rhs_odd,
-    ])
-    jac = np.array([
-        [2 * k * c ** (2 * k - 1), -2 * k * d ** (2 * k - 1)],
-        [(2 * k + 1) * c ** (2 * k), -(2 * k + 1) * d ** (2 * k)],
-    ])
-    step = np.linalg.solve(jac, -res)
-    c += float(step[0])
-    d += float(step[1])
-
-    res = np.array([
-        c ** (2 * k) - d ** (2 * k) - rhs_even,
-        c ** (2 * k + 1) - d ** (2 * k + 1) - rhs_odd,
-    ])
-    if float(np.max(np.abs(res))) > SQRT4_RESIDUAL_TOL * max(1.0, rhs_odd):
-        raise SolverError(f"4-copy polish left residual {np.max(np.abs(res)):.3e}")
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if g(mid) < 0.0 else (lo, mid)
+    if not abs(g(hi)) <= SQRT4_RESIDUAL_TOL * (k + 1):
+        raise SolverError(f"4-copy root left residual {g(hi):.3e}")
+    c = 2.0 * math.exp(log_even(hi) / (2 * k))
+    d = -hi
     if d >= 0.0:
         raise SolverError("4-copy solve collapsed onto the trivial branch")
     signed_sum = 1.0 - 4.0 + c * c - d * d

@@ -1,16 +1,18 @@
 """Certification: scans, log-log fits, BCH extraction, accuracy searches."""
 
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from trotterion import (AccuracyWarning, GeneratorPair, commutator, f_r,
-                        pure_commutator_library, s2, s3, v4_tilde, g5, repeat)
+from trotterion import (AccuracyWarning, GeneratorPair, ProductFormula, commutator,
+                        concat, f_r, pure_commutator_library, s2, s3, v4_tilde, g5,
+                        repeat)
 from trotterion.certify import (DEFAULT_WINDOW, DEFAULT_XS, BCHCoefficients,
-                                commutator_target, error_scan, estimate_order,
+                                _repeat_gate_count, commutator_target, error_scan, estimate_order,
                                 extract_bch, fit_loglog, gates_to_accuracy,
                                 sum_commutator_target)
 from trotterion.errors import (BudgetExceededError, DegenerateScanError,
@@ -146,6 +148,23 @@ def test_gates_to_accuracy_monotone_and_sufficient():
         gates_to_accuracy(f, PAULI_PAIR, 0.3, 1e-30, cap=64)
     with pytest.raises(InvalidInputError):
         gates_to_accuracy(f, PAULI_PAIR, 0.3, -1.0)
+
+
+def test_repeat_gate_count_is_exact():
+    rng = random.Random(5)
+
+    def word(length):
+        return ProductFormula(tuple((rng.choice("AB"), rng.choice((-1, 1)) * rng.choice(
+            (0.5, 1.0, 1.5, rng.uniform(0.1, 2.0)))) for _ in range(length)))
+
+    formulas = list(pure_commutator_library().values()) + [s2(), s3()]
+    formulas += [word(rng.randint(1, 8)) for _ in range(150)]
+    for _ in range(150):  # P x P^-1: the junctions cancel and the middles merge
+        p = word(rng.randint(1, 5))
+        formulas.append(concat([p, word(rng.randint(1, 3)), p.inverse()]))
+    for f in formulas:
+        for r in (1, 2, 3, 4, 5, 7, 16, 33):
+            assert _repeat_gate_count(f, r) == repeat(f, r).gate_count(), (f.steps, r)
 
 
 def test_repeat_error_decreases_at_large_argument():

@@ -165,6 +165,15 @@ def test_solve_sqrt4_row(capsys):
     assert abs(float(fields[5]) - 0.2597447625) <= 1e-9
 
 
+@pytest.mark.parametrize("n", ["47", "1021"])
+def test_solve_sqrt4_high_order_row(capsys, n):
+    code, out, err = run_cli(capsys, "solve", "--sqrt4", n)
+    assert code == 0, err
+    fields = out.strip().split("\n")[1].split(",")
+    assert fields[0] == n
+    assert float(fields[4]) < 0.0 and float(fields[5]) > 1e-6
+
+
 def test_solve_sqrt4_even_order_exits_2(capsys):
     code, _, err = run_cli(capsys, "solve", "--sqrt4", "4")
     assert code == 2
@@ -289,6 +298,15 @@ def test_console_script_entry_point(tmp_path):
     assert "gates=4" in proc.stderr
 
 
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize adds about 0.2 s to every CLI start
+    proc = subprocess.run([sys.executable, "-c", "import sys, trotterion.cli; "
+                           "print('scipy.optimize' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_km_negative_coupling_runs(capsys):
     # a negative J sends the per-step weight below -1/2, into the reflected step
     code, out, err = run_cli(capsys, "km", "--Lx", "4", "--Ly", "4", "--J", "-1",
@@ -323,6 +341,8 @@ def test_cd_exact_pr_rescues_slice_beyond_first_multistart_round(capsys):
 
 
 GOOD_JSON = '{"steps": [["A", 1.0], ["B", 1.0]]}'
+HUGE_INT = "1" + "0" * 400  # beyond the float range
+HUGE_COEFF_JSON = '{"steps": [["A", %s], ["B", 1.0]]}' % HUGE_INT
 BAD_INPUTS = [
     # files to write, argv (file names replaced by their paths), exit code
     pytest.param({"f.json": '{"steps": [5]}'}, ["scan", "--formula", "f.json"], 2,
@@ -335,6 +355,19 @@ BAD_INPUTS = [
     pytest.param({"f.json": GOOD_JSON},
                  ["gates", "--formula", "f.json", "--eps", "nan", "--xs", "0.1:0.1:0.1"], 2,
                  id="gates-eps-nan"),
+    pytest.param({"f.json": HUGE_COEFF_JSON}, ["trajectory", "--formula", "f.json", "--gen", "A"],
+                 2, id="trajectory-coefficient-beyond-float-range"),
+    pytest.param({"f.json": HUGE_COEFF_JSON}, ["scan", "--formula", "f.json"], 2,
+                 id="scan-coefficient-beyond-float-range"),
+    pytest.param({"f.json": HUGE_COEFF_JSON},
+                 ["gates", "--formula", "f.json", "--eps", "1e-4", "--xs", "0.1:0.1:0.1"], 2,
+                 id="gates-coefficient-beyond-float-range"),
+    pytest.param({"f.json": '{"steps": [["A", true], ["B", 1.0]]}'},
+                 ["scan", "--formula", "f.json"], 2, id="step-coefficient-bool"),
+    pytest.param({"f.json": '{"steps": [["A", "1e-3"], ["B", 1.0]]}'},
+                 ["scan", "--formula", "f.json"], 2, id="step-coefficient-string"),
+    pytest.param({"f.json": '{"claimed_order": true, "steps": [["A", 1.0], ["B", 1.0]]}'},
+                 ["scan", "--formula", "f.json"], 2, id="claimed-order-bool"),
     pytest.param({"f.json": GOOD_JSON}, ["scan", "--formula", "f.json", "--window", "1:0"], 2,
                  id="scan-inverted-window"),
     pytest.param({"s.csv": "x,error\n0.05,1e-3\n0.1,1e-4\n"},
@@ -385,6 +418,12 @@ BAD_INPUTS = [
                  2, id="km-flat-band-denominator-underflows"),
     pytest.param({}, ["cd", "--J", "3", "--hz", "3", "--tau=5e-324", "--N", "5"], 2,
                  id="cd-time-step-underflows"),
+    pytest.param({}, ["chain", "--L", "6", "--t1", "1", "--t2", "0.5", "--T", "1",
+                      "--ns", HUGE_INT], 2, id="chain-step-count-beyond-float-range"),
+    pytest.param({}, ["km", "--Lx", "3", "--Ly", "3", "--J", "1", "--phi", "1", "--T", "1",
+                      "--n", HUGE_INT], 2, id="km-step-count-beyond-float-range"),
+    pytest.param({}, ["cd", "--J", "-1", "--hz", "5", "--tau", "1", "--N", HUGE_INT], 2,
+                 id="cd-step-count-beyond-float-range"),
     # every error sits at the rounding floor, so no slope is fitted
     pytest.param({}, ["chain", "--L", "6", "--t1", "1e-300", "--t2", "1e-300", "--T", "1"], 3,
                  id="chain-couplings-at-noise-floor"),

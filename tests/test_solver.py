@@ -38,6 +38,32 @@ def test_sqrt4_known_first_column():
     assert sol.signed_sum == pytest.approx(0.2597447625, abs=5e-9)
 
 
+# (n, c, d, signed_sum) of the 4-copy root, computed at 60 digits
+SQRT4_REFERENCE = [
+    (13, 1.9999945216272035801, -0.93175149916257438206, 0.13181723034712203933),
+    (23, 1.9999999968022844203, -0.95790255858334891569, 0.082422675468611489849),
+    (41, 1.9999999999999929252, -0.97508626166640253976, 0.049206782309411657915),
+    (45, 1.9999999999999995956, -0.97715822073419095568, 0.045161811651588526977),
+    (47, 2.0, -0.97807012413115846804, 0.043378832282059877923),
+    (101, 2.0, -0.98944620707504084861, 0.020996203304815384931),
+    (1021, 2.0, -0.9989272373299692718, 0.002144374520315244947),
+]
+
+
+@pytest.mark.parametrize("n,c,d,signed_sum", SQRT4_REFERENCE)
+def test_sqrt4_matches_reference_digits(n, c, d, signed_sum):
+    sol = solve_sqrt4(n)
+    assert abs(sol.c - c) <= 1e-14
+    assert abs(sol.d - d) <= 1e-14
+    assert abs(sol.signed_sum - signed_sum) <= 1e-14
+
+
+def test_sqrt4_every_accepted_order_solves():
+    for n in range(3, solver.SQRT4_MAX_ORDER + 1, 2):
+        sol = solve_sqrt4(n)
+        assert sol.d < 0.0 and sol.signed_sum > 1e-6, n
+
+
 def test_sqrt4_rejects_bad_orders():
     with pytest.raises(InvalidInputError):
         solve_sqrt4(4)

@@ -5,45 +5,30 @@ elementary exponentials exp(c*x*G) whose composite approximates
 exp(x^2 [A,B]) or exp(x(A+B) + R x^2 [A,B]), plus recursive
 order-raising schemes, coefficient solvers, and three application
 simulators (counterdiabatic driving, a hopping chain, and a flux
-lattice).
+lattice). The names below are the API the README documents; every
+other name lives in its own module.
 """
 
-from .bases import (GOLDEN, AccuracyWarning, Reparam, SixGateParams, f_r,
-                    f_r_params, f_r_with_c, reparam, s2, s3)
-from .certify import (DEFAULT_WINDOW, DEFAULT_XS, BCHCoefficients, ScanResult,
-                      commutator_target, error_scan, estimate_order,
-                      extract_bch, fit_loglog, gates_to_accuracy,
-                      sum_commutator_target)
+from .bases import AccuracyWarning, SixGateParams, f_r, f_r_signed, reparam, s2, s3
+from .certify import error_scan, extract_bch, gates_to_accuracy
 from .errors import (BudgetExceededError, DegenerateScanError, DomainError,
                      InvalidInputError, SolverError, TrotterionError)
-from .formula import (GeneratorPair, ProductFormula, WordSums, concat,
-                      from_json, repeat, to_json, word_sums)
+from .formula import (GeneratorPair, ProductFormula, concat, from_json, repeat,
+                      to_json, word_sums)
 from .matcore import commutator, eigh, expm, logm_near_identity, spectral_norm
-from .recursion import (SchemeKind, apply_scheme, build_cw_sqrt6_baseline,
-                        build_g, build_q, build_v, build_w, childs_wiebe5,
-                        g5, jean_koseleff, pure_commutator_library, q5,
-                        sum_comm_step, two_copy, v4_tilde, v5, w5)
-from .solver import (PofRResult, Sqrt4Solution, residuals_order4,
-                     solve_p_of_r, solve_sqrt4)
+from .recursion import SCHEMES, apply_scheme, pure_commutator_library
+from .solver import solve_p_of_r, solve_sqrt4
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
     "TrotterionError", "InvalidInputError", "DomainError", "SolverError",
-    "DegenerateScanError", "BudgetExceededError",
+    "DegenerateScanError", "BudgetExceededError", "AccuracyWarning",
     "commutator", "eigh", "expm", "logm_near_identity", "spectral_norm",
-    "GeneratorPair", "ProductFormula", "WordSums", "concat", "repeat",
-    "word_sums", "to_json", "from_json",
-    "GOLDEN", "AccuracyWarning", "SixGateParams", "Reparam", "reparam",
-    "s2", "s3", "f_r", "f_r_params", "f_r_with_c",
-    "SchemeKind", "apply_scheme", "two_copy", "jean_koseleff",
-    "childs_wiebe5", "build_q", "build_w", "build_v", "build_g",
-    "build_cw_sqrt6_baseline", "sum_comm_step", "q5", "w5", "v5", "g5",
-    "v4_tilde", "pure_commutator_library",
-    "Sqrt4Solution", "solve_sqrt4", "PofRResult", "solve_p_of_r",
-    "residuals_order4",
-    "ScanResult", "BCHCoefficients", "DEFAULT_XS", "DEFAULT_WINDOW",
-    "error_scan", "estimate_order", "fit_loglog", "gates_to_accuracy",
-    "extract_bch", "commutator_target", "sum_commutator_target",
+    "GeneratorPair", "ProductFormula", "concat", "repeat", "word_sums",
+    "to_json", "from_json",
+    "s2", "s3", "SixGateParams", "reparam", "f_r", "f_r_signed",
+    "SCHEMES", "apply_scheme", "pure_commutator_library",
+    "solve_sqrt4", "solve_p_of_r",
+    "error_scan", "extract_bch", "gates_to_accuracy",
 ]

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..bases import f_r_signed
-from ..certify import ScanResult, step_count_scan
+from ..certify import ScanResult
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair
-from ..matcore import commutator, expm, spectral_norm
-from .common import MAX_MODES, check_magnitudes, quiet_small_r, step_weight
+from ..matcore import commutator, expm
+from .common import MAX_MODES, check_magnitudes, n_step_scan
 
 
 @dataclass(frozen=True)
@@ -75,41 +75,13 @@ def chain_gate_count(cfg: ChainConfig, n: int) -> int:
     return 3 * n * cfg.L
 
 
-def _step_error(cfg: ChainConfig) -> Callable[[int], float]:
-    """The error of an n-step run as a function of n, target built once.
-
-    One step is the signed 6-gate sum-plus-commutator formula at
-    argument -t1*T/n with weight chosen so the n-fold product targets
-    exp(-i*T*Heff); the weight grows linearly with n, which is what
-    limits the composite to 1/n convergence.
-    """
-    h0, h1 = chain_hoppings(cfg)
-    gens = GeneratorPair(1j * h0, 1j * h1)
-    alpha = -cfg.t1 * cfg.T
-    beta = -cfg.t2 * cfg.T
-    exact = expm(-1j * cfg.T * chain_heff(cfg))
-
-    def error(n: int) -> float:
-        R = step_weight(alpha, beta, n)
-        with quiet_small_r():
-            step = f_r_signed(R).evaluate(gens, alpha / n)
-        return spectral_norm(np.linalg.matrix_power(step, n) - exact)
-
-    return error
-
-
-def chain_error(cfg: ChainConfig, n: int) -> float:
-    """Distance of the n-step product from the exact effective evolution."""
-    return _step_error(cfg)(n)
-
-
 def chain_simulate(cfg: ChainConfig, ns: Sequence[int] | None = None) -> ScanResult:
     """Error of the n-step product over a grid of step counts.
 
-    The grid defaults to the single count cfg.n when set, otherwise to
-    the shared step grid; the log-log fit of error against n runs over
-    the full grid and the expected slope is -1.
+    One step is the signed 6-gate sum-plus-commutator formula at argument
+    -t1*T/n whose n-fold product targets exp(-i*T*Heff); the grid and the
+    log-log fit are n_step_scan's, and the expected slope is -1.
     """
-    if ns is None and cfg.n is not None:
-        ns = (cfg.n,)
-    return step_count_scan(_step_error(cfg), ns)
+    h0, h1 = chain_hoppings(cfg)
+    return n_step_scan(f_r_signed, GeneratorPair(1j * h0, 1j * h1), -cfg.t1 * cfg.T,
+                       -cfg.t2 * cfg.T, expm(-1j * cfg.T * chain_heff(cfg)), cfg.n, ns)

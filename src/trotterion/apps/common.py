@@ -1,13 +1,24 @@
-"""Shared plumbing for the application simulators."""
+"""Shared plumbing for the application simulators.
+
+Input bounds, and the one n-step scan of the chain and the flux lattice:
+the error of the n-fold product of one sum-plus-commutator step, whose
+weight grows with n, against the exact evolution, over step counts n.
+"""
 
 from __future__ import annotations
 
 import math
 import warnings
 from contextlib import contextmanager
+from typing import Callable, Sequence
+
+import numpy as np
 
 from ..bases import AccuracyWarning
+from ..certify import ScanResult, step_count_scan
 from ..errors import InvalidInputError
+from ..formula import GeneratorPair, ProductFormula
+from ..matcore import spectral_norm
 
 # Largest mode space of the chain and the flux lattice: a run builds about a
 # dozen dense complex matrices of this side, 16 MB each at 1024 modes, 16x
@@ -53,3 +64,30 @@ def quiet_small_r():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AccuracyWarning)
         yield
+
+
+def n_step_scan(step: Callable[[float], ProductFormula], gens: GeneratorPair, alpha: float,
+                beta: float, target: np.ndarray, default_n: int | None,
+                ns: Sequence[int] | None) -> ScanResult:
+    """Error of the n-fold product of one step against `target`, over n.
+
+    One step is step(R) at argument alpha/n with R = step_weight(alpha,
+    beta, n), so the n-fold product targets exp(alpha (A+B) + beta [A,B]);
+    R grows linearly with n, which limits the composite to 1/n
+    convergence. The grid ns defaults to the single count default_n when
+    set, otherwise to the step grid of step_count_scan. A power that
+    overflows comes back non-finite and is rejected by spectral_norm, with
+    numpy's overflow warnings silenced.
+    """
+    if ns is None and default_n is not None:
+        ns = (default_n,)
+
+    def error(n: int) -> float:
+        R = step_weight(alpha, beta, n)
+        with quiet_small_r():
+            one_step = step(R).evaluate(gens, alpha / n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = np.linalg.matrix_power(one_step, n)
+        return spectral_norm(power - target)
+
+    return step_count_scan(error, ns)

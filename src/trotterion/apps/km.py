@@ -17,11 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from ..bases import f_r_with_c
-from ..certify import ScanResult, step_count_scan
+from ..certify import ScanResult
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair
 from ..matcore import commutator, expm, spectral_norm
-from .common import MAX_MODES, check_magnitudes, quiet_small_r, step_weight
+from .common import MAX_MODES, check_magnitudes, n_step_scan
 
 BOUNDARIES = ("auto", "torus", "open")
 
@@ -203,21 +203,10 @@ def km_simulate(cfg: KMConfig, ns: Sequence[int] | None = None) -> ScanResult:
     commuting-cost term; the per-step commutator weight grows with n so
     the composite converges like 1/n. Either sign of the weight works,
     so any nonzero J and any flux off the multiples of 2*pi run. The
-    grid defaults as in chain_simulate.
+    grid and the fit are n_step_scan's, as in chain_simulate.
     """
-    if ns is None and cfg.n is not None:
-        ns = (cfg.n,)
     h1, h2, h3, h4 = km_hoppings(cfg)
     gens = GeneratorPair(1j * (h1 - h2), 1j * (h3 - h4), 1j * (2.0 * h2 + 2.0 * h4))
-    alpha = cfg.T
     beta = flat_band_coupling(cfg.J, cfg.phi) * cfg.T
-    target = expm(alpha * (gens.a + gens.b + gens.c)
-                  + beta * commutator(gens.a, gens.b))
-
-    def one_error(n: int) -> float:
-        R = step_weight(alpha, beta, n)
-        with quiet_small_r():
-            step = f_r_with_c(R).evaluate(gens, alpha / n)
-        return spectral_norm(np.linalg.matrix_power(step, n) - target)
-
-    return step_count_scan(one_error, ns)
+    target = expm(cfg.T * (gens.a + gens.b + gens.c) + beta * commutator(gens.a, gens.b))
+    return n_step_scan(f_r_with_c, gens, cfg.T, beta, target, cfg.n, ns)

@@ -26,7 +26,7 @@ from .certify import error_scan, fit_loglog, gates_to_accuracy
 from .errors import (BudgetExceededError, DegenerateScanError, DomainError,
                      InvalidInputError, SolverError)
 from .formula import GeneratorPair, ProductFormula, from_json, to_json
-from .recursion import SchemeKind, apply_scheme
+from .recursion import SCHEMES, apply_scheme
 from .solver import solve_p_of_r, solve_sqrt4
 
 
@@ -121,7 +121,7 @@ def _cmd_build(args) -> int:
             raise InvalidInputError("--base fr needs --R")
         f = f_r(args.R)
     for name in args.scheme or []:
-        f = apply_scheme(SchemeKind(name), f)
+        f = apply_scheme(name, f)
     payload = to_json(f) + "\n"
     _write(payload, args.out)
     order = "none" if f.claimed_order is None else str(f.claimed_order)
@@ -258,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--R", type=float, default=None,
                          help="commutator weight for --base fr")
     p_build.add_argument("--scheme", action="append",
-                         choices=[kind.value for kind in SchemeKind],
+                         choices=list(SCHEMES),
                          help="recursion scheme, repeatable, applied in order")
     p_build.add_argument("--out", default=None, help="write formula JSON here")
     p_build.set_defaults(handler=_cmd_build)

@@ -4,14 +4,15 @@ Every builder takes an order-n formula approximating exp(x^2 [A,B]) and
 returns a higher-order one for the same target, assembled from scaled
 copies and inverses of the input. Gate counts follow the copy count
 minus whatever boundary merges fire, and are asserted by tests rather
-than assumed here.
+than assumed here. SCHEMES names each builder as `build --scheme` does,
+and pure_commutator_library() is the one place that builds and labels
+the named formulas Q5, W5, V5, G5 and V4t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from enum import Enum
 
 from .bases import s2, s3
 from .errors import InvalidInputError
@@ -150,12 +151,10 @@ def build_g(f: ProductFormula) -> ProductFormula:
     return replace(out, label=f"g10({f.label})")
 
 
-def build_cw_sqrt6_baseline(f: ProductFormula | None = None) -> ProductFormula:
+def build_cw_sqrt6_baseline(f: ProductFormula) -> ProductFormula:
     """6-copy baseline raising even order n to n+2: 2-copy then the
     triple-copy step. Applied to the 4-gate base this is the 22-gate
     fourth-order benchmark formula."""
-    if f is None:
-        f = s2()
     n = _require_order(f)
     if n % 2 != 0:
         raise InvalidInputError("the 6-copy baseline needs an even-order input")
@@ -184,65 +183,33 @@ def sum_comm_step(f: ProductFormula) -> ProductFormula:
     return out.simplify()
 
 
-class SchemeKind(Enum):
-    """The order-raising schemes reachable from the command line."""
-
-    TWO_COPY = "two-copy"
-    JEAN_KOSELEFF = "jk"
-    CHILDS_WIEBE5 = "cw5"
-    Q4 = "q4"
-    W5 = "w5"
-    V6 = "v6"
-    G10 = "g10"
-    CW_SQRT6 = "cw-sqrt6"
-    SUM_COMM = "sum-comm"
-
-
-_SCHEME_DISPATCH = {
-    SchemeKind.TWO_COPY: two_copy,
-    SchemeKind.JEAN_KOSELEFF: jean_koseleff,
-    SchemeKind.CHILDS_WIEBE5: childs_wiebe5,
-    SchemeKind.Q4: build_q,
-    SchemeKind.W5: build_w,
-    SchemeKind.V6: build_v,
-    SchemeKind.G10: build_g,
-    SchemeKind.CW_SQRT6: build_cw_sqrt6_baseline,
-    SchemeKind.SUM_COMM: sum_comm_step,
+# The order-raising schemes, keyed by their `build --scheme` names.
+SCHEMES = {
+    "two-copy": two_copy,
+    "jk": jean_koseleff,
+    "cw5": childs_wiebe5,
+    "q4": build_q,
+    "w5": build_w,
+    "v6": build_v,
+    "g10": build_g,
+    "cw-sqrt6": build_cw_sqrt6_baseline,
+    "sum-comm": sum_comm_step,
 }
 
 
-def apply_scheme(kind: SchemeKind, f: ProductFormula) -> ProductFormula:
-    return _SCHEME_DISPATCH[kind](f)
-
-
-def q5() -> ProductFormula:
-    return replace(build_q(s3()), label="Q5")
-
-
-def w5() -> ProductFormula:
-    return replace(build_w(s3()), label="W5")
-
-
-def v5() -> ProductFormula:
-    return replace(build_v(s3()), label="V5")
-
-
-def g5() -> ProductFormula:
-    return replace(build_g(s3()), label="G5")
-
-
-def v4_tilde() -> ProductFormula:
-    return replace(build_cw_sqrt6_baseline(s2()), label="V4t")
+def apply_scheme(name: str, f: ProductFormula) -> ProductFormula:
+    """The scheme registered under `name` in SCHEMES, applied to f."""
+    if name not in SCHEMES:
+        raise InvalidInputError(f"unknown scheme {name!r}; known: {', '.join(SCHEMES)}")
+    return SCHEMES[name](f)
 
 
 def pure_commutator_library() -> dict[str, ProductFormula]:
-    """Named formulas shipped with the package, all targeting exp(x^2 [A,B])."""
-    return {
-        "S2": s2(),
-        "S3": s3(),
-        "V4t": v4_tilde(),
-        "Q5": q5(),
-        "W5": w5(),
-        "V5": v5(),
-        "G5": g5(),
-    }
+    """Named formulas shipped with the package, all targeting exp(x^2 [A,B]).
+
+    The bases S2 and S3; V4t, the 6-copy baseline on S2; and Q5, W5, V5
+    and G5, the 4-, 5-, 6- and 10-copy schemes on S3.
+    """
+    built = {"V4t": build_cw_sqrt6_baseline(s2()), "Q5": build_q(s3()), "W5": build_w(s3()),
+             "V5": build_v(s3()), "G5": build_g(s3())}
+    return {"S2": s2(), "S3": s3(), **{name: replace(f, label=name) for name, f in built.items()}}

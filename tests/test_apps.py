@@ -8,14 +8,15 @@ import pytest
 import scipy.linalg
 
 from trotterion.apps import (CDConfig, ChainConfig, KMConfig,
-                             cd_beta, cd_hamiltonians, cd_run, chain_error,
+                             cd_beta, cd_hamiltonians, cd_run,
                              chain_gate_count, chain_heff, chain_hoppings,
-                             chain_simulate, f_r_signed, flat_band_coupling,
+                             chain_simulate, flat_band_coupling,
                              km_commutator_check, km_gate_count, km_hoppings,
                              km_nnn_identities, km_simulate,
                              phases_wrap_consistently, schedule,
                              schedule_rate)
-from trotterion.bases import AccuracyWarning, f_r
+from trotterion.apps.cd import MAX_SLICES
+from trotterion.bases import AccuracyWarning, f_r, f_r_signed
 from trotterion.errors import DomainError, InvalidInputError
 from trotterion.formula import GeneratorPair
 from trotterion.matcore import commutator, spectral_norm
@@ -130,6 +131,11 @@ def test_cd_config_validation():
             CDConfig(J=J, hz=hz, tau=tau, n_steps=10)
 
 
+def test_cd_config_accepts_the_slice_cap():
+    # one slice more exits 2: see the cd rows of the CLI's malformed inputs
+    assert CDConfig(J=-1.0, hz=5.0, tau=1.0, n_steps=MAX_SLICES).n_steps == MAX_SLICES
+
+
 # ---------------------------------------------------------------- hopping chain
 
 def test_chain_hoppings_structure():
@@ -185,7 +191,7 @@ def test_chain_gate_count_and_single_n():
     res = chain_simulate(cfg)
     assert len(res.rows) == 1
     assert res.rows[0][0] == 16.0
-    assert res.rows[0][1] == chain_error(cfg, 16)
+    assert res.rows[0][1] == chain_simulate(cfg, ns=(16,)).rows[0][1]
 
 
 def test_chain_negative_weight_uses_reflected_step():

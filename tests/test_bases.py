@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from trotterion import (AccuracyWarning, GeneratorPair, SixGateParams, f_r,
-                        f_r_params, f_r_with_c, reparam, s2, s3, word_sums)
+from trotterion import (AccuracyWarning, GeneratorPair, SixGateParams, f_r, reparam, s2, s3,
+                        word_sums)
+from trotterion.bases import f_r_params, f_r_with_c
 from trotterion.errors import DomainError
 
 from conftest import PAULI_PAIR

@@ -9,8 +9,7 @@ import pytest
 import scipy.linalg
 
 from trotterion import (AccuracyWarning, GeneratorPair, ProductFormula, commutator,
-                        concat, f_r, pure_commutator_library, s2, s3, v4_tilde, g5,
-                        repeat)
+                        concat, f_r, pure_commutator_library, s2, s3, repeat)
 from trotterion.certify import (DEFAULT_WINDOW, DEFAULT_XS, BCHCoefficients,
                                 _repeat_gate_count, commutator_target, error_scan, estimate_order,
                                 extract_bch, fit_loglog, gates_to_accuracy,
@@ -190,8 +189,8 @@ def test_repeat_error_decreases_at_large_argument():
         else:
             assert all(b < a for a, b in zip(errors, errors[1:])), f.label
 
-    v4 = v4_tilde()
-    g = g5()
+    lib = pure_commutator_library()
+    v4, g = lib["V4t"], lib["G5"]
     v_budget, v_err = zip(*[(repeat(v4, r).gate_count(), err(v4, r))
                             for r in range(1, 25)])
     for r in range(4, 9):

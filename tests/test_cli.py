@@ -12,6 +12,7 @@ import pytest
 
 from trotterion import SixGateParams, reparam
 from trotterion.apps import CDConfig, cd_beta
+from trotterion.apps.cd import MAX_SLICES
 from trotterion.apps.common import MAX_MODES
 from trotterion.cli import MAX_GRID_POINTS, _parse_grid, main
 from trotterion.formula import from_json
@@ -342,6 +343,7 @@ def test_cd_exact_pr_rescues_slice_beyond_first_multistart_round(capsys):
 
 GOOD_JSON = '{"steps": [["A", 1.0], ["B", 1.0]]}'
 HUGE_INT = "1" + "0" * 400  # beyond the float range
+HUGE_STEPS = "1" + "0" * 300  # within the float range, but its matrix power overflows
 HUGE_COEFF_JSON = '{"steps": [["A", %s], ["B", 1.0]]}' % HUGE_INT
 BAD_INPUTS = [
     # files to write, argv (file names replaced by their paths), exit code
@@ -424,6 +426,12 @@ BAD_INPUTS = [
                       "--n", HUGE_INT], 2, id="km-step-count-beyond-float-range"),
     pytest.param({}, ["cd", "--J", "-1", "--hz", "5", "--tau", "1", "--N", HUGE_INT], 2,
                  id="cd-step-count-beyond-float-range"),
+    pytest.param({}, ["chain", "--L", "6", "--t1", "1", "--t2", "0.5", "--T", "1",
+                      "--ns", f"8,{HUGE_STEPS}"], 2, id="chain-step-power-overflows"),
+    pytest.param({}, ["km", "--Lx", "3", "--Ly", "3", "--J", "1", "--phi", "1", "--T", "1",
+                      "--ns", f"8,{HUGE_STEPS}"], 2, id="km-step-power-overflows"),
+    pytest.param({}, ["cd", "--J", "-1", "--hz", "5", "--tau", "1", "--N", str(MAX_SLICES + 1)],
+                 2, id="cd-step-count-above-slice-cap"),
     # every error sits at the rounding floor, so no slope is fitted
     pytest.param({}, ["chain", "--L", "6", "--t1", "1e-300", "--t2", "1e-300", "--T", "1"], 3,
                  id="chain-couplings-at-noise-floor"),

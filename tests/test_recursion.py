@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from trotterion import (SchemeKind, apply_scheme, build_cw_sqrt6_baseline,
-                        build_g, build_q, build_v, build_w, childs_wiebe5, error_scan,
-                        g5, jean_koseleff, pure_commutator_library, q5, s2, s3,
-                        sum_comm_step, two_copy, v4_tilde, v5, w5, word_sums)
+from trotterion import (SCHEMES, apply_scheme, error_scan, pure_commutator_library, s2, s3,
+                        word_sums)
 from trotterion.errors import InvalidInputError
 from trotterion.formula import ProductFormula
+from trotterion.recursion import (build_cw_sqrt6_baseline, build_g, build_q, build_v, build_w,
+                                  childs_wiebe5, jean_koseleff, sum_comm_step, two_copy)
 
 from conftest import PAULI_PAIR
 
@@ -36,7 +36,7 @@ def test_library_claimed_orders():
 
 def test_gate_count_recurrences():
     # q: N -> 4N - 3
-    assert build_q(q5()).gate_count() == 4 * 21 - 3
+    assert build_q(pure_commutator_library()["Q5"]).gate_count() == 4 * 21 - 3
     # w: N -> 5N - 4, i.e. 5^k + 1 for k = 1, 2, 3 starting at S3
     w_counts = [6]
     f = s3()
@@ -53,7 +53,7 @@ def test_gate_count_recurrences():
     assert g_counts == [(5 * 10**k + 4) // 9 for k in (1, 2, 3)]
     # v: N -> 3N - 2 then doubling
     assert jean_koseleff(s3()).gate_count() == 3 * 6 - 2
-    assert build_v(v5()).gate_count() == 2 * (3 * 32 - 2)
+    assert build_v(pure_commutator_library()["V5"]).gate_count() == 2 * (3 * 32 - 2)
 
 
 def test_composability_g_applied_twice():
@@ -110,19 +110,23 @@ def test_library_word_sums_stay_pure():
 
 
 def test_apply_scheme_dispatch():
-    assert apply_scheme(SchemeKind.G10, s3()).gate_count() == 56
-    assert apply_scheme(SchemeKind.Q4, s3()).gate_count() == 21
-    assert apply_scheme(SchemeKind.TWO_COPY, s2()).claimed_order == 3
-    assert apply_scheme(SchemeKind.CW_SQRT6, s2()).gate_count() == 22
+    assert apply_scheme("g10", s3()).gate_count() == 56
+    assert apply_scheme("q4", s3()).gate_count() == 21
+    assert apply_scheme("two-copy", s2()).claimed_order == 3
+    assert apply_scheme("cw-sqrt6", s2()).gate_count() == 22
+
+
+def test_schemes_are_keyed_by_cli_names():
+    assert list(SCHEMES) == ["two-copy", "jk", "cw5", "q4", "w5", "v6", "g10", "cw-sqrt6",
+                             "sum-comm"]
+    with pytest.raises(InvalidInputError):
+        apply_scheme("g5", s3())
 
 
 def test_named_builders_match_labels():
-    assert q5().label == "Q5"
-    assert w5().label == "W5"
-    assert v5().label == "V5"
-    assert g5().label == "G5"
-    assert v4_tilde().label == "V4t"
-    assert v4_tilde().claimed_order == 4
+    lib = pure_commutator_library()
+    assert {name: f.label for name, f in lib.items()} == {name: name for name in lib}
+    assert lib["V4t"].claimed_order == 4
 
 
 def test_childs_wiebe5_identities():

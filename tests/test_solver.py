@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from trotterion import (f_r_params, reparam, residuals_order4, s3, solve_p_of_r,
-                        solve_sqrt4, solver)
+from trotterion import reparam, s3, solve_p_of_r, solve_sqrt4, solver
+from trotterion.bases import f_r_params
+from trotterion.solver import residuals_order4
 from trotterion.apps import CDConfig, cd_beta
 from trotterion.errors import InvalidInputError, SolverError
 from trotterion.formula import ProductFormula

@@ -14,12 +14,12 @@ import scipy.linalg
 
 from trotterion import matcore
 from trotterion.apps import (ChainConfig, KMConfig, chain_heff, chain_hoppings,
-                             chain_simulate, f_r_signed, flat_band_coupling,
-                             km_hoppings, km_simulate)
-from trotterion.bases import f_r_with_c
+                             chain_simulate, flat_band_coupling, km_hoppings,
+                             km_simulate)
+from trotterion.bases import f_r_signed, f_r_with_c
 from trotterion.errors import InvalidInputError
 from trotterion.formula import GeneratorPair, ProductFormula
-from trotterion.recursion import g5
+from trotterion.recursion import pure_commutator_library
 
 REL_TOL = 1e-10
 DIMS = (2, 3, 4, 7, 16, 33, 64)
@@ -82,7 +82,7 @@ def test_pauli_g5_matches_pade_product():
     # 56 factors of small argument: the identity-shifted spectral factor
     # keeps the product's error as small relative to ||f(x) - I|| as Pade's
     gens = GeneratorPair(-1j * np.array([[0, 1], [1, 0]]), -1j * np.diag([1.0, -1.0]))
-    f = g5()
+    f = pure_commutator_library()["G5"]
     for x in (0.01, 0.1):
         got, want = f.evaluate(gens, x), pade_product(f, gens, x)
         assert np.linalg.norm(got - want, 2) <= 1e-6 * np.linalg.norm(want - np.eye(2), 2)

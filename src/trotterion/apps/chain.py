@@ -19,7 +19,7 @@ from ..bases import f_r_signed
 from ..certify import ScanResult
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair
-from ..matcore import commutator, expm
+from ..matcore import commutator, expm  # noqa: F401 -- perfbench's tracer tests read chain.expm
 from .common import MAX_MODES, check_magnitudes, n_step_scan
 
 
@@ -84,4 +84,4 @@ def chain_simulate(cfg: ChainConfig, ns: Sequence[int] | None = None) -> ScanRes
     """
     h0, h1 = chain_hoppings(cfg)
     return n_step_scan(f_r_signed, GeneratorPair(1j * h0, 1j * h1), -cfg.t1 * cfg.T,
-                       -cfg.t2 * cfg.T, expm(-1j * cfg.T * chain_heff(cfg)), cfg.n, ns)
+                       -cfg.t2 * cfg.T, cfg.n, ns)

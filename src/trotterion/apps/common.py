@@ -3,6 +3,7 @@
 Input bounds, and the one n-step scan of the chain and the flux lattice:
 the error of the n-fold product of one sum-plus-commutator step, whose
 weight grows with n, against the exact evolution, over step counts n.
+n_step_target is that exact evolution.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from ..bases import AccuracyWarning
 from ..certify import ScanResult, step_count_scan
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair, ProductFormula
-from ..matcore import spectral_norm
+from ..matcore import commutator, expm, spectral_norm
 
 # Largest mode space of the chain and the flux lattice: a run builds about a
 # dozen dense complex matrices of this side, 16 MB each at 1024 modes, 16x
@@ -66,14 +67,19 @@ def quiet_small_r():
         yield
 
 
+def n_step_target(gens: GeneratorPair, alpha: float, beta: float) -> np.ndarray:
+    """exp(alpha (A + B + C) + beta [A, B]), with C left out when gens has none."""
+    total = gens.a + gens.b if gens.c is None else gens.a + gens.b + gens.c
+    return expm(alpha * total + beta * commutator(gens.a, gens.b))
+
+
 def n_step_scan(step: Callable[[float], ProductFormula], gens: GeneratorPair, alpha: float,
-                beta: float, target: np.ndarray, default_n: int | None,
-                ns: Sequence[int] | None) -> ScanResult:
-    """Error of the n-fold product of one step against `target`, over n.
+                beta: float, default_n: int | None, ns: Sequence[int] | None) -> ScanResult:
+    """Error of the n-fold product of one step against n_step_target, over n.
 
     One step is step(R) at argument alpha/n with R = step_weight(alpha,
-    beta, n), so the n-fold product targets exp(alpha (A+B) + beta [A,B]);
-    R grows linearly with n, which limits the composite to 1/n
+    beta, n), so the n-fold product targets n_step_target(gens, alpha,
+    beta); R grows linearly with n, which limits the composite to 1/n
     convergence. The grid ns defaults to the single count default_n when
     set, otherwise to the step grid of step_count_scan. A power that
     overflows comes back non-finite and is rejected by spectral_norm, with
@@ -81,6 +87,7 @@ def n_step_scan(step: Callable[[float], ProductFormula], gens: GeneratorPair, al
     """
     if ns is None and default_n is not None:
         ns = (default_n,)
+    target = n_step_target(gens, alpha, beta)
 
     def error(n: int) -> float:
         R = step_weight(alpha, beta, n)

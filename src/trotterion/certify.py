@@ -128,34 +128,17 @@ def step_count_scan(error_of: Callable[[int], float],
 
     error_of(n) is the error of the n-step run; the grid defaults to
     DEFAULT_STEP_GRID and the log-log fit of error against n runs over
-    all of it. Raises DegenerateScanError if every error is below NOISE_FLOOR.
+    all of it. An n-step product accumulates about n roundings, so
+    DegenerateScanError is raised if every error is below n * NOISE_FLOOR:
+    the slope would then be rounding.
     """
     grid = [int(n) for n in (DEFAULT_STEP_GRID if ns is None else ns)]
     if any(n > sys.float_info.max for n in grid):
         raise InvalidInputError("step counts must lie within the float range")
-    return _above_noise_floor(_scan(grid, error_of, None, "custom"))
-
-
-def _above_noise_floor(result: ScanResult) -> ScanResult:
-    """The scan, unless every error is below NOISE_FLOOR: its slope is rounding."""
-    if all(err < NOISE_FLOOR for _, err in result.rows):
+    result = _scan(grid, error_of, None, "custom")
+    if all(err < n * NOISE_FLOOR for n, err in result.rows):
         raise DegenerateScanError("scan errors sit at the noise floor; no order signal")
     return result
-
-
-def estimate_order(f: ProductFormula, gens: GeneratorPair,
-                   target="commutator", R: float | None = None) -> float:
-    """Empirical order: log-log slope minus one on the standard grid.
-
-    Scans the 20-point log grid on [0.01, 0.1] and fits the last 10
-    points. An order-n formula has error O(x^(n+1)), so the returned
-    value is slope - 1.
-    """
-    result = _above_noise_floor(
-        error_scan(f, gens, None, target=target, R=R, window=DEFAULT_WINDOW))
-    if result.slope is None:
-        raise DegenerateScanError("not enough usable points in the fit window")
-    return result.slope - 1.0
 
 
 def gates_to_accuracy(f: ProductFormula, gens: GeneratorPair, x: float,

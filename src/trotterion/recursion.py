@@ -20,21 +20,31 @@ from .formula import ProductFormula, concat
 from .solver import solve_sqrt4
 
 
-def _require_order(f: ProductFormula) -> int:
-    if f.claimed_order is None:
+def _require_order(f: ProductFormula, parity: str | None = None, what: str = "") -> int:
+    """f's claimed order; with parity "even" or "odd", also that it has it."""
+    n = f.claimed_order
+    if n is None:
         raise InvalidInputError("input formula carries no claimed order")
-    return f.claimed_order
+    if parity not in (None, ("even", "odd")[n % 2]):
+        raise InvalidInputError(f"{what} needs an {parity}-order input")
+    return n
+
+
+def _assemble(f: ProductFormula, name: str, gain: int,
+              copies: list[tuple[float, bool]]) -> ProductFormula:
+    """The simplified product of f(s x), or of its inverse where flagged,
+    over the (s, inverted) copies, labelled name(f) and of order n + gain."""
+    parts = [f.scale_argument(s).inverse() if inverted else f.scale_argument(s)
+             for s, inverted in copies]
+    out = concat(parts, label=f"{name}({f.label})", claimed_order=f.claimed_order + gain)
+    return out.simplify()
 
 
 def two_copy(f: ProductFormula) -> ProductFormula:
     """f(x/sqrt2) f(-x/sqrt2): raises an even order 2k to 2k+1."""
-    n = _require_order(f)
-    if n % 2 != 0:
-        raise InvalidInputError("the 2-copy step needs an even-order input")
+    _require_order(f, "even", "the 2-copy step")
     root = 1.0 / math.sqrt(2.0)
-    out = concat([f.scale_argument(root), f.scale_argument(-root)],
-                 label=f"two_copy({f.label})", claimed_order=n + 1)
-    return out.simplify()
+    return _assemble(f, "two_copy", 1, [(root, False), (-root, False)])
 
 
 def jean_koseleff(f: ProductFormula) -> ProductFormula:
@@ -48,13 +58,10 @@ def jean_koseleff(f: ProductFormula) -> ProductFormula:
     if n % 2 == 0:
         t = (2.0 + 2.0 ** (2.0 / (n + 1))) ** -0.5
         s = -(2.0 ** (1.0 / (n + 1))) * t
-        parts = [f.scale_argument(t), f.scale_argument(s), f.scale_argument(t)]
-    else:
-        u = (2.0 - 2.0 ** (2.0 / (n + 1))) ** -0.5
-        v = (2.0 ** (1.0 / (n + 1))) * u
-        parts = [f.scale_argument(u), f.scale_argument(v).inverse(), f.scale_argument(u)]
-    out = concat(parts, label=f"jk({f.label})", claimed_order=n + 1)
-    return out.simplify()
+        return _assemble(f, "jk", 1, [(t, False), (s, False), (t, False)])
+    u = (2.0 - 2.0 ** (2.0 / (n + 1))) ** -0.5
+    v = (2.0 ** (1.0 / (n + 1))) * u
+    return _assemble(f, "jk", 1, [(u, False), (v, True), (u, False)])
 
 
 def childs_wiebe5(f: ProductFormula) -> ProductFormula:
@@ -64,19 +71,14 @@ def childs_wiebe5(f: ProductFormula) -> ProductFormula:
     and m = sqrt(4 sigma); then 4 v^2 - m^2 = 1 preserves the commutator
     weight and 4 v^(n+1) - m^(n+1) = 0 cancels the leading error.
     """
-    n = _require_order(f)
-    if n % 2 == 0:
-        raise InvalidInputError("the 5-copy step needs an odd-order input")
+    n = _require_order(f, "odd", "the 5-copy step")
     z2 = 4.0 ** (2.0 / (n + 1))
     sigma = z2 / (4.0 * (4.0 - z2))
     nu = math.sqrt(0.25 + sigma)
     mu = math.sqrt(4.0 * sigma)
     assert abs(4.0 * nu * nu - mu * mu - 1.0) < 1e-12
     assert abs(4.0 * nu ** (n + 1) - mu ** (n + 1)) < 1e-12
-    fwd = f.scale_argument(nu)
-    parts = [fwd, fwd, f.scale_argument(mu).inverse(), fwd, fwd]
-    out = concat(parts, label=f"cw5({f.label})", claimed_order=n + 1)
-    return out.simplify()
+    return _assemble(f, "cw5", 1, [(nu, False), (nu, False), (mu, True), (nu, False), (nu, False)])
 
 
 def build_q(f: ProductFormula) -> ProductFormula:
@@ -88,20 +90,13 @@ def build_q(f: ProductFormula) -> ProductFormula:
     the result is then tagged in its label and callers wanting the
     positive target take the inverse.
     """
-    n = _require_order(f)
-    sol = solve_sqrt4(n)
+    sol = solve_sqrt4(_require_order(f))
     scale = 1.0 / math.sqrt(abs(sol.signed_sum))
-    parts = [
-        f.scale_argument(sol.a * scale),
-        f.scale_argument(sol.b * scale).inverse(),
-        f.scale_argument(sol.c * scale),
-        f.scale_argument(sol.d * scale).inverse(),
-    ]
-    label = f"q4({f.label})"
+    out = _assemble(f, "q4", 2, [(sol.a * scale, False), (sol.b * scale, True),
+                                 (sol.c * scale, False), (sol.d * scale, True)])
     if sol.signed_sum < 0.0:
-        label += "[inverse-target]"
-    out = concat(parts, label=label, claimed_order=n + 2)
-    return out.simplify()
+        out = replace(out, label=out.label + "[inverse-target]")
+    return out
 
 
 def build_w(f: ProductFormula) -> ProductFormula:
@@ -119,47 +114,30 @@ def build_w(f: ProductFormula) -> ProductFormula:
     s = (2.0 / (1.0 + 2.0 ** (1.0 / (n + 2)))) ** (1.0 / (n + 1))
     s_prime = 2.0 ** (-1.0 / (n + 2)) * s
     r = math.sqrt(s * s + 2.0 * s_prime * s_prime - 2.0)
-    outer = f.scale_argument(-s_prime / r)
-    parts = [
-        outer,
-        f.scale_argument(1.0 / r).inverse(),
-        f.scale_argument(s / r),
-        f.scale_argument(-1.0 / r).inverse(),
-        outer,
-    ]
-    out = concat(parts, label=f"w5({f.label})", claimed_order=n + 2)
-    return out.simplify()
+    return _assemble(f, "w5", 2, [(-s_prime / r, False), (1.0 / r, True), (s / r, False),
+                                  (-1.0 / r, True), (-s_prime / r, False)])
 
 
 def build_v(f: ProductFormula) -> ProductFormula:
     """6-copy scheme raising odd order n to n+2: the odd triple-copy step
     at x/sqrt2 composed with its negated-argument twin."""
-    n = _require_order(f)
-    if n % 2 == 0:
-        raise InvalidInputError("the 6-copy scheme needs an odd-order input")
-    out = two_copy(jean_koseleff(f))
-    return replace(out, label=f"v6({f.label})")
+    _require_order(f, "odd", "the 6-copy scheme")
+    return replace(two_copy(jean_koseleff(f)), label=f"v6({f.label})")
 
 
 def build_g(f: ProductFormula) -> ProductFormula:
     """10-copy scheme raising odd order n to n+2: the 5-copy step followed
     by the 2-copy step."""
-    n = _require_order(f)
-    if n % 2 == 0:
-        raise InvalidInputError("the 10-copy scheme needs an odd-order input")
-    out = two_copy(childs_wiebe5(f))
-    return replace(out, label=f"g10({f.label})")
+    _require_order(f, "odd", "the 10-copy scheme")
+    return replace(two_copy(childs_wiebe5(f)), label=f"g10({f.label})")
 
 
 def build_cw_sqrt6_baseline(f: ProductFormula) -> ProductFormula:
     """6-copy baseline raising even order n to n+2: 2-copy then the
     triple-copy step. Applied to the 4-gate base this is the 22-gate
     fourth-order benchmark formula."""
-    n = _require_order(f)
-    if n % 2 != 0:
-        raise InvalidInputError("the 6-copy baseline needs an even-order input")
-    out = jean_koseleff(two_copy(f))
-    return replace(out, label=f"cw6({f.label})")
+    _require_order(f, "even", "the 6-copy baseline")
+    return replace(jean_koseleff(two_copy(f)), label=f"cw6({f.label})")
 
 
 def sum_comm_step(f: ProductFormula) -> ProductFormula:
@@ -176,11 +154,8 @@ def sum_comm_step(f: ProductFormula) -> ProductFormula:
     if m % 2 == 0:
         a = 1.0 / (2.0 - 2.0 ** (1.0 / (m + 1)))
         b = 2.0 ** (1.0 / (m + 1)) * a
-        parts = [f.scale_argument(a), f.scale_argument(b).inverse(), f.scale_argument(a)]
-    else:
-        parts = [f.scale_argument(-0.5).inverse(), f.scale_argument(0.5)]
-    out = concat(parts, label=f"sumcomm({f.label})", claimed_order=m + 1)
-    return out.simplify()
+        return _assemble(f, "sumcomm", 1, [(a, False), (b, True), (a, False)])
+    return _assemble(f, "sumcomm", 1, [(-0.5, True), (0.5, False)])
 
 
 # The order-raising schemes, keyed by their `build --scheme` names.

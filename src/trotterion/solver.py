@@ -3,8 +3,7 @@
 Two jobs live here: the one bracketed scalar root that powers the 4-copy
 order-raising scheme, and the exact 6-gate sum-plus-commutator
 coefficients at a given commutator weight R, from two quadratics over a
-fixed set of gauges. The ordered word sums that encode the fourth-order
-conditions are exposed as a residual vector as well.
+fixed set of gauges.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import numpy as np
 
 from .bases import SixGateParams, reparam
 from .errors import DomainError, InvalidInputError, SolverError
-from .formula import ProductFormula, word_sums
 
 SQRT4_RESIDUAL_TOL = 1e-12
 # The root's scale q = 4^-((n+1)/2) is 2^-1022, the smallest normal double, at
@@ -170,23 +168,3 @@ def solve_p_of_r(R: float) -> PofRResult:
         raise SolverError(f"no gauge gave a real root at R={R:.6g}")
     best = roots[np.argmin(np.max(np.abs(p[roots]), axis=1))]
     return PofRResult(SixGateParams(*p[best].tolist()), tuple(res[best].tolist()))
-
-
-def residuals_order4(f: ProductFormula) -> np.ndarray:
-    """The eight ordered-word-sum residuals of the fourth-order conditions.
-
-    Vector layout: (A, B, BA + 1, ABA, BAB, AABA, BBAB, ABAB - BABA).
-    All eight vanish exactly when the formula equals
-    exp(x^2 [A,B]) + O(x^5).
-    """
-    w = word_sums(f)
-    return np.array([
-        w.a,
-        w.b,
-        w.ba + 1.0,
-        w.aba,
-        w.bab,
-        w.a2ba,
-        w.b2ab,
-        w.abab - w.baba,
-    ])

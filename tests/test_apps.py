@@ -15,7 +15,9 @@ from trotterion.apps import (CDConfig, ChainConfig, KMConfig,
                              km_nnn_identities, km_simulate,
                              phases_wrap_consistently, schedule,
                              schedule_rate)
-from trotterion.apps.cd import MAX_SLICES
+from trotterion.apps import chain as chain_module
+from trotterion.apps.cd import MAX_SLICES, TROTTER_STEP
+from trotterion.apps.common import n_step_target
 from trotterion.bases import AccuracyWarning, f_r, f_r_signed
 from trotterion.errors import DomainError, InvalidInputError
 from trotterion.formula import GeneratorPair
@@ -69,6 +71,23 @@ def test_cd_beta_on_the_sample_grid():
         cd_beta(cfg, cfg.tau)
     with pytest.raises(DomainError):
         cd_beta(cfg, -0.01)
+
+
+def test_cd_beta_on_the_last_slice_of_long_ramps():
+    # 1 - schedule(t) rounds to 0 there; the weight is taken without it
+    for n_steps in (20_000, MAX_SLICES):
+        cfg = CDConfig(J=-1.0, hz=5.0, tau=1.0, n_steps=n_steps)
+        beta = cd_beta(cfg, (n_steps - 1) * (cfg.tau / n_steps))
+        assert math.isfinite(beta) and beta > 0.0
+
+
+def test_trotter_step_matches_scipy_splitting():
+    cfg = CDConfig(J=-1.0, hz=5.0, tau=1.0, n_steps=20)
+    dt = cfg.tau / cfg.n_steps
+    h_a, h_b = cd_hamiltonians(cfg, schedule(0.5 * cfg.tau, cfg.tau))
+    pair = scipy.linalg.expm(-1j * h_a * (dt / 3.0)) @ scipy.linalg.expm(-1j * h_b * (dt / 3.0))
+    got = TROTTER_STEP.evaluate(GeneratorPair(-1j * h_a, -1j * h_b), dt)
+    assert spectral_norm(got - pair @ pair @ pair) <= 1e-12
 
 
 def test_cd_run_fidelity_properties():
@@ -126,7 +145,7 @@ def test_cd_config_validation():
         CDConfig(J=1.0, hz=1.0, tau=1.0, n_steps=0)
     # J*tau can be small while J alone overflows its square
     for J, hz, tau in ((math.inf, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1e200, 1.0),
-                       (1e200, 5.0, 1e-200)):
+                       (1e200, 5.0, 1e-200), (0.0, 0.0, 1.0)):
         with pytest.raises(InvalidInputError):
             CDConfig(J=J, hz=hz, tau=tau, n_steps=10)
 
@@ -173,6 +192,17 @@ def test_chain_heff_properties():
     flat = chain_heff(ChainConfig(L=6, t1=1.3, t2=0.0, T=1.0))
     h0, h1 = chain_hoppings(cfg)
     assert np.array_equal(flat, 1.3 * (h0 + h1))
+
+
+def test_chain_target_is_the_heff_evolution(monkeypatch):
+    # the target n_step_scan builds from the arguments chain_simulate passes
+    cfg = ChainConfig(L=8, t1=1.3, t2=0.7, T=1.1)
+    passed = []
+    monkeypatch.setattr(chain_module, "n_step_scan", lambda *args: passed.append(args))
+    chain_simulate(cfg)
+    _, gens, alpha, beta, _, _ = passed[0]
+    want = scipy.linalg.expm(-1j * cfg.T * chain_heff(cfg))
+    assert spectral_norm(n_step_target(gens, alpha, beta) - want) <= 1e-12
 
 
 def test_chain_simulate_slope_and_decay():

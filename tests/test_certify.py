@@ -10,10 +10,10 @@ import scipy.linalg
 
 from trotterion import (AccuracyWarning, GeneratorPair, ProductFormula, commutator,
                         concat, f_r, pure_commutator_library, s2, s3, repeat)
-from trotterion.certify import (DEFAULT_WINDOW, DEFAULT_XS, BCHCoefficients,
-                                _repeat_gate_count, commutator_target, error_scan, estimate_order,
+from trotterion.certify import (DEFAULT_WINDOW, DEFAULT_XS, NOISE_FLOOR, BCHCoefficients,
+                                _repeat_gate_count, commutator_target, error_scan,
                                 extract_bch, fit_loglog, gates_to_accuracy,
-                                sum_commutator_target)
+                                step_count_scan, sum_commutator_target)
 from trotterion.errors import (BudgetExceededError, DegenerateScanError,
                                InvalidInputError)
 
@@ -76,17 +76,11 @@ def test_error_scan_validates_grid():
         error_scan(s3(), PAULI_PAIR, target="sum-commutator")  # missing R
 
 
-def test_estimate_order():
-    assert estimate_order(s3(), PAULI_PAIR) == pytest.approx(3.0, abs=0.3)
-    assert estimate_order(s2(), PAULI_PAIR) == pytest.approx(2.0, abs=0.3)
-
-
-def test_estimate_order_degenerate_scan():
-    target = commutator_target(PAULI_PAIR)
-    exact = lambda x: s3().evaluate(PAULI_PAIR, x)
+def test_step_count_scan_noise_floor_grows_with_n():
+    # an n-step product accumulates about n roundings
     with pytest.raises(DegenerateScanError):
-        estimate_order(s3(), PAULI_PAIR, target=exact)
-    assert estimate_order(s3(), PAULI_PAIR, target=target) == pytest.approx(3.0, abs=0.3)
+        step_count_scan(lambda n: 0.9 * n * NOISE_FLOOR)
+    assert step_count_scan(lambda n: 2.0 * n * NOISE_FLOOR).slope == pytest.approx(1.0)
 
 
 def test_fit_stability_under_grid_doubling():

@@ -435,6 +435,16 @@ BAD_INPUTS = [
     # every error sits at the rounding floor, so no slope is fitted
     pytest.param({}, ["chain", "--L", "6", "--t1", "1e-300", "--t2", "1e-300", "--T", "1"], 3,
                  id="chain-couplings-at-noise-floor"),
+    # errors grow with n from accumulated rounding, each below n * NOISE_FLOOR
+    pytest.param({}, ["chain", "--L", "4", "--t1", "1", "--t2", "0", "--T", "1"], 3,
+                 id="chain-rounding-grows-with-n"),
+    pytest.param({}, ["km", "--Lx", "4", "--Ly", "4", "--J", "1e-9",
+                      "--phi", "1.5707963267948966", "--T", "1"], 3,
+                 id="km-rounding-grows-with-n"),
+    pytest.param({}, ["cd", "--J", "0", "--hz", "0", "--tau", "1", "--N", "5"], 2,
+                 id="cd-no-coupling-and-no-field"),
+    pytest.param({}, ["cd", "--J", "1e-200", "--hz", "1e-200", "--tau", "1", "--N", "5"], 2,
+                 id="cd-weight-denominator-underflows"),
 ]
 
 

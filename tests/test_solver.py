@@ -6,12 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from trotterion import reparam, s3, solve_p_of_r, solve_sqrt4, solver
+from trotterion import reparam, solve_p_of_r, solve_sqrt4, solver
 from trotterion.bases import f_r_params
-from trotterion.solver import residuals_order4
 from trotterion.apps import CDConfig, cd_beta
 from trotterion.errors import InvalidInputError, SolverError
-from trotterion.formula import ProductFormula
 
 GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
 
@@ -204,21 +202,3 @@ def test_p_of_r_rejects_weight_whose_seed_overflows():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError):
             solve_p_of_r(1e300)
-
-
-def test_residuals_order4_s3():
-    res = residuals_order4(s3())
-    assert res.shape == (8,)
-    # S3 is third order: the five low-order residuals vanish, the last
-    # three need not
-    assert np.all(np.abs(res[:5]) <= 1e-12)
-
-
-def test_residuals_order4_empty():
-    res = residuals_order4(ProductFormula(()))
-    assert res == pytest.approx([0, 0, 1, 0, 0, 0, 0, 0], abs=1e-15)
-
-
-def test_residuals_order4_rejects_c_tags():
-    with pytest.raises(InvalidInputError):
-        residuals_order4(ProductFormula((("C", 1.0),)))

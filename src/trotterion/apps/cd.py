@@ -36,10 +36,10 @@ GAP_TOL = 1e-10
 TROTTER_STEP = ProductFormula((("A", 1.0 / 3.0), ("B", 1.0 / 3.0)) * 3)
 EXPONENTIALS_PER_STEP = len(TROTTER_STEP)
 
-# Most slices of one ramp: a slice costs about 0.7 ms (1.5 ms with the exact
-# coefficients) and adds one CDPoint of about 200 bytes, so a ramp at the cap
-# runs for one to three minutes and holds 20 MB of points, 500x the longest
-# tested ramp (N = 200).
+# Most slices of one ramp: a slice costs about 0.25 ms (0.65 ms with the
+# exact coefficients) and adds one CDPoint of about 200 bytes, so a ramp at
+# the cap runs for half a minute to a minute and holds 20 MB of points, 500x
+# the longest tested ramp (N = 200).
 MAX_SLICES = 100_000
 
 
@@ -71,7 +71,14 @@ def schedule(t: float, tau: float) -> float:
 
 
 def schedule_rate(t: float, tau: float) -> float:
-    """Analytic time derivative of the ramp."""
+    """Analytic time derivative of the ramp.
+
+    schedule(tau - t) = 1 - schedule(t), so the rate is symmetric about
+    mid-ramp. Past it the rate is taken at tau - t, which is exact there,
+    so neither sine is evaluated near pi, where it would cancel.
+    """
+    if 2.0 * t > tau:
+        t = tau - t
     v = 0.5 * math.pi * t / tau
     u = 0.5 * math.pi * math.sin(v) ** 2
     return (math.pi**2 / (4.0 * tau)) * math.sin(2.0 * u) * math.sin(2.0 * v)
@@ -87,12 +94,12 @@ def cd_beta(cfg: CDConfig, t: float) -> float:
 
     Defined for t in [0, tau); the weight is an indeterminate limit at
     the endpoint, which the left-sampled step grid never touches. The
-    distance 1 - schedule(t) is taken as sin^2(pi/2 cos^2(pi t / 2 tau)),
-    which stays positive and accurate where schedule(t) rounds to 1.
+    distance 1 - schedule(t) is taken as schedule(tau - t), which stays
+    positive and accurate where schedule(t) rounds to 1.
     """
     if not (0.0 <= t < cfg.tau):
         raise DomainError("counterdiabatic weight is defined on [0, tau)")
-    gap = math.sin(0.5 * math.pi * math.cos(0.5 * math.pi * t / cfg.tau) ** 2) ** 2
+    gap = schedule(cfg.tau - t, cfg.tau)
     denom = 4.0 * gap * (cfg.J**2 + 4.0 * gap**2 * cfg.hz**2)
     beta = schedule_rate(t, cfg.tau) / denom if denom > 0.0 else math.inf
     if not math.isfinite(beta):  # J^2 and hz^2 underflow

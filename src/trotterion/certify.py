@@ -21,7 +21,6 @@ from .formula import GeneratorPair, ProductFormula, concat
 
 NOISE_FLOOR = 1e-14
 DEFAULT_XS = tuple(np.logspace(-2.0, -1.0, 20).tolist())
-DEFAULT_WINDOW = (DEFAULT_XS[10], DEFAULT_XS[-1])
 DEFAULT_STEP_GRID = (8, 16, 32, 64, 128, 256)
 
 

@@ -9,8 +9,10 @@ the product.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -72,15 +74,20 @@ class GeneratorPair:
             return self.c
         raise InvalidInputError(f"unknown generator tag {tag!r}")
 
-    def exp(self, tag: str, t: float) -> np.ndarray:
-        """e^{t G} for the generator bound to `tag`.
+    def exp(self, tag: str, t) -> np.ndarray:
+        """e^{t G} for the generator bound to `tag`, for a scalar t or a
+        1-D array of k values (then a (k, d, d) stack).
 
         Spectral for an anti-Hermitian generator, from its kept
-        decomposition; matcore.expm (Pade) for any other.
+        decomposition; one matcore.expm (Pade) per value for any other.
         """
         g = self.matrix(tag)
         if tag not in self._spectra:
-            return matcore.expm(t * g)
+            scaled = np.asarray(t, dtype=float)[..., None, None] * g
+            out = np.empty_like(scaled)
+            for i in np.ndindex(scaled.shape[:-2]):
+                out[i] = matcore.expm(scaled[i])
+            return out
         spectrum = self._spectra[tag]
         if spectrum is None:
             spectrum = self._spectra[tag] = matcore.SkewSpectrum(-1j * g)
@@ -106,6 +113,25 @@ class WordSums:
     b2ab: float
     abab: float
     baba: float
+
+
+# Most bytes of factor matrices one evaluation holds at once (8 MiB). A
+# factor takes three d x d complex slots: its place in the block's stack and
+# the two working arrays of the exponential that fills it. Blocks are sized
+# to fit: 42 factors at 64 modes and one from 296 modes up. Beyond 418
+# modes that one factor's three slots exceed the cap.
+EVALUATION_BYTES = 1 << 23
+
+
+def _pairwise_product(stack: np.ndarray) -> np.ndarray:
+    """stack[0] @ stack[1] @ ... @ stack[-1], in about log2(len) batched
+    products of neighbouring pairs; an odd last factor joins the last pair."""
+    while len(stack) > 1:
+        paired = stack[0:len(stack) - 1:2] @ stack[1::2]
+        if len(stack) % 2:
+            paired[-1] = paired[-1] @ stack[-1]
+        stack = paired
+    return stack[0]
 
 
 @dataclass(frozen=True)
@@ -141,14 +167,49 @@ class ProductFormula:
     def __len__(self) -> int:
         return len(self.steps)
 
+    @functools.cached_property
+    def _by_tag(self) -> tuple[float, tuple[tuple[str, np.ndarray, np.ndarray], ...]]:
+        """The largest |coefficient|, and (tag, step positions, coefficients)
+        for each tag present, positions ascending. Built on the first
+        evaluation, since most formulas the recursion makes are never
+        evaluated."""
+        groups: dict[str, tuple[list[int], list[float]]] = {}
+        for i, (tag, coeff) in enumerate(self.steps):
+            positions, coeffs = groups.setdefault(tag, ([], []))
+            positions.append(i)
+            coeffs.append(coeff)
+        largest = max([abs(coeff) for _, coeff in self.steps], default=0.0)
+        return largest, tuple((tag, np.array(positions, dtype=np.intp), np.array(coeffs))
+                              for tag, (positions, coeffs) in groups.items())
+
     def evaluate(self, gens: GeneratorPair, x: float) -> np.ndarray:
-        """Multiply out the steps at argument x, first step leftmost."""
+        """Multiply out the steps at argument x, first step leftmost.
+
+        The steps are taken in blocks that fit EVALUATION_BYTES. A block's
+        factors come from one exponential call per tag into a stack, whose
+        pairwise product is folded into the running product.
+        """
         x = float(x)
         if not math.isfinite(x):
             raise InvalidInputError("argument x must be finite")
-        out = np.eye(gens.dim, dtype=complex)
-        for tag, coeff in self.steps:
-            out = out @ gens.exp(tag, coeff * x)
+        d = gens.dim
+        n = len(self.steps)
+        if n == 0:
+            return np.eye(d, dtype=complex)
+        largest, groups = self._by_tag
+        if not math.isfinite(largest * x):  # so no coeffs * x below overflows
+            raise InvalidInputError("exponent contains non-finite entries")
+        block = max(1, EVALUATION_BYTES // (3 * 16 * d * d))
+        out = None
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            stack = np.empty((stop - start, d, d), dtype=complex)
+            for tag, positions, coeffs in groups:
+                lo, hi = bisect_left(positions, start), bisect_left(positions, stop)
+                if lo < hi:
+                    stack[positions[lo:hi] - start] = gens.exp(tag, coeffs[lo:hi] * x)
+            product = _pairwise_product(stack)
+            out = product if out is None else out @ product
         return out
 
     def inverse(self) -> "ProductFormula":

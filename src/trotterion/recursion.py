@@ -149,8 +149,6 @@ def sum_comm_step(f: ProductFormula) -> ProductFormula:
     the family in which the commutator weight scales linearly with x.
     """
     m = _require_order(f)
-    if m < 1:
-        raise InvalidInputError("source order must be a positive integer")
     if m % 2 == 0:
         a = 1.0 / (2.0 - 2.0 ** (1.0 / (m + 1)))
         b = 2.0 ** (1.0 / (m + 1)) * a

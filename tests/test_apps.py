@@ -47,6 +47,17 @@ def test_schedule_rate_matches_finite_difference():
     assert abs(schedule_rate(tau, tau)) <= 1e-12
 
 
+def test_schedule_rate_is_symmetric_near_the_endpoints():
+    # schedule(tau - t) = 1 - schedule(t), so the rate at tau - delta is
+    # the rate at delta; near tau a sine taken close to pi would cancel
+    for tau in (1.0, 1.7, 3e-3):
+        for delta0 in (tau / 2e4, tau / 1e5):
+            delta = tau - (tau - delta0)
+            want = schedule_rate(delta, tau)
+            assert want > 0.0
+            assert abs(schedule_rate(tau - delta, tau) - want) <= 1e-13 * want
+
+
 def test_cd_hamiltonians_structure():
     cfg = CDConfig(J=-1.0, hz=5.0, tau=1.0, n_steps=10)
     h_a, h_b = cd_hamiltonians(cfg, 1.0)

@@ -299,6 +299,35 @@ def test_console_script_entry_point(tmp_path):
     assert "gates=4" in proc.stderr
 
 
+def test_one_process_matches_a_process_per_command(tmp_path, capsys):
+    # the parser is built once per process; a rejected command in between
+    # must not change what later commands write
+    def commands(d):
+        g5 = str(d / "g5.json")
+        return [["build", "--base", "s3", "--scheme", "g10", "--out", g5],
+                ["scan", "--formula", g5, "--out", str(d / "scan.csv")],
+                ["gates", "--formula", g5, "--xs", "0.1:0.2:0.1", "--eps", "1e-6",
+                 "--out", str(d / "gates.csv")]]
+
+    fresh, same = tmp_path / "fresh", tmp_path / "same"
+    fresh.mkdir()
+    same.mkdir()
+    for argv in commands(fresh):
+        proc = subprocess.run([sys.executable, "-m", "trotterion.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+    build, *rest = commands(same)
+    assert main(build) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["scan", "--formula", build[-1], "--xs", "1:0:1"])
+    assert info.value.code == 2
+    for argv in rest:
+        assert main(argv) == 0
+    capsys.readouterr()
+    for name in ("g5.json", "scan.csv", "gates.csv"):
+        assert (same / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 def test_cli_import_leaves_scipy_optimize_out():
     # scipy.optimize adds about 0.2 s to every CLI start
     proc = subprocess.run([sys.executable, "-c", "import sys, trotterion.cli; "

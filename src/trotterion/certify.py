@@ -1,8 +1,8 @@
-"""Empirical certification of product formulas.
+"""Certification of product formulas.
 
 Error scans against an exact target, log-log order fits, the smallest
-repetition count reaching a requested accuracy, and a finite-stencil
-extraction of the leading terms of log(f(x)).
+repetition count reaching a requested accuracy, and the exact leading
+terms of log(f(x)), read from the formula's word series.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import matcore
-from .errors import (BudgetExceededError, DegenerateScanError, DomainError,
-                     InvalidInputError)
-from .formula import GeneratorPair, ProductFormula, concat
+from .errors import BudgetExceededError, DegenerateScanError, InvalidInputError
+from .formula import GeneratorPair, ProductFormula, concat, word_series
 
 NOISE_FLOOR = 1e-14
 DEFAULT_XS = tuple(np.logspace(-2.0, -1.0, 20).tolist())
@@ -195,44 +194,22 @@ class BCHCoefficients:
     order3: np.ndarray
 
 
-def _stencil_logs(f: ProductFormula, gens: GeneratorPair, h: float) -> list[np.ndarray]:
-    nodes = [h, 2.0 * h, 3.0 * h]
-    logs = []
-    for x in nodes:
-        logs.append(matcore.logm_near_identity(f.evaluate(gens, x)))
-        logs.append(matcore.logm_near_identity(f.evaluate(gens, -x)))
-    return logs
+def extract_bch(f: ProductFormula, gens: GeneratorPair) -> BCHCoefficients:
+    """M1, M2, M3 of log(f(x)), exactly, from the formula's word series.
 
-
-def extract_bch(f: ProductFormula, gens: GeneratorPair,
-                step: float = 1e-2) -> BCHCoefficients:
-    """Extract M1, M2, M3 of log(f(x)) from a symmetric stencil.
-
-    Evaluates log(f(x)) at +-(1, 2, 3) * step, splits into odd and even
-    parts, and solves the scaled Vandermonde systems for the x, x^3, x^5
-    and x^2, x^4, x^6 coefficients; aliasing of the first truncated term
-    enters at O(step^4) relative. If the largest stencil point leaves the
-    principal-log domain the stencil shrinks tenfold, once.
+    With P_k the sum of coeff(w) * G_w over the words w of length k
+    (`formula.word_series`), f(x) = I + P1 x + P2 x^2 + P3 x^3 + O(x^4),
+    and the x, x^2 and x^3 terms of log(I + X) = X - X^2/2 + X^3/3 - ...
+    give M1 = P1, M2 = P2 - P1^2/2 and M3 = P3 - (P1 P2 + P2 P1)/2 + P1^3/3.
+    No exponential or logarithm is taken, so any generators serve: not
+    anti-Hermitian, of large norm, or a C generator for C-tagged steps.
     """
-    if step <= 0.0:
-        raise InvalidInputError("stencil step must be positive")
-    try:
-        logs = _stencil_logs(f, gens, step)
-    except DomainError:
-        step /= 10.0
-        logs = _stencil_logs(f, gens, step)
-    dim = gens.dim
-    odd = [(logs[2 * i] - logs[2 * i + 1]) / 2.0 for i in range(3)]
-    even = [(logs[2 * i] + logs[2 * i + 1]) / 2.0 for i in range(3)]
-    # Work in t = x / step so the 3x3 solves stay well conditioned.
-    t = np.array([1.0, 2.0, 3.0])
-    vand_odd = np.stack([t, t**3, t**5], axis=1)
-    vand_even = np.stack([t**2, t**4, t**6], axis=1)
-    rhs_odd = np.stack([m.reshape(-1) for m in odd])
-    rhs_even = np.stack([m.reshape(-1) for m in even])
-    sol_odd = np.linalg.solve(vand_odd, rhs_odd)
-    sol_even = np.linalg.solve(vand_even, rhs_even)
-    m1 = sol_odd[0].reshape(dim, dim) / step
-    m3 = sol_odd[1].reshape(dim, dim) / step**3
-    m2 = sol_even[0].reshape(dim, dim) / step**2
-    return BCHCoefficients(order1=m1, order2=m2, order3=m3)
+    words = {"": np.eye(gens.dim, dtype=complex)}  # word -> G_w
+    p = [np.zeros((gens.dim, gens.dim), dtype=complex) for _ in range(4)]
+    for word, coeff in word_series(f, 3).items():
+        if word:
+            words[word] = words[word[:-1]] @ gens.matrix(word[-1])
+        p[len(word)] += coeff * words[word]
+    _, p1, p2, p3 = p
+    return BCHCoefficients(order1=p1, order2=p2 - p1 @ p1 / 2.0,
+                           order3=p3 - (p1 @ p2 + p2 @ p1) / 2.0 + p1 @ p1 @ p1 / 3.0)

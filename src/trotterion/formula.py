@@ -96,12 +96,12 @@ class GeneratorPair:
 
 @dataclass(frozen=True)
 class WordSums:
-    """Ordered-subsequence coefficient sums of a two-generator formula.
+    """Word coefficients of a two-generator formula, from `word_series`.
 
-    Field `ba`, for example, is the sum of c_i * c_j over pairs of step
-    positions i < j where step i is B-tagged and step j is A-tagged.
-    `a2ba` and `b2ab` include the squared-first-index convention: the
-    leading repeated tag contributes c_i**2 / 2.
+    Field `ba`, for example, is the coefficient of x^2 BA in the expansion
+    of the product: the sum of c_i * c_j over step positions i < j where
+    step i is B-tagged and step j is A-tagged. `a2ba` is the coefficient
+    of AABA and `b2ab` that of BBAB.
     """
 
     a: float
@@ -187,18 +187,29 @@ class ProductFormula:
 
         The steps are taken in blocks that fit EVALUATION_BYTES. A block's
         factors come from one exponential call per tag into a stack, whose
-        pairwise product is folded into the running product.
+        pairwise product is folded into the running product. A product
+        that overflows is refused; only a generator that is not
+        anti-Hermitian can overflow, since the others give unitary factors.
         """
         x = float(x)
         if not math.isfinite(x):
             raise InvalidInputError("argument x must be finite")
-        d = gens.dim
-        n = len(self.steps)
-        if n == 0:
-            return np.eye(d, dtype=complex)
+        if not self.steps:
+            return np.eye(gens.dim, dtype=complex)
         largest, groups = self._by_tag
         if not math.isfinite(largest * x):  # so no coeffs * x below overflows
             raise InvalidInputError("exponent contains non-finite entries")
+        if all(tag in gens._spectra for tag, _, _ in groups):
+            return self._multiply(gens, x, groups)
+        with np.errstate(all="ignore"):
+            out = self._multiply(gens, x, groups)
+        if not np.isfinite(out).all():
+            raise InvalidInputError("product of exponentials overflows")
+        return out
+
+    def _multiply(self, gens: GeneratorPair, x: float, groups) -> np.ndarray:
+        d = gens.dim
+        n = len(self.steps)
         block = max(1, EVALUATION_BYTES // (3 * 16 * d * d))
         out = None
         for start in range(0, n, block):
@@ -274,43 +285,44 @@ def repeat(f: ProductFormula, r: int, commutator_target: bool = True) -> Product
     return out.simplify()
 
 
-def _pattern_sum(steps: tuple[tuple[str, float], ...],
-                 pattern: Sequence[tuple[str, int, float]]) -> float:
-    """Sum of weighted coefficient products over ordered tag subsequences.
+def word_series(f: ProductFormula, degree: int) -> dict[str, float]:
+    """Coefficient of every word of length <= degree, over the tags f uses,
+    in the formal expansion of the product of exp(c_i x G_i).
 
-    Each pattern element (tag, power, factor) contributes
-    factor * coeff**power when a step of that tag extends a partial
-    match. Runs in O(len(steps) * len(pattern)).
+    The word w = w_1 ... w_k, keyed as a string such as "BA", stands for
+    G_{w_1} ... G_{w_k} x^k; words come shortest first. One pass over the
+    steps builds it: a step (g, c) adds the sum over m = 1..run of
+    coeff(w[:-m]) * c^m / m! to each word w ending in a run of g of length
+    run, every prefix read from the product before the step.
     """
-    partial = [1.0] + [0.0] * len(pattern)
-    for tag, coeff in steps:
-        for j in range(len(pattern), 0, -1):
-            ptag, power, factor = pattern[j - 1]
-            if tag == ptag:
-                partial[j] += partial[j - 1] * factor * coeff**power
-    return partial[-1]
+    letters = sorted({tag for tag, _ in f.steps})
+    words = [""]
+    for length in range(degree):
+        words += [w + g for w in words if len(w) == length for g in letters]
+    index = {w: i for i, w in enumerate(words)}
+    n = len(words)
+    # N appends g to a word; a step (g, c) multiplies by the sum of c^m N^m / m!
+    terms = {}
+    for g in letters:
+        append = np.zeros((n, n))
+        for w in words[1:]:
+            append[index[w], index[w[:-1]]] = w[-1] == g
+        terms[g] = np.reshape([np.linalg.matrix_power(append, m) / math.factorial(m)
+                               for m in range(degree + 1)], (degree + 1, n * n))
+    c_powers = np.array([c for _, c in f.steps])[:, None] ** np.arange(degree + 1)
+    series = np.eye(n)[0]
+    for (g, _), scale in zip(f.steps, c_powers):
+        series = (scale @ terms[g]).reshape(n, n) @ series
+    return dict(zip(words, series.tolist()))
 
 
 def word_sums(f: ProductFormula) -> WordSums:
-    """All ordered word sums needed for the fourth-order conditions."""
+    """The nine word coefficients the fourth-order conditions use."""
     if any(tag == "C" for tag, _ in f.steps):
         raise InvalidInputError("word sums are defined for two-generator formulas only")
-    steps = f.steps
-    one = lambda tag: (tag, 1, 1.0)
-    half_sq = lambda tag: (tag, 2, 0.5)
-    return WordSums(
-        a=_pattern_sum(steps, [one("A")]),
-        b=_pattern_sum(steps, [one("B")]),
-        ba=_pattern_sum(steps, [one("B"), one("A")]),
-        aba=_pattern_sum(steps, [one("A"), one("B"), one("A")]),
-        bab=_pattern_sum(steps, [one("B"), one("A"), one("B")]),
-        a2ba=_pattern_sum(steps, [half_sq("A"), one("B"), one("A")])
-        + _pattern_sum(steps, [one("A"), one("A"), one("B"), one("A")]),
-        b2ab=_pattern_sum(steps, [half_sq("B"), one("A"), one("B")])
-        + _pattern_sum(steps, [one("B"), one("B"), one("A"), one("B")]),
-        abab=_pattern_sum(steps, [one("A"), one("B"), one("A"), one("B")]),
-        baba=_pattern_sum(steps, [one("B"), one("A"), one("B"), one("A")]),
-    )
+    series = word_series(f, 4)
+    words = ("A", "B", "BA", "ABA", "BAB", "AABA", "BBAB", "ABAB", "BABA")
+    return WordSums(*(series.get(w, 0.0) for w in words))
 
 
 def to_json(f: ProductFormula) -> str:

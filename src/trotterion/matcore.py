@@ -1,6 +1,8 @@
 """Dense complex-matrix kernel used by every other module.
 
-All matrices handled here are small (64x64 at most). The exponential of
+The matrices the package builds are dense and at most 1024x1024: that is
+the mode bound `apps.common.MAX_MODES` sets for the chain and flux-lattice
+simulators, while the two-spin ramp is 4x4. The exponential of
 an anti-Hermitian G, the generator of every unitary evolution in this
 package, is I + V diag(e^{i t lam} - 1) V^dagger from one Hermitian
 eigensolve of -iG (`SkewSpectrum`), which a caller can keep for every
@@ -97,12 +99,19 @@ class SkewSpectrum:
 
 
 def expm(m) -> np.ndarray:
-    """Matrix exponential e^M: spectral for anti-Hermitian M, Pade otherwise."""
+    """Matrix exponential e^M: spectral for anti-Hermitian M, Pade otherwise.
+
+    An e^M beyond the float range is refused, not returned as inf or NaN.
+    """
     mat = as_square_matrix(m)
     h = -1j * mat
     if is_hermitian(h):
         return SkewSpectrum(h).exp(1.0)
-    return scipy.linalg.expm(mat)
+    with np.errstate(all="ignore"):
+        out = scipy.linalg.expm(mat)
+    if not np.isfinite(out).all():
+        raise InvalidInputError("matrix exponential overflows")
+    return out
 
 
 def spectral_norm(m) -> float:

@@ -106,7 +106,7 @@ def test_criterion_05_log_coefficients_match_closed_forms():
         ga = random_anti_hermitian(rng, 3, norm=1.0)
         gb = random_anti_hermitian(rng, 3, norm=1.0)
         gens = GeneratorPair(ga, gb, np.zeros((3, 3), dtype=complex))
-        bch = extract_bch(f, gens, step=5e-3)
+        bch = extract_bch(f, gens)
         rp = reparam(params)
         want1 = rp.l * ga + rp.m * gb
         want2 = 0.5 * (rp.l * rp.m - 2.0 * rp.q) * commutator(ga, gb)

@@ -10,6 +10,8 @@ import scipy.linalg
 
 from trotterion import (AccuracyWarning, GeneratorPair, ProductFormula, commutator,
                         concat, f_r, pure_commutator_library, s2, s3, repeat)
+from trotterion import matcore
+from trotterion.bases import SixGateParams, reparam
 from trotterion.certify import (DEFAULT_XS, NOISE_FLOOR, BCHCoefficients,
                                 _repeat_gate_count, commutator_target, error_scan,
                                 extract_bch, fit_loglog, gates_to_accuracy,
@@ -120,9 +122,62 @@ def test_extract_bch_f_r_sum_terms():
     assert np.linalg.norm(got.order2 - 6.0 * PAULI_COMM, 2) <= 1e-5 * 6.0
 
 
-def test_extract_bch_rejects_bad_step():
-    with pytest.raises(InvalidInputError):
-        extract_bch(s3(), PAULI_PAIR, step=0.0)
+def _random_anti_hermitian(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = g - g.conj().T
+    return m / np.linalg.norm(m, 2)
+
+
+def test_extract_bch_matches_closed_forms_to_rounding():
+    # criterion 05's formulas and generators, held to 1e-12 where the
+    # criterion asks 1e-6
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(50):
+        params = SixGateParams(*rng.uniform(-1.5, 1.5, size=6))
+        ga, gb = (_random_anti_hermitian(rng, 3) for _ in range(2))
+        bch = extract_bch(params.as_formula(), GeneratorPair(ga, gb))
+        rp = reparam(params)
+        want = (rp.l * ga + rp.m * gb,
+                0.5 * (rp.l * rp.m - 2.0 * rp.q) * commutator(ga, gb),
+                (rp.l**2 * rp.m / 2.0 - 3.0 * rp.r) / 6.0 * commutator(ga, commutator(ga, gb))
+                + (rp.m**2 * rp.l / 2.0 - 3.0 * rp.s) / 6.0 * commutator(gb, commutator(gb, ga)))
+        for got, w in zip((bch.order1, bch.order2, bch.order3), want):
+            worst = max(worst, np.linalg.norm(got - w, 2) / max(np.linalg.norm(w, 2), 1e-6))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1000.0, 3000.0, 10000.0])
+def test_extract_bch_at_large_generator_norm(scale):
+    gens = GeneratorPair(scale * PAULI_PAIR.a, scale * PAULI_PAIR.b)
+    got = extract_bch(s3(), gens)
+    comm = commutator(gens.a, gens.b)
+    assert np.linalg.norm(got.order1, 2) <= 1e-12 * scale
+    assert np.linalg.norm(got.order2 - comm, 2) <= 1e-12 * np.linalg.norm(comm, 2)
+
+
+def test_extract_bch_takes_no_exponential_or_log(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(matcore, "expm", counted("expm", matcore.expm))
+    monkeypatch.setattr(matcore, "logm_near_identity",
+                        counted("logm", matcore.logm_near_identity))
+    monkeypatch.setattr(ProductFormula, "evaluate",
+                        counted("evaluate", ProductFormula.evaluate))
+    general = GeneratorPair([[1, 2], [0, 1]], np.ones((2, 2)), np.diag([1.0, -1.0]))
+    got = extract_bch(s3(), general)
+    assert np.linalg.norm(got.order2 - commutator(general.a, general.b), 2) <= 1e-13
+    got = extract_bch(ProductFormula((("A", 1.0), ("C", 1.0))), general)
+    assert np.linalg.norm(got.order1 - general.a - general.c, 2) <= 1e-15
+    assert np.linalg.norm(got.order2 - commutator(general.a, general.c) / 2.0, 2) <= 1e-15
+    extract_bch(s3(), PAULI_PAIR)
+    assert calls == []
 
 
 def test_gates_to_accuracy_monotone_and_sufficient():

@@ -139,11 +139,17 @@ def test_evaluation_memory_stays_under_the_cap():
     assert block * slot < peak < formula.EVALUATION_BYTES + 4 * slot
 
 
-@pytest.mark.parametrize("gens", [PAULI_PAIR, GeneratorPair(np.eye(2), np.ones((2, 2)))],
-                         ids=["spectral", "pade"])
-def test_overflowing_exponent_raises_without_warning(gens):
-    f = ProductFormula((("A", 1e300), ("B", 1.0)))
+UPPER_PAIR = GeneratorPair([[1, 2], [0, 1]], np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("steps, gens, x", [
+    ((("A", 1e300), ("B", 1.0)), PAULI_PAIR, 1e10),
+    ((("A", 1e300), ("B", 1.0)), GeneratorPair(np.eye(2), np.ones((2, 2))), 1e10),
+    ((("A", 1.0), ("B", 1.0)), UPPER_PAIR, 1e5),  # Pade itself overflows
+    ((("A", 1.0), ("B", 1.0)), UPPER_PAIR, 300.0),  # finite factors, overflowing product
+], ids=["spectral", "pade", "pade-factor", "pade-product"])
+def test_overflowing_exponent_raises_without_warning(steps, gens, x):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError):
-            f.evaluate(gens, 1e10)
+            ProductFormula(steps).evaluate(gens, x)

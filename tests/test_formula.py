@@ -9,6 +9,7 @@ import scipy.linalg
 from trotterion import (GeneratorPair, ProductFormula, concat, from_json,
                         repeat, s2, s3, to_json, word_sums)
 from trotterion.errors import InvalidInputError
+from trotterion.formula import word_series
 
 from conftest import PAULI_PAIR
 
@@ -102,7 +103,8 @@ def test_word_sums_s3():
 
 
 def test_word_sums_brute_force():
-    # cross-check the O(n * pattern) recursion against direct enumeration
+    # cross-check word_series, which word_sums reads, against direct
+    # enumeration of the ordered step pairs and triples
     rng = np.random.default_rng(23)
     for _ in range(20):
         f = random_formula(rng, int(rng.integers(2, 8)))
@@ -117,6 +119,27 @@ def test_word_sums_brute_force():
                   for k, (tk, ck) in enumerate(steps) if tk == "A" and j < k)
         assert ws.ba == pytest.approx(ba, abs=1e-12)
         assert ws.aba == pytest.approx(aba, abs=1e-12)
+
+
+def test_word_series_is_the_expansion_of_the_product():
+    # the degree-3 truncation of the series misses f(x) by O(x^4), so each
+    # halving of x cuts the remainder about 2^4-fold; C steps included
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        mats = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3)]
+        gens = GeneratorPair(*mats)
+        f = ProductFormula(tuple(("ABC"[int(rng.integers(3))], float(rng.uniform(-2, 2)))
+                                 for _ in range(int(rng.integers(3, 9)))))
+        words = {"": np.eye(3, dtype=complex)}
+        p = [np.zeros((3, 3), dtype=complex) for _ in range(4)]
+        for word, coeff in word_series(f, 3).items():
+            if word:
+                words[word] = words[word[:-1]] @ gens.matrix(word[-1])
+            p[len(word)] += coeff * words[word]
+        errors = [np.linalg.norm(f.evaluate(gens, x) - sum(x**k * p[k] for k in range(4)), 2)
+                  for x in (0.02, 0.01, 0.005, 0.0025)]
+        for big, small in zip(errors, errors[1:]):
+            assert 15.0 < big / small < 17.0, (f.steps, errors)
 
 
 def test_word_sums_reject_c_steps():

@@ -16,11 +16,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..bases import f_r
+from .. import solver
+from ..bases import SIX_GATE_TAGS, f_r
 from ..errors import DomainError, InvalidInputError
-from ..formula import GeneratorPair, ProductFormula
+from ..formula import EVALUATION_BYTES, GeneratorPair, ProductFormula, _pairwise_product
 from ..matcore import eigh
-from ..solver import solve_p_of_r
 from .common import check_magnitudes, quiet_small_r
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -36,10 +36,10 @@ GAP_TOL = 1e-10
 TROTTER_STEP = ProductFormula((("A", 1.0 / 3.0), ("B", 1.0 / 3.0)) * 3)
 EXPONENTIALS_PER_STEP = len(TROTTER_STEP)
 
-# Most slices of one ramp: a slice costs about 0.25 ms (0.65 ms with the
-# exact coefficients) and adds one CDPoint of about 200 bytes, so a ramp at
-# the cap runs for half a minute to a minute and holds 20 MB of points, 500x
-# the longest tested ramp (N = 200).
+# Most slices of one ramp: a slice costs about 0.05 ms (0.12 ms with the
+# exact coefficients; 0.09 and 0.23 ms on a busy 2-vCPU host) and adds one
+# CDPoint of about 200 bytes, so a ramp at the cap runs for 5 to 25 seconds
+# and holds 20 MB of points, 5x the longest tested ramp (N = 20 000).
 MAX_SLICES = 100_000
 
 
@@ -118,10 +118,38 @@ class CDPoint(NamedTuple):
     degenerate: bool
 
 
-def _ground_state(cfg: CDConfig, t: float) -> tuple[np.ndarray, bool]:
-    """Ramp ground state at time t, and whether it is nearly degenerate."""
-    vals, vecs = eigh(sum(cd_hamiltonians(cfg, schedule(t, cfg.tau))))
-    return vecs[:, 0], float(vals[1] - vals[0]) < GAP_TOL
+def _slices_per_chunk() -> int:
+    """Slices `cd_run` takes in one chunk: 11 with the default gauges.
+
+    A slice's exact solve holds at most about 12 float arrays of its
+    4 * len(P_OF_R_GAUGES) candidates, 90 KB, and a chunk keeps them within
+    an eighth of EVALUATION_BYTES. Time per slice fell 1.7x from 4 to 11
+    slices a chunk and at most 15% more up to 44, while each slice a chunk
+    holds adds to the process's peak RSS: about 1 MB at 11.
+    """
+    return max(1, EVALUATION_BYTES // (8 * 12 * 4 * solver.P_OF_R_GAUGES.size * 8))
+
+
+def _ground_states(cfg: CDConfig, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ground states, as rows, of the ramp Hamiltonians f FIELD + J COUPLING
+    for each field strength f = hz (lambda - 1), from one eigensolve, and
+    whether each is nearly degenerate."""
+    vals, vecs = eigh(field[:, None, None] * FIELD + cfg.J * COUPLING)
+    return vecs[:, :, 0], vals[:, 1] - vals[:, 0] < GAP_TOL
+
+
+def _slice_products(gens: GeneratorPair, tags: tuple[str, ...], t: np.ndarray,
+                    scales: dict) -> np.ndarray:
+    """Row i's product, leftmost first, of e^{t[i, j] scales[g][i] G_g} over
+    the steps j with tags g: one exponential call per tag for all rows."""
+    rows, steps = t.shape
+    d = gens.dim
+    stack = np.empty((rows, steps, d, d), dtype=complex)
+    for tag in dict.fromkeys(tags):
+        cols = [j for j, g in enumerate(tags) if g == tag]
+        factors = gens.exp(tag, (t[:, cols] * scales[tag]).ravel())
+        stack[:, cols] = factors.reshape(rows, len(cols), d, d)
+    return _pairwise_product(stack)
 
 
 def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
@@ -135,29 +163,55 @@ def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
     nearly degenerate are flagged.
 
     With exact_coefficients=True the corrected step's coefficients come
-    from the exact solve `solve_p_of_r` instead of the closed form.
+    from the exact solve of `solve_p_of_r` instead of the closed form.
+
+    The slices run in chunks. One GeneratorPair of FIELD and COUPLING
+    serves the whole ramp, each factor's exponent carrying its slice's
+    scale; a chunk takes its weights, coefficients, step products and
+    ground states as array passes, and only the state updates run slice
+    by slice. A failing ramp raises what the first failing slice raises.
     """
     dt = cfg.tau / cfg.n_steps
-    psi_tr, degenerate = _ground_state(cfg, 0.0)
-    psi_cd = psi_tr
-    t, fid_tr, fid_cd = 0.0, 1.0, 1.0
+    gens = GeneratorPair(-1j * FIELD, -1j * COUPLING)
+    trotter_tags = tuple(tag for tag, _ in TROTTER_STEP.steps)
+    trotter_t = dt * np.array([coeff for _, coeff in TROTTER_STEP.steps])
+    chunk = _slices_per_chunk()
+    gs, degenerate = _ground_states(cfg, np.array([cfg.hz * (schedule(0.0, cfg.tau) - 1.0)]))
+    psi_tr = psi_cd = gs[0]
+    prev = (1.0, 1.0, bool(degenerate[0]))
     points = []
-    for k in range(cfg.n_steps):
-        beta = cd_beta(cfg, t)
-        points.append(CDPoint(t, fid_tr, fid_cd, beta, degenerate))
-        h_a, h_b = cd_hamiltonians(cfg, schedule(t, cfg.tau))
-        gens = GeneratorPair(-1j * h_a, -1j * h_b)
-        psi_tr = TROTTER_STEP.evaluate(gens, dt) @ psi_tr
-        R = beta / dt
-        if exact_coefficients:  # each slice's own smallest root, not the last one's
-            formula = solve_p_of_r(R).params.as_formula(label=f"fR*[R={R:.12g}]", claimed_order=3)
-        else:
-            with quiet_small_r():
-                formula = f_r(R)
-        psi_cd = formula.evaluate(gens, dt) @ psi_cd
-        t = (k + 1) * dt
-        gs, degenerate = _ground_state(cfg, t)
-        fid_tr = float(abs(np.vdot(gs, psi_tr)) ** 2)
-        fid_cd = float(abs(np.vdot(gs, psi_cd)) ** 2)
-    points.append(CDPoint(t, fid_tr, fid_cd, math.nan, degenerate))
+    for start in range(0, cfg.n_steps, chunk):
+        ts = [k * dt for k in range(start, min(start + chunk, cfg.n_steps) + 1)]
+        betas, failure = [], None
+        for t in ts[:-1]:
+            try:
+                betas.append(cd_beta(cfg, t))
+            except DomainError as exc:  # raised once the slices before it ran
+                failure = exc
+                break
+        n = len(betas)
+        if n:
+            field = cfg.hz * (np.array([schedule(t, cfg.tau) for t in ts[:n + 1]]) - 1.0)
+            weights = np.array([beta / dt for beta in betas])
+            if exact_coefficients:  # each slice's own smallest root
+                coeffs = solver._solve_p_of_r_many(weights)[0]
+            else:  # f_r refuses the infinite coefficients of an overflowing R
+                with quiet_small_r():
+                    coeffs = np.array([[c for _, c in f_r(R).steps] for R in weights.tolist()])
+            scales = {"A": field[:n, None], "B": cfg.J}
+            u_cd = _slice_products(gens, SIX_GATE_TAGS, coeffs * dt, scales)
+            u_tr = _slice_products(gens, trotter_tags, np.tile(trotter_t, (n, 1)), scales)
+            states = np.empty((2, n, 4), dtype=complex)
+            for i in range(n):
+                states[0, i] = psi_tr = u_tr[i] @ psi_tr
+                states[1, i] = psi_cd = u_cd[i] @ psi_cd
+            gs, degenerate = _ground_states(cfg, field[1:])
+            fid_tr, fid_cd = (np.abs(np.sum(gs.conj() * states, axis=-1)) ** 2).tolist()
+            after = list(zip(fid_tr, fid_cd, degenerate.tolist()))
+            for t, beta, (f_tr, f_cd, deg) in zip(ts, betas, [prev] + after[:-1]):
+                points.append(CDPoint(t, f_tr, f_cd, beta, deg))
+            prev = after[-1]
+        if failure is not None:
+            raise failure
+    points.append(CDPoint(cfg.n_steps * dt, *prev[:2], math.nan, prev[2]))
     return points

@@ -18,6 +18,8 @@ from .formula import ProductFormula
 GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
 
 R_ACCURACY_FLOOR = 4.0
+# Tags of the six factors of a SixGateParams product, leftmost first.
+SIX_GATE_TAGS = ("A", "B", "A", "B", "A", "B")
 
 
 class AccuracyWarning(UserWarning):
@@ -39,8 +41,7 @@ class SixGateParams:
         return (self.p1, self.p2, self.p3, self.p4, self.p5, self.p6)
 
     def as_formula(self, label: str = "", claimed_order: int | None = None) -> ProductFormula:
-        tags = ("A", "B", "A", "B", "A", "B")
-        steps = tuple(zip(tags, self.as_tuple()))
+        steps = tuple(zip(SIX_GATE_TAGS, self.as_tuple()))
         return ProductFormula(steps, label=label, claimed_order=claimed_order)
 
 

@@ -14,7 +14,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -124,14 +124,17 @@ EVALUATION_BYTES = 1 << 23
 
 
 def _pairwise_product(stack: np.ndarray) -> np.ndarray:
-    """stack[0] @ stack[1] @ ... @ stack[-1], in about log2(len) batched
-    products of neighbouring pairs; an odd last factor joins the last pair."""
-    while len(stack) > 1:
-        paired = stack[0:len(stack) - 1:2] @ stack[1::2]
-        if len(stack) % 2:
-            paired[-1] = paired[-1] @ stack[-1]
+    """stack[..., 0, :, :] @ stack[..., 1, :, :] @ ... over the factor axis,
+    the third from last, in about log2(len) batched products of
+    neighbouring pairs; an odd last factor joins the last pair. A leading
+    batch axis gives one product per entry."""
+    while stack.shape[-3] > 1:
+        n = stack.shape[-3]
+        paired = stack[..., 0:n - 1:2, :, :] @ stack[..., 1::2, :, :]
+        if n % 2:
+            paired[..., -1, :, :] = paired[..., -1, :, :] @ stack[..., -1, :, :]
         stack = paired
-    return stack[0]
+    return stack[..., 0, :, :]
 
 
 @dataclass(frozen=True)
@@ -285,6 +288,28 @@ def repeat(f: ProductFormula, r: int, commutator_target: bool = True) -> Product
     return out.simplify()
 
 
+@functools.cache
+def _word_terms(letters: tuple[str, ...], degree: int) -> tuple[tuple[str, ...], tuple]:
+    """The words of length <= degree over `letters`, shortest first, and for
+    each letter g, in order, the N^m / m! of m = 0..degree flattened into
+    the rows of one read-only array, where N appends g to a word."""
+    words = [""]
+    for length in range(degree):
+        words += [w + g for w in words if len(w) == length for g in letters]
+    index = {w: i for i, w in enumerate(words)}
+    n = len(words)
+    terms = []
+    for g in letters:
+        append = np.zeros((n, n))
+        for w in words[1:]:
+            append[index[w], index[w[:-1]]] = w[-1] == g
+        powers = np.reshape([np.linalg.matrix_power(append, m) / math.factorial(m)
+                             for m in range(degree + 1)], (degree + 1, n * n))
+        powers.flags.writeable = False
+        terms.append(powers)
+    return tuple(words), tuple(terms)
+
+
 def word_series(f: ProductFormula, degree: int) -> dict[str, float]:
     """Coefficient of every word of length <= degree, over the tags f uses,
     in the formal expansion of the product of exp(c_i x G_i).
@@ -295,20 +320,11 @@ def word_series(f: ProductFormula, degree: int) -> dict[str, float]:
     coeff(w[:-m]) * c^m / m! to each word w ending in a run of g of length
     run, every prefix read from the product before the step.
     """
-    letters = sorted({tag for tag, _ in f.steps})
-    words = [""]
-    for length in range(degree):
-        words += [w + g for w in words if len(w) == length for g in letters]
-    index = {w: i for i, w in enumerate(words)}
+    letters = tuple(sorted({tag for tag, _ in f.steps}))
+    words, powers = _word_terms(letters, degree)
+    terms = dict(zip(letters, powers))
     n = len(words)
-    # N appends g to a word; a step (g, c) multiplies by the sum of c^m N^m / m!
-    terms = {}
-    for g in letters:
-        append = np.zeros((n, n))
-        for w in words[1:]:
-            append[index[w], index[w[:-1]]] = w[-1] == g
-        terms[g] = np.reshape([np.linalg.matrix_power(append, m) / math.factorial(m)
-                               for m in range(degree + 1)], (degree + 1, n * n))
+    # a step (g, c) multiplies by the sum of c^m N^m / m!
     c_powers = np.array([c for _, c in f.steps])[:, None] ** np.arange(degree + 1)
     series = np.eye(n)[0]
     for (g, _), scale in zip(f.steps, c_powers):

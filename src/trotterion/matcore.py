@@ -29,10 +29,11 @@ _LOG_SERIES_MAX_TERMS = 64
 _SQRT_MAX_PULLS = 64
 
 
-def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate and return a square complex matrix as a fresh ndarray."""
+def as_square_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Validate and return a square complex matrix, or with stack=True a
+    (k, n, n) stack of them, as a fresh ndarray."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+    if a.ndim != 2 + stack or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise InvalidInputError(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise InvalidInputError(f"{name} contains non-finite entries")
@@ -40,25 +41,29 @@ def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def is_hermitian(h: np.ndarray) -> bool:
-    """Whether ||H - H^dagger||_2 <= HERMITICITY_TOL, for a square ndarray H.
+    """Whether ||H - H^dagger||_2 <= HERMITICITY_TOL, for a square ndarray H
+    or for every matrix of a (k, n, n) stack.
 
     G is anti-Hermitian when -iG passes. The bounds
     ||D||_F / sqrt(n) <= ||D||_2 <= ||D||_F settle almost every input
-    without the SVD.
+    without the SVD; a stack whose whole Frobenius norm passes passes.
     """
     with np.errstate(over="ignore"):
-        defect = h - h.conj().T
+        defect = h - np.swapaxes(h.conj(), -1, -2)
         frobenius = float(np.linalg.norm(defect))
     if frobenius <= HERMITICITY_TOL:
         return True
+    if h.ndim > 2:
+        return all(is_hermitian(m) for m in h)
     if frobenius > math.sqrt(h.shape[0]) * HERMITICITY_TOL:
         return False
     return float(np.linalg.norm(defect, 2)) <= HERMITICITY_TOL
 
 
 def _hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the Hermitian part of H, eigenvalues ascending."""
-    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    """Eigenpairs of the Hermitian part of H, or of each matrix of a stack,
+    eigenvalues ascending."""
+    vals, vecs = np.linalg.eigh((h + np.swapaxes(h.conj(), -1, -2)) / 2.0)
     return np.asarray(vals, dtype=float), np.asarray(vecs, dtype=complex)
 
 
@@ -162,12 +167,14 @@ def logm_near_identity(u) -> np.ndarray:
 
 
 def eigh(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a Hermitian matrix.
+    """Eigen-decomposition of a Hermitian matrix, or of each matrix of a
+    (k, n, n) stack in one call.
 
-    Returns (eigenvalues ascending, column eigenvectors). The input is
-    checked for Hermiticity to 1e-10 and symmetrized before the solve.
+    Returns (eigenvalues ascending, column eigenvectors), with a leading
+    k axis for a stack. Each matrix is checked for Hermiticity to 1e-10
+    and symmetrized before the solve.
     """
-    mat = as_square_matrix(h, "H")
+    mat = as_square_matrix(h, "H", stack=np.ndim(h) == 3)
     if not is_hermitian(mat):
         raise InvalidInputError("matrix is not Hermitian to within 1e-10")
     return _hermitian_eigh(mat)

@@ -8,6 +8,7 @@ fixed set of gauges.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,8 +33,11 @@ P_OF_R_MAX_FLOOR = 1e-3
 # (best t from 0.09 to 2.25), at most 8e-4 larger than the former Newton
 # root (3.41 against 5.02 at R = 10); 25 or 50 gauges did worse at R = 0.66.
 P_OF_R_GAUGES = np.linspace(-3.0, 3.0, 240)
-# Degree in p of each residual: l, m, q, r, s.
-_RESIDUAL_DEGREES = np.array([1, 1, 2, 3, 3])
+# Candidates per weight whose residuals are taken first: those with the
+# smallest largest coefficient, ties included. The rest are checked only
+# where none of these is a root, as at 2 of the 241 weights of the solver
+# tests; 32 missed at 33 of them.
+P_OF_R_SCREEN = 64
 
 
 @dataclass(frozen=True)
@@ -102,24 +106,22 @@ class PofRResult:
         return max(abs(v) for v in self.residuals)
 
 
-def _converged(p: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Whether each residual (last axis) is within P_OF_R_TOL or the rounding
-    of its terms, eps * max|p|^degree, which for r and s passes P_OF_R_TOL
-    near R = 1e4. P_OF_R_MAX_FLOOR keeps huge coefficients from passing."""
-    floor = np.finfo(float).eps * np.max(np.abs(p), axis=-1)[..., None] ** _RESIDUAL_DEGREES
-    return np.all(np.abs(res) <= np.clip(floor, P_OF_R_TOL, P_OF_R_MAX_FLOOR), axis=-1)
+def _converged(p, res, largest=None) -> np.ndarray:
+    """Whether each candidate's residuals res = (l, m, q, r, s) are within
+    P_OF_R_TOL or the rounding of their terms, eps * max|p|^degree for the
+    degrees 1, 1, 2, 3, 3 in p, which for r and s passes P_OF_R_TOL near
+    R = 1e4. P_OF_R_MAX_FLOOR keeps huge coefficients from passing.
 
-
-def _p_of_r_residuals(p: np.ndarray, R: float) -> np.ndarray:
-    """The five residuals over the last axis: shape (..., 6) -> (..., 5)."""
-    rp = reparam(SixGateParams(*np.moveaxis(p, -1, 0)))
-    return np.stack([
-        rp.l - 1.0,
-        rp.m - 1.0,
-        rp.q + R - 0.5,
-        rp.r - 1.0 / 6.0,
-        rp.s - 1.0 / 6.0,
-    ], axis=-1)
+    p = (p1, ..., p6) and res hold one array (or scalar) per coefficient
+    and per residual; `largest` is max|p| when the caller has it already.
+    """
+    if largest is None:
+        largest = functools.reduce(np.maximum, (np.abs(col) for col in p))
+    eps_p = np.finfo(float).eps * largest
+    floor1, floor2, floor3 = (np.clip(f, P_OF_R_TOL, P_OF_R_MAX_FLOOR)
+                              for f in (eps_p, eps_p * largest, eps_p * largest * largest))
+    l, m, q, r, s = (np.abs(v) for v in res)
+    return (l <= floor1) & (m <= floor1) & (q <= floor2) & (r <= floor3) & (s <= floor3)
 
 
 def _quadratic_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray | float) -> np.ndarray:
@@ -127,6 +129,82 @@ def _quadratic_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray | float) -> np.
     A complex pair gives NaN; a = 0 gives the linear root c/w and a non-finite one."""
     w = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
     return np.stack([w / a, c / w], axis=-1)
+
+
+def _p_of_r_residuals(p, R) -> tuple:
+    """The five residuals l, m, q, r, s of candidates p = (p1, ..., p6)."""
+    rp = reparam(SixGateParams(*p))
+    return (rp.l - 1.0, rp.m - 1.0, rp.q + R - 0.5, rp.r - 1.0 / 6.0, rp.s - 1.0 / 6.0)
+
+
+def _rank_roots(ranked, p, largest, R, mask) -> None:
+    """Set ranked[i, j] to largest[i, j] at each masked candidate (i, j) that
+    is a root of the weight R[i]."""
+    rows, cols = np.nonzero(mask)
+    sub = tuple(col[rows, cols] for col in p)
+    top = largest[rows, cols]
+    ranked[rows, cols] = np.where(_converged(sub, _p_of_r_residuals(sub, R[rows]), top),
+                                  top, np.inf)
+
+
+def _solve_p_of_r_many(weights) -> tuple[np.ndarray, np.ndarray]:
+    """`solve_p_of_r` on each weight of a 1-D array: the chosen roots as rows
+    of a (len, 6) array, and their residuals as rows of a (len, 5) array.
+
+    Each coefficient p1..p6 is one (len, 4 * gauges) array of candidates,
+    gauge-major. The first weight that fails, in order, raises what
+    `solve_p_of_r` would raise on it.
+    """
+    weights = np.asarray(weights, dtype=float)
+    accepted = (np.abs(weights) <= P_OF_R_MAX_WEIGHT) & (weights > -0.5)
+    n = int(np.argmin(accepted)) if not accepted.all() else weights.size
+    R = weights[:n, None]
+    Q = 0.5 - R
+    # Python's scalar powers, not R * R * R, so a weight's coefficients
+    # keep every bit of the one-weight formula
+    R2, R3 = (np.array([r ** e for r in weights[:n].tolist()]).reshape(n, 1) for e in (2, 3))
+    gauges = P_OF_R_GAUGES.size
+    p6 = P_OF_R_GAUGES * np.sqrt(R + 0.5)
+    with np.errstate(all="ignore"):
+        p6_2 = p6 * p6
+        p1 = _quadratic_roots(
+            (72 * R - 36) * p6_2 - (72 * R - 48) * p6 - 12,
+            (48 - 72 * R) * p6_2 + (72 * R2 - 72 * R - 30) * p6 + 72 * R2 + 24 * R + 6,
+            -12 * p6_2 + (72 * R2 + 24 * R + 6) * p6 - 72 * R3 - 36 * R2 - 6 * R - 1)
+        p6 = p6[..., None]
+        k = (1.0 / 6.0 - p1 * Q[..., None]) / (1.0 / 6.0 - p6 * Q[..., None])
+        p2 = _quadratic_roots(-k, 1.0 - p1 + (1.0 - p6) * k, -Q[..., None])
+        p2 = p2.reshape(n, 4 * gauges)
+        # each (gauge, p1 root) pair carries both of its p2 roots
+        p1 = np.repeat(p1.reshape(n, 2 * gauges), 2, axis=1)
+        p5 = np.repeat(k.reshape(n, 2 * gauges), 2, axis=1) * p2
+        p6 = np.repeat(p6.reshape(n, gauges), 4, axis=1)
+        p = (p1, p2, 1.0 - p1 - p5, 1.0 - p6 - p2, p5, p6)
+        largest = functools.reduce(np.maximum, (np.abs(col) for col in p))
+        # largest at each root found and inf elsewhere; the screen's cut is
+        # the P_OF_R_SCREEN-th smallest largest, with NaN sorted last
+        ranked = np.full(largest.shape, np.inf)
+        screen = min(P_OF_R_SCREEN, 4 * gauges) - 1
+        screened = largest <= np.partition(largest, screen, axis=1)[:, screen:screen + 1]
+        _rank_roots(ranked, p, largest, weights, screened)
+        unsolved = np.isinf(ranked.min(axis=1, initial=np.inf))
+        if unsolved.any():
+            _rank_roots(ranked, p, largest, weights, ~screened & unsolved[:, None])
+        # the smallest largest coefficient, the first of equals
+        best = np.argmin(ranked, axis=1)
+        rows = np.arange(n)
+        failed = np.flatnonzero(np.isinf(ranked[rows, best]))
+        if failed.size:
+            raise SolverError(f"no gauge gave a real root at R={weights[failed[0]]:.6g}")
+        roots = tuple(col[rows, best] for col in p)
+        res = _p_of_r_residuals(roots, weights[:n])
+    if n < weights.size:
+        R = float(weights[n])
+        if not abs(R) <= P_OF_R_MAX_WEIGHT:
+            raise InvalidInputError(
+                f"R must be finite and at most {P_OF_R_MAX_WEIGHT:g} in magnitude")
+        raise DomainError("R must exceed -1/2 for the exact coefficients")
+    return np.stack(roots, axis=1), np.stack(res, axis=1)
 
 
 def solve_p_of_r(R: float) -> PofRResult:
@@ -142,29 +220,5 @@ def solve_p_of_r(R: float) -> PofRResult:
     Returns the root with the smallest largest coefficient, which carries
     the smallest higher-order defects; among equals, the first in order.
     """
-    R = float(R)
-    if not abs(R) <= P_OF_R_MAX_WEIGHT:
-        raise InvalidInputError(
-            f"R must be finite and at most {P_OF_R_MAX_WEIGHT:g} in magnitude")
-    if R <= -0.5:
-        raise DomainError("R must exceed -1/2 for the exact coefficients")
-    Q = 0.5 - R
-    p6 = P_OF_R_GAUGES * math.sqrt(R + 0.5)
-    with np.errstate(all="ignore"):
-        p1 = _quadratic_roots(
-            (72 * R - 36) * p6**2 - (72 * R - 48) * p6 - 12,
-            (48 - 72 * R) * p6**2 + (72 * R**2 - 72 * R - 30) * p6 + 72 * R**2 + 24 * R + 6,
-            -12 * p6**2 + (72 * R**2 + 24 * R + 6) * p6 - 72 * R**3 - 36 * R**2 - 6 * R - 1)
-        p6 = p6[:, None]
-        k = (1.0 / 6.0 - p1 * Q) / (1.0 / 6.0 - p6 * Q)
-        p2 = _quadratic_roots(-k, 1.0 - p1 + (1.0 - p6) * k, -Q)
-        p1, p6, k = p1[..., None], p6[..., None], k[..., None]
-        p5 = k * p2
-        p = np.stack(np.broadcast_arrays(p1, p2, 1.0 - p1 - p5, 1.0 - p6 - p2, p5, p6),
-                     axis=-1).reshape(-1, 6)
-        res = _p_of_r_residuals(p, R)
-        roots = np.flatnonzero(_converged(p, res))
-    if not roots.size:
-        raise SolverError(f"no gauge gave a real root at R={R:.6g}")
-    best = roots[np.argmin(np.max(np.abs(p[roots]), axis=1))]
-    return PofRResult(SixGateParams(*p[best].tolist()), tuple(res[best].tolist()))
+    p, res = _solve_p_of_r_many([float(R)])
+    return PofRResult(SixGateParams(*p[0].tolist()), tuple(res[0].tolist()))

@@ -1,6 +1,8 @@
 """Tests for the three application simulators."""
 
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,13 +17,15 @@ from trotterion.apps import (CDConfig, ChainConfig, KMConfig,
                              km_nnn_identities, km_simulate,
                              phases_wrap_consistently, schedule,
                              schedule_rate)
+from trotterion import matcore, solve_p_of_r, solver
+from trotterion.apps import cd as cd_module
 from trotterion.apps import chain as chain_module
-from trotterion.apps.cd import MAX_SLICES, TROTTER_STEP
-from trotterion.apps.common import n_step_target
+from trotterion.apps.cd import GAP_TOL, MAX_SLICES, TROTTER_STEP
+from trotterion.apps.common import n_step_target, quiet_small_r
 from trotterion.bases import AccuracyWarning, f_r, f_r_signed
-from trotterion.errors import DomainError, InvalidInputError
-from trotterion.formula import GeneratorPair
-from trotterion.matcore import commutator, spectral_norm
+from trotterion.errors import DomainError, InvalidInputError, TrotterionError
+from trotterion.formula import EVALUATION_BYTES, GeneratorPair
+from trotterion.matcore import commutator, eigh, spectral_norm
 
 
 # ---------------------------------------------------------------- ramp driving
@@ -145,6 +149,103 @@ def test_cd_exact_coefficients_agree_with_closed_form():
         assert abs(p.fidelity_cd - q.fidelity_cd) <= 1e-2
         # the splitting takes no coefficients, so it is the same run
         assert p.fidelity_trotter == q.fidelity_trotter
+
+
+def _reference_cd_run(cfg, exact_coefficients):
+    """cd_run slice by slice from the scalar API: each slice's own
+    GeneratorPair, coefficients and evaluations, and one eigensolve per
+    ground state."""
+    dt = cfg.tau / cfg.n_steps
+
+    def ground_state(t):
+        vals, vecs = eigh(sum(cd_hamiltonians(cfg, schedule(t, cfg.tau))))
+        return vecs[:, 0], float(vals[1] - vals[0]) < GAP_TOL
+
+    psi_tr, degenerate = ground_state(0.0)
+    psi_cd = psi_tr
+    t, fid_tr, fid_cd = 0.0, 1.0, 1.0
+    points = []
+    for k in range(cfg.n_steps):
+        beta = cd_beta(cfg, t)
+        points.append((t, fid_tr, fid_cd, beta, degenerate))
+        gens = GeneratorPair(*(-1j * h for h in cd_hamiltonians(cfg, schedule(t, cfg.tau))))
+        psi_tr = TROTTER_STEP.evaluate(gens, dt) @ psi_tr
+        if exact_coefficients:
+            step = solve_p_of_r(beta / dt).params.as_formula()
+        else:
+            with quiet_small_r():
+                step = f_r(beta / dt)
+        psi_cd = step.evaluate(gens, dt) @ psi_cd
+        t = (k + 1) * dt
+        gs, degenerate = ground_state(t)
+        fid_tr = float(abs(np.vdot(gs, psi_tr)) ** 2)
+        fid_cd = float(abs(np.vdot(gs, psi_cd)) ** 2)
+    points.append((t, fid_tr, fid_cd, math.nan, degenerate))
+    return points
+
+
+# (J, hz, tau, N): the README ramp, one whose last chunk is ragged, a
+# degenerate start (hz = 0 keeps the field off), and two that fail: at
+# J = 0, hz = 1e-152 the weight R = beta/dt passes the exact solve's cap from
+# slice 1 and overflows on slice 8, and beta overflows on slice 9.
+REFERENCE_RAMPS = [(-1.0, 5.0, 1.0, 100), (0.7, 2.3, 1.0, 3 * cd_module._slices_per_chunk() + 1),
+                   (1.0, 0.0, 1.0, 7), (0.0, 1e-152, 1.0, 10), (1e-5, 1e-5, 1.0, 10)]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("ramp", REFERENCE_RAMPS)
+def test_cd_run_matches_the_per_slice_reference(ramp, exact):
+    cfg = CDConfig(*ramp)
+    try:
+        want = _reference_cd_run(cfg, exact)
+    except TrotterionError as exc:
+        with pytest.raises(type(exc)) as caught:
+            cd_run(cfg, exact_coefficients=exact)
+        assert str(caught.value) == str(exc)
+        return
+    got = cd_run(cfg, exact_coefficients=exact)
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert (p.t, p.degenerate) == (q[0], q[4])
+        assert p.beta == q[3] or math.isnan(p.beta) and math.isnan(q[3])
+        assert abs(p.fidelity_trotter - q[1]) <= 1e-12
+        assert abs(p.fidelity_cd - q[2]) <= 1e-12
+
+
+def test_cd_run_builds_two_spectra_and_one_eigensolve_a_chunk(monkeypatch):
+    counts = {"spectra": 0, "eigh": 0}
+    spectrum_init, numpy_eigh = matcore.SkewSpectrum.__init__, np.linalg.eigh
+
+    def counted_init(self, h):
+        counts["spectra"] += 1
+        spectrum_init(self, h)
+
+    def counted_eigh(a, *args, **kwargs):
+        counts["eigh"] += 1
+        return numpy_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(matcore.SkewSpectrum, "__init__", counted_init)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    n_steps = 20
+    chunks = -(-n_steps // cd_module._slices_per_chunk())
+    for exact in (False, True):
+        counts.update(spectra=0, eigh=0)
+        cd_run(CDConfig(J=-1.0, hz=5.0, tau=1.0, n_steps=n_steps), exact_coefficients=exact)
+        # the spectra of FIELD and COUPLING, the start's ground state, and
+        # one stacked eigensolve of each chunk's ground states
+        assert counts == {"spectra": 2, "eigh": 3 + chunks}
+
+
+def test_exact_ramp_memory_is_the_cap_plus_its_points():
+    cfg = CDConfig(J=-1.0, hz=5.0, tau=10.0, n_steps=20_000)
+    tracemalloc.start()
+    try:
+        points = cd_run(cfg, exact_coefficients=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    point_bytes = sys.getsizeof(points[0]) + sum(sys.getsizeof(v) for v in points[0][:4])
+    assert peak <= EVALUATION_BYTES + sys.getsizeof(points) + len(points) * point_bytes
 
 
 def test_cd_config_validation():

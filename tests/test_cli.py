@@ -474,11 +474,31 @@ BAD_INPUTS = [
                  id="cd-no-coupling-and-no-field"),
     pytest.param({}, ["cd", "--J", "1e-200", "--hz", "1e-200", "--tau", "1", "--N", "5"], 2,
                  id="cd-weight-denominator-underflows"),
+    # a ramp ends with the error of its first failing slice; see RAMP_ERRORS
+    pytest.param({}, ["cd", "--J", "1e-5", "--hz", "1e-5", "--tau", "1", "--N", "10",
+                      "--exact-pr"], 2, id="cd-exact-weight-beyond-cap"),
+    pytest.param({}, ["cd", "--J", "1e-200", "--hz", "1e-200", "--tau", "1", "--N", "10",
+                      "--exact-pr"], 2, id="cd-exact-weight-denominator-underflows"),
+    pytest.param({}, ["cd", "--J", "0", "--hz", "1e-152", "--tau", "1", "--N", "10"], 2,
+                 id="cd-weight-over-time-step-overflows"),
+    pytest.param({}, ["cd", "--J", "0", "--hz", "1e-152", "--tau", "1", "--N", "10",
+                      "--exact-pr"], 2, id="cd-exact-weight-overflows-later"),
 ]
+
+# The error line of the ramps above. With J = 0 and hz = 1e-152 the weight
+# R = beta/dt is finite beyond the exact solve's cap from slice 1, overflows
+# to inf on slice 8, and beta itself overflows on slice 9.
+RAMP_ERRORS = {
+    "cd-exact-weight-beyond-cap": "error: R must be finite and at most 1e+08 in magnitude",
+    "cd-exact-weight-denominator-underflows":
+        "error: counterdiabatic weight overflows: J and hz are too small",
+    "cd-weight-over-time-step-overflows": "error: step coefficients must be finite",
+    "cd-exact-weight-overflows-later": "error: R must be finite and at most 1e+08 in magnitude",
+}
 
 
 @pytest.mark.parametrize("files,argv,want", BAD_INPUTS)
-def test_malformed_input_exits_with_one_error_line(tmp_path, capsys, files, argv, want):
+def test_malformed_input_exits_with_one_error_line(request, tmp_path, capsys, files, argv, want):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in files else a for a in argv]
@@ -491,6 +511,7 @@ def test_malformed_input_exits_with_one_error_line(tmp_path, capsys, files, argv
     lines = err.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
+    assert lines[0] == RAMP_ERRORS.get(request.node.callspec.id, lines[0])
 
 
 def test_km_step_scale_whose_square_underflows_runs(capsys):

@@ -9,7 +9,8 @@ import scipy.linalg
 from trotterion import (GeneratorPair, ProductFormula, concat, from_json,
                         repeat, s2, s3, to_json, word_sums)
 from trotterion.errors import InvalidInputError
-from trotterion.formula import word_series
+from trotterion import formula
+from trotterion.formula import _pairwise_product, word_series
 
 from conftest import PAULI_PAIR
 
@@ -140,6 +141,31 @@ def test_word_series_is_the_expansion_of_the_product():
                   for x in (0.02, 0.01, 0.005, 0.0025)]
         for big, small in zip(errors, errors[1:]):
             assert 15.0 < big / small < 17.0, (f.steps, errors)
+
+
+def test_word_series_from_cached_terms_is_the_first_call_series():
+    rng = np.random.default_rng(37)
+    f = ProductFormula(tuple(("ABC"[int(rng.integers(3))], float(rng.uniform(-2, 2)))
+                             for _ in range(12)))
+    formula._word_terms.cache_clear()
+    first = word_series(f, 4)
+    assert formula._word_terms.cache_info().misses == 1
+    assert word_series(f, 4) == first
+    assert formula._word_terms.cache_info().hits == 1
+    _, terms = formula._word_terms(("A", "B", "C"), 4)
+    with pytest.raises(ValueError):
+        terms[0][0, 0] = 1.0
+
+
+def test_pairwise_product_batches_over_a_leading_axis():
+    rng = np.random.default_rng(41)
+    stack = rng.normal(size=(3, 7, 4, 4)) + 1j * rng.normal(size=(3, 7, 4, 4))
+    got = _pairwise_product(stack)
+    assert got.shape == (3, 4, 4)
+    for k in range(3):
+        assert np.array_equal(got[k], _pairwise_product(stack[k]))
+        want = np.linalg.multi_dot(list(stack[k]))
+        assert np.linalg.norm(got[k] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_word_sums_reject_c_steps():

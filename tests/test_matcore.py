@@ -119,3 +119,24 @@ def test_eigh_ordering_and_vectors():
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(InvalidInputError):
         matcore.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eigh_of_a_stack_is_each_matrix_eigh():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    h = a + np.swapaxes(a.conj(), -1, -2)
+    vals, vecs = matcore.eigh(h)
+    assert vals.shape == (5, 4) and vecs.shape == (5, 4, 4)
+    for k in range(5):
+        want_vals, want_vecs = matcore.eigh(h[k])
+        assert np.array_equal(vals[k], want_vals) and np.array_equal(vecs[k], want_vecs)
+
+
+def test_eigh_of_a_stack_checks_every_matrix():
+    stack = np.stack([np.eye(2, dtype=complex)] * 3)
+    stack[2, 0, 1] = 1e-6
+    with pytest.raises(InvalidInputError):
+        matcore.eigh(stack)
+    for bad in (np.zeros((2, 2, 3)), np.zeros((1, 2, 2, 2)), np.full((2, 2, 2), np.nan)):
+        with pytest.raises(InvalidInputError):
+            matcore.eigh(bad)

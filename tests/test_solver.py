@@ -9,7 +9,7 @@ import pytest
 from trotterion import reparam, solve_p_of_r, solve_sqrt4, solver
 from trotterion.bases import f_r_params
 from trotterion.apps import CDConfig, cd_beta
-from trotterion.errors import InvalidInputError, SolverError
+from trotterion.errors import DomainError, InvalidInputError, SolverError
 
 GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
 
@@ -168,6 +168,53 @@ def test_p_of_r_without_a_root_raises(monkeypatch):
     monkeypatch.setattr(solver, "P_OF_R_GAUGES", np.array([1.0]))
     with pytest.raises(SolverError):
         solve_p_of_r(0.5)
+
+
+def _assert_rows_match_the_scalar_solve(weights):
+    roots, residuals = solver._solve_p_of_r_many(weights)
+    assert roots.shape == (len(weights), 6) and residuals.shape == (len(weights), 5)
+    for R, root, res in zip(weights, roots.tolist(), residuals.tolist()):
+        result = solve_p_of_r(R)
+        assert (tuple(root), tuple(res)) == (result.params.as_tuple(), result.residuals), R
+
+
+def test_batched_solve_is_the_scalar_solve_row_by_row():
+    _assert_rows_match_the_scalar_solve(SWEEP_WEIGHTS)
+
+
+def test_screened_solve_picks_the_root_of_the_full_check(monkeypatch):
+    screened = solver._solve_p_of_r_many(SWEEP_WEIGHTS)
+    monkeypatch.setattr(solver, "P_OF_R_SCREEN", 4 * solver.P_OF_R_GAUGES.size)
+    full = solver._solve_p_of_r_many(SWEEP_WEIGHTS)
+    assert all(np.array_equal(a, b) for a, b in zip(screened, full))
+
+
+def test_batched_solve_reads_the_gauges_at_call_time(monkeypatch):
+    # the closed-form gauge alone, as in test_p_of_r_without_a_root_raises
+    monkeypatch.setattr(solver, "P_OF_R_GAUGES", np.array([1.0]))
+    solvable = []
+    for R in SWEEP_WEIGHTS:
+        try:
+            solve_p_of_r(R)
+        except SolverError:
+            continue
+        solvable.append(R)
+    assert 0 < len(solvable) < len(SWEEP_WEIGHTS)
+    _assert_rows_match_the_scalar_solve(solvable)
+    with pytest.raises(SolverError, match="R=0.5$"):
+        solver._solve_p_of_r_many([2.0, 0.5, 10.0])
+
+
+@pytest.mark.parametrize("weights,error", [
+    ([2.0, 0.5, math.nan], SolverError),
+    ([2.0, math.nan, 0.5], InvalidInputError),
+    ([2.0, -0.7, 1e10], DomainError),
+    ([1e10, -0.7], InvalidInputError),
+])
+def test_batched_solve_raises_for_the_first_failing_weight(monkeypatch, weights, error):
+    monkeypatch.setattr(solver, "P_OF_R_GAUGES", np.array([1.0]))
+    with pytest.raises(error):
+        solver._solve_p_of_r_many(weights)
 
 
 @pytest.mark.parametrize("R", [4e4, 1e6, 1e8])

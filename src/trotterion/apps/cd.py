@@ -19,7 +19,7 @@ import numpy as np
 from .. import solver
 from ..bases import SIX_GATE_TAGS, f_r
 from ..errors import DomainError, InvalidInputError
-from ..formula import EVALUATION_BYTES, GeneratorPair, ProductFormula, _pairwise_product
+from ..formula import EVALUATION_BYTES, GeneratorPair, ProductFormula, _grouped_product
 from ..matcore import eigh
 from .common import check_magnitudes, quiet_small_r
 
@@ -36,10 +36,10 @@ GAP_TOL = 1e-10
 TROTTER_STEP = ProductFormula((("A", 1.0 / 3.0), ("B", 1.0 / 3.0)) * 3)
 EXPONENTIALS_PER_STEP = len(TROTTER_STEP)
 
-# Most slices of one ramp: a slice costs about 0.05 ms (0.12 ms with the
-# exact coefficients; 0.09 and 0.23 ms on a busy 2-vCPU host) and adds one
-# CDPoint of about 200 bytes, so a ramp at the cap runs for 5 to 25 seconds
-# and holds 20 MB of points, 5x the longest tested ramp (N = 20 000).
+# Most slices of one ramp: a slice costs about 0.1 ms (0.33 ms with the
+# exact coefficients) on a 2-vCPU host and adds one CDPoint of about 200
+# bytes, so a ramp at the cap runs for 10 to 35 seconds and holds 20 MB of
+# points, 5x the longest tested ramp (N = 20 000).
 MAX_SLICES = 100_000
 
 
@@ -121,13 +121,14 @@ class CDPoint(NamedTuple):
 def _slices_per_chunk() -> int:
     """Slices `cd_run` takes in one chunk: 11 with the default gauges.
 
-    A slice's exact solve holds at most about 12 float arrays of its
-    4 * len(P_OF_R_GAUGES) candidates, 90 KB, and a chunk keeps them within
-    an eighth of EVALUATION_BYTES. Time per slice fell 1.7x from 4 to 11
-    slices a chunk and at most 15% more up to 44, while each slice a chunk
-    holds adds to the process's peak RSS: about 1 MB at 11.
+    A slice's exact solve holds at most 22 float arrays of its
+    4 * len(P_OF_R_GAUGES) candidates at once (170 KB at 240 gauges, by
+    tracemalloc). Counting 24, for the chunk's other arrays, a chunk keeps
+    them within a quarter of EVALUATION_BYTES. Four short exact ramps (N =
+    17 to 100) took 61 ms at 11 slices a chunk, 66 ms at 4 and 49 ms at 32,
+    while each slice a chunk holds adds 170 KB to the run's peak.
     """
-    return max(1, EVALUATION_BYTES // (8 * 12 * 4 * solver.P_OF_R_GAUGES.size * 8))
+    return max(1, EVALUATION_BYTES // (4 * 24 * 4 * solver.P_OF_R_GAUGES.size * 8))
 
 
 def _ground_states(cfg: CDConfig, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,18 +139,17 @@ def _ground_states(cfg: CDConfig, field: np.ndarray) -> tuple[np.ndarray, np.nda
     return vecs[:, :, 0], vals[:, 1] - vals[:, 0] < GAP_TOL
 
 
-def _slice_products(gens: GeneratorPair, tags: tuple[str, ...], t: np.ndarray,
-                    scales: dict) -> np.ndarray:
+def _tag_positions(tags: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
+    """Each tag of a step sequence with its step positions, ascending."""
+    return [(tag, np.array([j for j, g in enumerate(tags) if g == tag]))
+            for tag in dict.fromkeys(tags)]
+
+
+def _slice_products(gens: GeneratorPair, groups, t: np.ndarray, scales: dict) -> np.ndarray:
     """Row i's product, leftmost first, of e^{t[i, j] scales[g][i] G_g} over
-    the steps j with tags g: one exponential call per tag for all rows."""
-    rows, steps = t.shape
-    d = gens.dim
-    stack = np.empty((rows, steps, d, d), dtype=complex)
-    for tag in dict.fromkeys(tags):
-        cols = [j for j, g in enumerate(tags) if g == tag]
-        factors = gens.exp(tag, (t[:, cols] * scales[tag]).ravel())
-        stack[:, cols] = factors.reshape(rows, len(cols), d, d)
-    return _pairwise_product(stack)
+    the steps j, with groups from `_tag_positions`."""
+    return _grouped_product(gens, *t.shape,
+                            [(tag, cols, t[:, cols] * scales[tag]) for tag, cols in groups])
 
 
 def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
@@ -173,7 +173,8 @@ def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
     """
     dt = cfg.tau / cfg.n_steps
     gens = GeneratorPair(-1j * FIELD, -1j * COUPLING)
-    trotter_tags = tuple(tag for tag, _ in TROTTER_STEP.steps)
+    cd_groups = _tag_positions(SIX_GATE_TAGS)
+    trotter_groups = _tag_positions(tuple(tag for tag, _ in TROTTER_STEP.steps))
     trotter_t = dt * np.array([coeff for _, coeff in TROTTER_STEP.steps])
     chunk = _slices_per_chunk()
     gs, degenerate = _ground_states(cfg, np.array([cfg.hz * (schedule(0.0, cfg.tau) - 1.0)]))
@@ -199,8 +200,8 @@ def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
                 with quiet_small_r():
                     coeffs = np.array([[c for _, c in f_r(R).steps] for R in weights.tolist()])
             scales = {"A": field[:n, None], "B": cfg.J}
-            u_cd = _slice_products(gens, SIX_GATE_TAGS, coeffs * dt, scales)
-            u_tr = _slice_products(gens, trotter_tags, np.tile(trotter_t, (n, 1)), scales)
+            u_cd = _slice_products(gens, cd_groups, coeffs * dt, scales)
+            u_tr = _slice_products(gens, trotter_groups, np.tile(trotter_t, (n, 1)), scales)
             states = np.empty((2, n, 4), dtype=complex)
             for i in range(n):
                 states[0, i] = psi_tr = u_tr[i] @ psi_tr

@@ -137,6 +137,21 @@ def _pairwise_product(stack: np.ndarray) -> np.ndarray:
     return stack[..., 0, :, :]
 
 
+def _grouped_product(gens: GeneratorPair, rows: int, steps: int, groups) -> np.ndarray:
+    """Each row's product, first step leftmost, of `steps` exponentials:
+    groups holds, for each tag g, its step positions and a (rows, len)
+    array (or a 1-D one for one row) of their exponents t, for the factors
+    e^{t G_g}. One exponential call per tag fills a (rows, steps) stack
+    of factors for `_pairwise_product`. `ProductFormula.evaluate` calls it
+    on one row, and `apps.cd.cd_run` on a chunk of ramp slices.
+    """
+    d = gens.dim
+    stack = np.empty((rows, steps, d, d), dtype=complex)
+    for tag, positions, t in groups:
+        stack[:, positions] = gens.exp(tag, t.ravel()).reshape(rows, len(positions), d, d)
+    return _pairwise_product(stack)
+
+
 @dataclass(frozen=True)
 class ProductFormula:
     """An ordered list of (tag, coefficient) exponential steps."""
@@ -217,12 +232,12 @@ class ProductFormula:
         out = None
         for start in range(0, n, block):
             stop = min(start + block, n)
-            stack = np.empty((stop - start, d, d), dtype=complex)
+            block_groups = []
             for tag, positions, coeffs in groups:
                 lo, hi = bisect_left(positions, start), bisect_left(positions, stop)
                 if lo < hi:
-                    stack[positions[lo:hi] - start] = gens.exp(tag, coeffs[lo:hi] * x)
-            product = _pairwise_product(stack)
+                    block_groups.append((tag, positions[lo:hi] - start, coeffs[lo:hi] * x))
+            product = _grouped_product(gens, 1, stop - start, block_groups)[0]
             out = product if out is None else out @ product
         return out
 

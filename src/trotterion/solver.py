@@ -33,11 +33,6 @@ P_OF_R_MAX_FLOOR = 1e-3
 # (best t from 0.09 to 2.25), at most 8e-4 larger than the former Newton
 # root (3.41 against 5.02 at R = 10); 25 or 50 gauges did worse at R = 0.66.
 P_OF_R_GAUGES = np.linspace(-3.0, 3.0, 240)
-# Candidates per weight whose residuals are taken first: those with the
-# smallest largest coefficient, ties included. The rest are checked only
-# where none of these is a root, as at 2 of the 241 weights of the solver
-# tests; 32 missed at 33 of them.
-P_OF_R_SCREEN = 64
 
 
 @dataclass(frozen=True)
@@ -137,23 +132,14 @@ def _p_of_r_residuals(p, R) -> tuple:
     return (rp.l - 1.0, rp.m - 1.0, rp.q + R - 0.5, rp.r - 1.0 / 6.0, rp.s - 1.0 / 6.0)
 
 
-def _rank_roots(ranked, p, largest, R, mask) -> None:
-    """Set ranked[i, j] to largest[i, j] at each masked candidate (i, j) that
-    is a root of the weight R[i]."""
-    rows, cols = np.nonzero(mask)
-    sub = tuple(col[rows, cols] for col in p)
-    top = largest[rows, cols]
-    ranked[rows, cols] = np.where(_converged(sub, _p_of_r_residuals(sub, R[rows]), top),
-                                  top, np.inf)
-
-
 def _solve_p_of_r_many(weights) -> tuple[np.ndarray, np.ndarray]:
     """`solve_p_of_r` on each weight of a 1-D array: the chosen roots as rows
     of a (len, 6) array, and their residuals as rows of a (len, 5) array.
 
     Each coefficient p1..p6 is one (len, 4 * gauges) array of candidates,
     gauge-major. The first weight that fails, in order, raises what
-    `solve_p_of_r` would raise on it.
+    `solve_p_of_r` would raise on it. `apps.cd.cd_run` calls it on each
+    chunk of a ramp's slices.
     """
     weights = np.asarray(weights, dtype=float)
     accepted = (np.abs(weights) <= P_OF_R_MAX_WEIGHT) & (weights > -0.5)
@@ -181,15 +167,8 @@ def _solve_p_of_r_many(weights) -> tuple[np.ndarray, np.ndarray]:
         p6 = np.repeat(p6.reshape(n, gauges), 4, axis=1)
         p = (p1, p2, 1.0 - p1 - p5, 1.0 - p6 - p2, p5, p6)
         largest = functools.reduce(np.maximum, (np.abs(col) for col in p))
-        # largest at each root found and inf elsewhere; the screen's cut is
-        # the P_OF_R_SCREEN-th smallest largest, with NaN sorted last
-        ranked = np.full(largest.shape, np.inf)
-        screen = min(P_OF_R_SCREEN, 4 * gauges) - 1
-        screened = largest <= np.partition(largest, screen, axis=1)[:, screen:screen + 1]
-        _rank_roots(ranked, p, largest, weights, screened)
-        unsolved = np.isinf(ranked.min(axis=1, initial=np.inf))
-        if unsolved.any():
-            _rank_roots(ranked, p, largest, weights, ~screened & unsolved[:, None])
+        # largest at each root found and inf elsewhere
+        ranked = np.where(_converged(p, _p_of_r_residuals(p, R), largest), largest, np.inf)
         # the smallest largest coefficient, the first of equals
         best = np.argmin(ranked, axis=1)
         rows = np.arange(n)

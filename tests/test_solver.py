@@ -182,13 +182,6 @@ def test_batched_solve_is_the_scalar_solve_row_by_row():
     _assert_rows_match_the_scalar_solve(SWEEP_WEIGHTS)
 
 
-def test_screened_solve_picks_the_root_of_the_full_check(monkeypatch):
-    screened = solver._solve_p_of_r_many(SWEEP_WEIGHTS)
-    monkeypatch.setattr(solver, "P_OF_R_SCREEN", 4 * solver.P_OF_R_GAUGES.size)
-    full = solver._solve_p_of_r_many(SWEEP_WEIGHTS)
-    assert all(np.array_equal(a, b) for a, b in zip(screened, full))
-
-
 def test_batched_solve_reads_the_gauges_at_call_time(monkeypatch):
     # the closed-form gauge alone, as in test_p_of_r_without_a_root_raises
     monkeypatch.setattr(solver, "P_OF_R_GAUGES", np.array([1.0]))

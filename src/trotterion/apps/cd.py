@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .. import solver
-from ..bases import SIX_GATE_TAGS, f_r
+from ..bases import SIX_GATE_TAGS, f_r_params
 from ..errors import DomainError, InvalidInputError
 from ..formula import EVALUATION_BYTES, GeneratorPair, ProductFormula, _grouped_product
 from ..matcore import eigh
@@ -32,14 +32,14 @@ COUPLING = np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Z, SIGMA_Z)
 GAP_TOL = 1e-10
 
 # The comparison protocol: a first-order splitting of one slice into three
-# (A, 1/3)(B, 1/3) pairs, the corrected step's exponential budget.
-TROTTER_STEP = ProductFormula((("A", 1.0 / 3.0), ("B", 1.0 / 3.0)) * 3)
+# (A, 1/3)(B, 1/3) pairs, on the corrected step's tags and so its budget.
+TROTTER_STEP = ProductFormula(tuple((tag, 1.0 / 3.0) for tag in SIX_GATE_TAGS))
 EXPONENTIALS_PER_STEP = len(TROTTER_STEP)
 
-# Most slices of one ramp: a slice costs about 0.1 ms (0.33 ms with the
-# exact coefficients) on a 2-vCPU host and adds one CDPoint of about 200
-# bytes, so a ramp at the cap runs for 10 to 35 seconds and holds 20 MB of
-# points, 5x the longest tested ramp (N = 20 000).
+# Most slices of one ramp: a slice costs about 0.05 ms (0.32 ms with the
+# exact coefficients; best of 3 ramps of N = 20 000 on a 2-vCPU Xeon) and
+# adds one CDPoint of about 200 bytes, so a ramp at the cap runs for 5 to
+# 32 seconds and holds 20 MB of points, 5x the longest tested ramp.
 MAX_SLICES = 100_000
 
 
@@ -139,19 +139,6 @@ def _ground_states(cfg: CDConfig, field: np.ndarray) -> tuple[np.ndarray, np.nda
     return vecs[:, :, 0], vals[:, 1] - vals[:, 0] < GAP_TOL
 
 
-def _tag_positions(tags: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
-    """Each tag of a step sequence with its step positions, ascending."""
-    return [(tag, np.array([j for j, g in enumerate(tags) if g == tag]))
-            for tag in dict.fromkeys(tags)]
-
-
-def _slice_products(gens: GeneratorPair, groups, t: np.ndarray, scales: dict) -> np.ndarray:
-    """Row i's product, leftmost first, of e^{t[i, j] scales[g][i] G_g} over
-    the steps j, with groups from `_tag_positions`."""
-    return _grouped_product(gens, *t.shape,
-                            [(tag, cols, t[:, cols] * scales[tag]) for tag, cols in groups])
-
-
 def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
     """Evolve the initial ground state under both protocols in one pass.
 
@@ -166,19 +153,19 @@ def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
     from the exact solve of `solve_p_of_r` instead of the closed form.
 
     The slices run in chunks. One GeneratorPair of FIELD and COUPLING
-    serves the whole ramp, each factor's exponent carrying its slice's
-    scale; a chunk takes its weights, coefficients, step products and
-    ground states as array passes, and only the state updates run slice
+    serves the whole ramp. A chunk stacks its Trotter rows over its
+    corrected rows in one table of exponents on SIX_GATE_TAGS (coefficient
+    times dt times the slice's field strength on A-steps or J on B-steps)
+    for one `_grouped_product` call; only the two state updates run slice
     by slice. A failing ramp raises what the first failing slice raises.
     """
     dt = cfg.tau / cfg.n_steps
     gens = GeneratorPair(-1j * FIELD, -1j * COUPLING)
-    cd_groups = _tag_positions(SIX_GATE_TAGS)
-    trotter_groups = _tag_positions(tuple(tag for tag, _ in TROTTER_STEP.steps))
+    on_a = np.array(SIX_GATE_TAGS) == "A"
     trotter_t = dt * np.array([coeff for _, coeff in TROTTER_STEP.steps])
     chunk = _slices_per_chunk()
     gs, degenerate = _ground_states(cfg, np.array([cfg.hz * (schedule(0.0, cfg.tau) - 1.0)]))
-    psi_tr = psi_cd = gs[0]
+    psi = np.stack([gs[0], gs[0]])  # the Trotter state and the corrected one
     prev = (1.0, 1.0, bool(degenerate[0]))
     points = []
     for start in range(0, cfg.n_steps, chunk):
@@ -196,16 +183,15 @@ def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
             weights = np.array([beta / dt for beta in betas])
             if exact_coefficients:  # each slice's own smallest root
                 coeffs = solver._solve_p_of_r_many(weights)[0]
-            else:  # f_r refuses the infinite coefficients of an overflowing R
+            else:  # f_r_params refuses an R that overflowed
                 with quiet_small_r():
-                    coeffs = np.array([[c for _, c in f_r(R).steps] for R in weights.tolist()])
-            scales = {"A": field[:n, None], "B": cfg.J}
-            u_cd = _slice_products(gens, cd_groups, coeffs * dt, scales)
-            u_tr = _slice_products(gens, trotter_groups, np.tile(trotter_t, (n, 1)), scales)
+                    coeffs = np.array([f_r_params(R).as_tuple() for R in weights.tolist()])
+            exponents = np.concatenate([np.tile(trotter_t, (n, 1)), coeffs * dt])
+            exponents *= np.where(on_a, np.tile(field[:n], 2)[:, None], cfg.J)
+            u = _grouped_product(gens, SIX_GATE_TAGS, exponents).reshape(2, n, 4, 4)
             states = np.empty((2, n, 4), dtype=complex)
             for i in range(n):
-                states[0, i] = psi_tr = u_tr[i] @ psi_tr
-                states[1, i] = psi_cd = u_cd[i] @ psi_cd
+                states[:, i] = psi = (u[:, i] @ psi[:, :, None])[:, :, 0]
             gs, degenerate = _ground_states(cfg, field[1:])
             fid_tr, fid_cd = (np.abs(np.sum(gs.conj() * states, axis=-1)) ** 2).tolist()
             after = list(zip(fid_tr, fid_cd, degenerate.tolist()))

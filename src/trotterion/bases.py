@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, InvalidInputError
 from .formula import ProductFormula
 
 GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
@@ -104,6 +104,8 @@ def f_r_params(R: float) -> SixGateParams:
     R = float(R)
     if R <= -0.5:
         raise DomainError("R must exceed -1/2 for the closed-form coefficients")
+    if not math.isfinite(R):
+        raise InvalidInputError("step coefficients must be finite")
     if R < R_ACCURACY_FLOOR:
         warnings.warn(
             "closed-form sum+commutator coefficients requested below the "

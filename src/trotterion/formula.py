@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -115,11 +114,12 @@ class WordSums:
     baba: float
 
 
-# Most bytes of factor matrices one evaluation holds at once (8 MiB). A
-# factor takes three d x d complex slots: its place in the block's stack and
-# the two working arrays of the exponential that fills it. Blocks are sized
-# to fit: 42 factors at 64 modes and one from 296 modes up. Beyond 418
-# modes that one factor's three slots exceed the cap.
+# Most bytes of factor matrices one `_grouped_product` call holds at once
+# (8 MiB). A factor takes three d x d complex slots: its place in the
+# block's stack and the two working arrays of the exponential that fills
+# it. Blocks are sized to fit over all rows: for one row, 42 factors at 64
+# modes and one from 296 modes up. Beyond 418 modes that one factor's three
+# slots exceed the cap.
 EVALUATION_BYTES = 1 << 23
 
 
@@ -137,19 +137,48 @@ def _pairwise_product(stack: np.ndarray) -> np.ndarray:
     return stack[..., 0, :, :]
 
 
-def _grouped_product(gens: GeneratorPair, rows: int, steps: int, groups) -> np.ndarray:
-    """Each row's product, first step leftmost, of `steps` exponentials:
-    groups holds, for each tag g, its step positions and a (rows, len)
-    array (or a 1-D one for one row) of their exponents t, for the factors
-    e^{t G_g}. One exponential call per tag fills a (rows, steps) stack
-    of factors for `_pairwise_product`. `ProductFormula.evaluate` calls it
-    on one row, and `apps.cd.cd_run` on a chunk of ramp slices.
+@functools.lru_cache
+def _blocks(tags: tuple[str, ...], block: int) -> tuple:
+    """The steps cut into blocks of `block` (the last may be shorter): for
+    each, its first step, and each tag in it with its positions within the
+    block, as a read-only array. Cached, since a run evaluates few distinct
+    tag sequences, so an evaluation does no per-step Python work."""
+    out = []
+    for start in range(0, len(tags), block):
+        part = tags[start:start + block]
+        groups = []
+        for tag in dict.fromkeys(part):
+            cols = np.array([j for j, g in enumerate(part) if g == tag])
+            cols.flags.writeable = False
+            groups.append((tag, cols))
+        out.append((start, tuple(groups)))
+    return tuple(out)
+
+
+def _grouped_product(gens: GeneratorPair, tags: Sequence[str], t: np.ndarray) -> np.ndarray:
+    """Each row's product, first step leftmost, of the exponentials
+    e^{t[i, j] G_g} over the steps j with tags[j] = g, for a (rows, steps)
+    table t of exponents.
+
+    The one home of product-of-exponential evaluation: `ProductFormula.
+    evaluate` calls it on one row, and `apps.cd.cd_run` on both protocols
+    of a chunk of ramp slices. The steps are taken in blocks whose factors,
+    over all rows, fit EVALUATION_BYTES. A block's factors come from one
+    exponential call per tag into a stack, whose pairwise product is
+    folded into the running product.
     """
+    rows, n = t.shape
     d = gens.dim
-    stack = np.empty((rows, steps, d, d), dtype=complex)
-    for tag, positions, t in groups:
-        stack[:, positions] = gens.exp(tag, t.ravel()).reshape(rows, len(positions), d, d)
-    return _pairwise_product(stack)
+    block = min(n, max(1, EVALUATION_BYTES // (3 * 16 * d * d * rows)))
+    out = None
+    for start, groups in _blocks(tuple(tags), block):
+        part = t[:, start:start + block]
+        stack = np.empty(part.shape + (d, d), dtype=complex)
+        for tag, cols in groups:
+            stack[:, cols] = gens.exp(tag, part[:, cols].ravel()).reshape(rows, len(cols), d, d)
+        product = _pairwise_product(stack)
+        out = product if out is None else out @ product
+    return out
 
 
 @dataclass(frozen=True)
@@ -186,59 +215,34 @@ class ProductFormula:
         return len(self.steps)
 
     @functools.cached_property
-    def _by_tag(self) -> tuple[float, tuple[tuple[str, np.ndarray, np.ndarray], ...]]:
-        """The largest |coefficient|, and (tag, step positions, coefficients)
-        for each tag present, positions ascending. Built on the first
-        evaluation, since most formulas the recursion makes are never
-        evaluated."""
-        groups: dict[str, tuple[list[int], list[float]]] = {}
-        for i, (tag, coeff) in enumerate(self.steps):
-            positions, coeffs = groups.setdefault(tag, ([], []))
-            positions.append(i)
-            coeffs.append(coeff)
+    def _by_tag(self) -> tuple[tuple[str, ...], np.ndarray, float]:
+        """The step tags, the coefficients as a (1, steps) array, and the
+        largest |coefficient|. Built on the first evaluation, since most
+        formulas the recursion makes are never evaluated."""
         largest = max([abs(coeff) for _, coeff in self.steps], default=0.0)
-        return largest, tuple((tag, np.array(positions, dtype=np.intp), np.array(coeffs))
-                              for tag, (positions, coeffs) in groups.items())
+        return (tuple(tag for tag, _ in self.steps),
+                np.array([[coeff for _, coeff in self.steps]]), largest)
 
     def evaluate(self, gens: GeneratorPair, x: float) -> np.ndarray:
-        """Multiply out the steps at argument x, first step leftmost.
-
-        The steps are taken in blocks that fit EVALUATION_BYTES. A block's
-        factors come from one exponential call per tag into a stack, whose
-        pairwise product is folded into the running product. A product
-        that overflows is refused; only a generator that is not
-        anti-Hermitian can overflow, since the others give unitary factors.
+        """Multiply out the steps at argument x, first step leftmost, with
+        `_grouped_product`. A product that overflows is refused; only a
+        generator that is not anti-Hermitian can overflow, since the others
+        give unitary factors.
         """
         x = float(x)
         if not math.isfinite(x):
             raise InvalidInputError("argument x must be finite")
         if not self.steps:
             return np.eye(gens.dim, dtype=complex)
-        largest, groups = self._by_tag
+        tags, coeffs, largest = self._by_tag
         if not math.isfinite(largest * x):  # so no coeffs * x below overflows
             raise InvalidInputError("exponent contains non-finite entries")
-        if all(tag in gens._spectra for tag, _, _ in groups):
-            return self._multiply(gens, x, groups)
+        if len(gens._spectra) == 2 + (gens.c is not None):  # every generator anti-Hermitian
+            return _grouped_product(gens, tags, coeffs * x)[0]
         with np.errstate(all="ignore"):
-            out = self._multiply(gens, x, groups)
+            out = _grouped_product(gens, tags, coeffs * x)[0]
         if not np.isfinite(out).all():
             raise InvalidInputError("product of exponentials overflows")
-        return out
-
-    def _multiply(self, gens: GeneratorPair, x: float, groups) -> np.ndarray:
-        d = gens.dim
-        n = len(self.steps)
-        block = max(1, EVALUATION_BYTES // (3 * 16 * d * d))
-        out = None
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            block_groups = []
-            for tag, positions, coeffs in groups:
-                lo, hi = bisect_left(positions, start), bisect_left(positions, stop)
-                if lo < hi:
-                    block_groups.append((tag, positions[lo:hi] - start, coeffs[lo:hi] * x))
-            product = _grouped_product(gens, 1, stop - start, block_groups)[0]
-            out = product if out is None else out @ product
         return out
 
     def inverse(self) -> "ProductFormula":

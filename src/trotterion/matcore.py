@@ -10,7 +10,8 @@ later t. `expm` takes that route for any anti-Hermitian input and
 scipy's Pade scaling-and-squaring for any other; `is_hermitian` is the
 one tolerance rule for that choice and for what `eigh` accepts. The
 spectral norm comes from a full SVD, and matrix logarithms from inverse
-scaling-and-squaring with an explicit domain check.
+scaling-and-squaring with an explicit domain check. scipy is imported only
+by the Pade route and the logarithm's square roots, on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, InvalidInputError, SolverError
 
@@ -112,6 +112,7 @@ def expm(m) -> np.ndarray:
     h = -1j * mat
     if is_hermitian(h):
         return SkewSpectrum(h).exp(1.0)
+    import scipy.linalg
     with np.errstate(all="ignore"):
         out = scipy.linalg.expm(mat)
     if not np.isfinite(out).all():
@@ -147,6 +148,7 @@ def logm_near_identity(u) -> np.ndarray:
         raise DomainError("matrix is too far from the identity for a principal log")
     pulls = 0
     while spectral_norm(mat - eye) > 0.25:
+        import scipy.linalg
         mat = np.asarray(scipy.linalg.sqrtm(mat), dtype=complex)
         pulls += 1
         if pulls > _SQRT_MAX_PULLS:

@@ -103,6 +103,8 @@ def test_trotter_step_matches_scipy_splitting():
     pair = scipy.linalg.expm(-1j * h_a * (dt / 3.0)) @ scipy.linalg.expm(-1j * h_b * (dt / 3.0))
     got = TROTTER_STEP.evaluate(GeneratorPair(-1j * h_a, -1j * h_b), dt)
     assert spectral_norm(got - pair @ pair @ pair) <= 1e-12
+    # built on the corrected step's tags, it is still three (A, 1/3)(B, 1/3) pairs
+    assert TROTTER_STEP.steps == (("A", 1.0 / 3.0), ("B", 1.0 / 3.0)) * 3
 
 
 def test_cd_run_fidelity_properties():

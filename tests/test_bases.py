@@ -10,7 +10,7 @@ import scipy.linalg
 from trotterion import (AccuracyWarning, GeneratorPair, SixGateParams, f_r, reparam, s2, s3,
                         word_sums)
 from trotterion.bases import f_r_params, f_r_with_c
-from trotterion.errors import DomainError
+from trotterion.errors import DomainError, InvalidInputError
 
 from conftest import PAULI_PAIR
 
@@ -93,6 +93,9 @@ def test_f_r_params_domain_and_warning():
         f_r_params(-0.5)
     with pytest.raises(DomainError):
         f_r_params(-3.0)
+    for R in (math.inf, math.nan):  # an R that overflowed gives no coefficients
+        with pytest.raises(InvalidInputError, match="step coefficients must be finite"):
+            f_r_params(R)
     with pytest.warns(AccuracyWarning):
         f_r_params(2.0)
     with warnings.catch_warnings():

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import trotterion
 from trotterion import SixGateParams, reparam
 from trotterion.apps import CDConfig, cd_beta
 from trotterion.apps.cd import MAX_SLICES
@@ -328,13 +331,25 @@ def test_one_process_matches_a_process_per_command(tmp_path, capsys):
         assert (same / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # scipy.optimize adds about 0.2 s to every CLI start
-    proc = subprocess.run([sys.executable, "-c", "import sys, trotterion.cli; "
-                           "print('scipy.optimize' in sys.modules)"],
-                          capture_output=True, text=True, timeout=60)
+def test_cli_import_leaves_scipy_optimize_out(tmp_path):
+    # scipy.optimize adds about 0.2 s to every CLI start, and scipy.linalg
+    # about 0.3 s; it serves only matcore's Pade and square-root fallbacks,
+    # which none of the README's commands reaches
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    commands = [line.removeprefix("trotterion ") for line in readme.read_text().splitlines()
+                if line.startswith("trotterion ")]
+    script = ("import contextlib, io, sys, trotterion.cli\n"
+              "print('scipy.optimize' in sys.modules)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes = [trotterion.cli.main(line.split()) for line in sys.argv[1:]]\n"
+              "print(codes, 'scipy.linalg' in sys.modules)\n")
+    src = pathlib.Path(trotterion.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script, *commands], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert len(commands) == 10
+    assert proc.stdout.split("\n")[:2] == ["False", f"{[0] * len(commands)} False"]
 
 
 def test_km_negative_coupling_runs(capsys):

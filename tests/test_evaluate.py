@@ -100,6 +100,18 @@ def test_block_boundaries(monkeypatch, factors):
     gens = chain_pair(4)
     monkeypatch.setattr(formula, "EVALUATION_BYTES", factors * 3 * 16 * gens.dim**2)
     assert_matches_reference(apply_scheme("g10", s3()), gens)
+    # the kernel on a three-row table, whose blocks then hold a third of the
+    # factors a row (at least one) over A, B and C steps
+    rng = np.random.default_rng(factors)
+    c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    gens = GeneratorPair(gens.a, gens.b, (c - c.conj().T) / 2.0)
+    tags = ("A", "B", "A", "C", "B") * 11
+    t = rng.normal(size=(3, len(tags)))
+    got = formula._grouped_product(gens, tags, t)
+    assert got.shape == (3, 4, 4)
+    for row, product in zip(t, got):
+        want = reference(ProductFormula(tuple(zip(tags, row))), gens, 1.0)
+        assert np.linalg.norm(product - want, 2) <= TOL
 
 
 def test_spectral_exp_of_a_vector_stacks_the_scalar_exps():

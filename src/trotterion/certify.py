@@ -7,6 +7,7 @@ terms of log(f(x)), read from the formula's word series.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -14,9 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import matcore
+from . import formula, matcore
 from .errors import BudgetExceededError, DegenerateScanError, InvalidInputError
-from .formula import GeneratorPair, ProductFormula, concat, word_series
+from .formula import GeneratorPair, ProductFormula, merged_steps, word_series
 
 NOISE_FLOOR = 1e-14
 DEFAULT_XS = tuple(np.logspace(-2.0, -1.0, 20).tolist())
@@ -60,20 +61,34 @@ def fit_loglog(rows: Sequence[tuple[float, float]],
     return float(slope), float(intercept)
 
 
-def commutator_target(gens: GeneratorPair) -> Callable[[float], np.ndarray]:
+def _exp_at(x, exponent: Callable) -> np.ndarray:
+    """matcore.expm(exponent(x)) for a scalar x, or for a 1-D array of k
+    values as one (k, d, d) stack, x taking two trailing unit axes."""
+    x = np.asarray(x, dtype=float)[..., None, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # expm refuses inf and NaN
+        return matcore.expm(exponent(x))
+
+
+def commutator_target(gens: GeneratorPair) -> Callable:
+    """x -> exp(x^2 [A,B]), for a scalar x or a 1-D array (`_exp_at`)."""
     comm = matcore.commutator(gens.a, gens.b)
-    return lambda x: matcore.expm((x * x) * comm)
+    return lambda x: _exp_at(x, lambda x: (x * x) * comm)
 
 
-def sum_commutator_target(gens: GeneratorPair, R: float) -> Callable[[float], np.ndarray]:
+def sum_commutator_target(gens: GeneratorPair, R: float) -> Callable:
+    """x -> exp(x (A + B) + R x^2 [A,B]), for a scalar x or a 1-D array
+    (`_exp_at`). A non-finite R is refused before any arithmetic."""
+    if not math.isfinite(R):
+        raise InvalidInputError("commutator weight R must be finite")
     comm = matcore.commutator(gens.a, gens.b)
     base = gens.a + gens.b
-    return lambda x: matcore.expm(x * base + (R * x * x) * comm)
+    return lambda x: _exp_at(x, lambda x: x * base + (R * x * x) * comm)
 
 
 def _resolve_target(gens: GeneratorPair, target, R: float | None):
+    """The target as a function of a 1-D array of x, and its name."""
     if callable(target):
-        return target, "custom"
+        return lambda xs: np.array([target(float(x)) for x in xs]), "custom"
     if target == "commutator":
         return commutator_target(gens), "commutator"
     if target == "sum-commutator":
@@ -83,12 +98,22 @@ def _resolve_target(gens: GeneratorPair, target, R: float | None):
     raise InvalidInputError(f"unknown scan target {target!r}")
 
 
-def _scan(grid: list, error_of: Callable, window: tuple[float, float] | None,
-          target: str) -> ScanResult:
-    """Rows (x, error_of(x)) over a grid, evaluated in grid order, and their fit.
+def _points_per_chunk(d: int) -> int:
+    """Points of a stacked pass that fit formula.EVALUATION_BYTES: a point
+    holds up to about 16 d x d complex slots at once, over its product, its
+    target's exponential and the SVD of their difference."""
+    return max(1, formula.EVALUATION_BYTES // (16 * 16 * d * d))
+
+
+def _scan(grid: list, errors_of: Callable, window: tuple[float, float] | None,
+          target: str, floor: float = 0.0) -> ScanResult:
+    """Rows (x, error) over a grid, with errors_of(grid) the errors in grid
+    order, and their fit.
 
     The grid must be strictly increasing and positive. The log-log fit
-    runs over `window` when given, otherwise over the whole grid.
+    runs over `window` when given, otherwise over the whole grid, and
+    leaves out rows with error <= floor. DegenerateScanError is raised when
+    that floor leaves fewer than two rows to fit where there were two.
     """
     if not grid or any(not x > 0 for x in grid):
         raise InvalidInputError("scan grid must contain positive values")
@@ -96,8 +121,11 @@ def _scan(grid: list, error_of: Callable, window: tuple[float, float] | None,
         raise InvalidInputError("scan grid must be strictly increasing")
     if window is None and len(grid) > 1:
         window = (float(grid[0]), float(grid[-1]))
-    rows = tuple((float(x), error_of(x)) for x in grid)
-    slope, intercept = fit_loglog(rows, window)
+    rows = tuple(zip(map(float, grid), errors_of(grid)))
+    # a negative or non-finite error stays in, for fit_loglog to refuse
+    slope, intercept = fit_loglog([(x, e) for x, e in rows if not 0.0 <= e <= floor], window)
+    if slope is None and floor > 0.0 and fit_loglog(rows, window)[0] is not None:
+        raise DegenerateScanError("scan errors sit at the rounding floor; no order signal")
     return ScanResult(rows=rows, fit_window=window, slope=slope,
                       intercept=intercept, target=target)
 
@@ -108,16 +136,29 @@ def error_scan(f: ProductFormula, gens: GeneratorPair,
                window: tuple[float, float] | None = None) -> ScanResult:
     """Spectral-norm error ||f(x) - T(x)||_2 over a grid of x.
 
-    The grid must be strictly increasing and positive. The log-log fit
-    runs over `window` when given, otherwise over every row.
+    The grid must be strictly increasing and positive. The points run in
+    chunks that fit formula.EVALUATION_BYTES: a chunk takes its targets in
+    one exponential call, one evaluation per point and its errors in one
+    norm call. The log-log fit runs over `window` when given, otherwise
+    over every row. A row with error <= len(f) * eps, the rounding of the
+    evaluation, stays in the rows but out of the fit; DegenerateScanError
+    is raised when that leaves fewer than two rows to fit.
     """
     grid = list(DEFAULT_XS) if xs is None else [float(x) for x in xs]
     target_fn, target_name = _resolve_target(gens, target, R)
+    chunk = _points_per_chunk(gens.dim)
 
-    def one_point(x: float) -> float:
-        return matcore.spectral_norm(f.evaluate(gens, x) - target_fn(x))
+    def errors_of(points: list) -> list:
+        errors = []
+        for start in range(0, len(points), chunk):
+            part = points[start:start + chunk]
+            diff = target_fn(np.array(part))
+            for k, x in enumerate(part):
+                np.subtract(f.evaluate(gens, x), diff[k], out=diff[k])
+            errors += matcore.spectral_norm(diff).tolist()
+        return errors
 
-    return _scan(grid, one_point, window, target_name)
+    return _scan(grid, errors_of, window, target_name, len(f) * np.finfo(float).eps)
 
 
 def step_count_scan(error_of: Callable[[int], float],
@@ -133,43 +174,155 @@ def step_count_scan(error_of: Callable[[int], float],
     grid = [int(n) for n in (DEFAULT_STEP_GRID if ns is None else ns)]
     if any(n > sys.float_info.max for n in grid):
         raise InvalidInputError("step counts must lie within the float range")
-    result = _scan(grid, error_of, None, "custom")
+    result = _scan(grid, lambda grid: [error_of(n) for n in grid], None, "custom")
     if all(err < n * NOISE_FLOOR for n, err in result.rows):
         raise DegenerateScanError("scan errors sit at the noise floor; no order signal")
     return result
+
+
+def _matrix_powers(a: np.ndarray, ns: list) -> np.ndarray:
+    """a[i]^ns[i] for each matrix of a stack, ns[i] >= 1, by the products
+    np.linalg.matrix_power makes for that power alone: (a a) a for 3, and
+    otherwise the squares a^(2^j) multiplied into the result from the
+    lowest set bit of the power up. Rows run in increasing power, so the
+    rows that still need a^(2^j) are a tail of the stack, squared in one
+    stacked product per j."""
+    order = sorted(range(len(ns)), key=ns.__getitem__)
+    ns = [ns[i] for i in order]
+    z = a[order]
+    out = z.copy()  # the powers whose lowest set bit is 2^0 start at a
+    for j in range(1, ns[-1].bit_length()):
+        start = bisect.bisect_left(ns, 1 << j)
+        z[start:] = z[start:] @ z[start:]
+        tail = [i for i in range(start, len(ns)) if ns[i] >> j & 1]
+        first = [i for i in tail if not ns[i] % (1 << j)]
+        three = [i for i in tail if ns[i] == 3]  # (a a) a, where the bits give a (a a)
+        more = [i for i in tail if ns[i] % (1 << j) and ns[i] != 3]
+        if first:
+            out[first] = z[first]
+        if three:
+            out[three] = z[three] @ out[three]
+        if more:
+            out[more] = out[more] @ z[more]
+    result = np.empty_like(out)
+    result[order] = out
+    return result
+
+
+def _repeat_errors(f: ProductFormula, gens: GeneratorPair, x: float,
+                   target: np.ndarray, rs: list) -> list[float]:
+    """||f(x / sqrt(r))^r - target||_2 for each r of rs, inf where it is
+    not finite.
+
+    The r run in chunks that fit formula.EVALUATION_BYTES: one evaluation
+    call, one `_matrix_powers` and one norm call per chunk. A chunk whose
+    evaluation is refused reads inf throughout.
+    """
+    size = _points_per_chunk(gens.dim)
+    out = []
+    for first in range(0, len(rs), size):
+        part = rs[first:first + size]
+        errors = np.full(len(part), math.inf)
+        try:
+            steps = f.evaluate(gens, np.array([x / math.sqrt(r) for r in part]))
+        except InvalidInputError:
+            out += errors.tolist()
+            continue
+        with np.errstate(all="ignore"):  # a power that overflows reads inf
+            diff = _matrix_powers(steps, part) - target
+        finite = np.isfinite(diff).all(axis=(1, 2))
+        if finite.any():
+            errors[finite] = matcore.spectral_norm(diff[finite])
+        out += errors.tolist()
+    return out
+
+
+def _doubling_search(passes: Callable[[int], bool], cap: int) -> int | None:
+    """The first passing r as the accuracy search finds it: doubling
+    r = 1, 2, 4, ... <= cap up to a passing r, then bisection between it
+    and the rung before. None when no rung passes."""
+    r = 1
+    while not passes(r):
+        r *= 2
+        if r > cap:
+            return None
+    lo, hi = max(1, r // 2), r
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _crossing_guess(known: dict, eps: float, cap: int) -> float:
+    """Where the error meets eps on the log-log line through two known
+    errors: the last failing r before the first passing one and that one,
+    or the last two r while none passes; 4 with fewer than two, and twice
+    the last r where the error does not fall."""
+    rows = sorted((r, e) for r, e in known.items() if 0.0 < e < math.inf)
+    passing = [i for i, (_, e) in enumerate(rows) if e <= eps]
+    pair = rows[max(0, passing[0] - 1):passing[0] + 1] if passing else rows[-2:]
+    if len(pair) < 2:
+        return 4.0
+    (a, e_a), (b, e_b) = pair
+    slope = (math.log(e_b) - math.log(e_a)) / (math.log(b) - math.log(a))
+    if not slope < 0.0:
+        return 2.0 * b
+    reach = math.log(b) + (math.log(eps) - math.log(e_b)) / slope
+    return math.exp(min(reach, math.log(max(cap, 1)) + 1.0))
 
 
 def gates_to_accuracy(f: ProductFormula, gens: GeneratorPair, x: float,
                       eps: float, cap: int = 10**6) -> tuple[int, int]:
     """Smallest repetition count r with the repeated formula within eps.
 
-    The error of r sqrt-scaled copies against exp(x^2 [A,B]) is probed by
-    doubling r until it passes, then binary search for the first passing
-    r. Returns (r, gate count of the simplified repeated formula).
+    The error of r sqrt-scaled copies against exp(x^2 [A,B]) is that of
+    the r-th power of one copy. r is found by doubling r up to a passing
+    count, then bisection between it and the count before
+    (`_doubling_search`). The search reads its errors from batches
+    (`_repeat_errors`): where it needs one it lacks, it takes in one batch
+    every r it would probe from there if the errors lay on the log-log
+    line through the known errors nearest eps (`_crossing_guess`). The
+    search thus probes what it would probe one r at a time, even where
+    rounding makes the error non-monotone near eps; where a batch's
+    evaluation runs in one block, as for 2x2 generators, its errors are
+    those of one r at a time bit for bit. Returns (r, gate count of the
+    simplified repeated formula).
     """
     if not eps > 0.0:
         raise InvalidInputError("accuracy eps must be positive")
     target = commutator_target(gens)(x)
+    known: dict[int, float] = {}
 
     def err(r: int) -> float:
-        # the r copies are identical matrices, so the repeated product is
-        # a matrix power; this keeps large-r probes cheap
+        # one r alone, for an error a batch could not give as a number
         step = f.evaluate(gens, x / math.sqrt(r))
-        return matcore.spectral_norm(np.linalg.matrix_power(step, r) - target)
+        with np.errstate(all="ignore"):  # spectral_norm refuses inf and NaN
+            power = np.linalg.matrix_power(step, r)
+        return matcore.spectral_norm(power - target)
 
-    r = 1
-    while err(r) > eps:
-        r *= 2
-        if r > cap:
-            raise BudgetExceededError(f"no repetition count up to {cap} reaches eps={eps}")
-    lo, hi = max(1, r // 2), r
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if err(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo, _repeat_gate_count(f, lo)
+    def passes(r: int) -> bool:
+        if r not in known:
+            guess = _crossing_guess(known, eps, cap)
+            path: dict[int, bool] = {}
+
+            def model(m: int) -> bool:
+                if m in known:
+                    return known[m] <= eps
+                return path.setdefault(m, m >= guess)
+
+            _doubling_search(model, cap)
+            known.update(zip(path, _repeat_errors(f, gens, x, target, list(path))))
+        if not math.isfinite(known[r]):
+            known[r] = err(r)
+        return known[r] <= eps
+
+    r = _doubling_search(passes, cap)
+    if r is None:
+        raise BudgetExceededError(f"no repetition count up to {cap} reaches eps={eps}")
+    return r, _repeat_gate_count(f, r)
 
 
 def _repeat_gate_count(f: ProductFormula, r: int) -> int:
@@ -180,8 +333,9 @@ def _repeat_gate_count(f: ProductFormula, r: int) -> int:
     head. A simplified word is never its own inverse, so no cascade spans
     a copy and each of the r - 1 junctions drops the same number of gates.
     """
-    copy = f.scale_argument(1.0 / math.sqrt(r)).simplify()
-    drop = 2 * len(copy) - concat([copy, copy]).gate_count()
+    scale = 1.0 / math.sqrt(r)
+    copy = merged_steps([(tag, coeff * scale) for tag, coeff in f.steps])
+    drop = 2 * len(copy) - len(merged_steps(copy * 2))
     return r * len(copy) - (r - 1) * drop
 
 

@@ -223,27 +223,39 @@ class ProductFormula:
         return (tuple(tag for tag, _ in self.steps),
                 np.array([[coeff for _, coeff in self.steps]]), largest)
 
-    def evaluate(self, gens: GeneratorPair, x: float) -> np.ndarray:
+    def evaluate(self, gens: GeneratorPair, x) -> np.ndarray:
         """Multiply out the steps at argument x, first step leftmost, with
-        `_grouped_product`. A product that overflows is refused; only a
-        generator that is not anti-Hermitian can overflow, since the others
-        give unitary factors.
+        `_grouped_product`, for a scalar x or a 1-D array of k values (then
+        a (k, d, d) stack, one product per x, in blocks sized over all k).
+        A product that overflows is refused; only a generator that is not
+        anti-Hermitian can overflow, since the others give unitary factors.
         """
-        x = float(x)
-        if not math.isfinite(x):
+        vector = not isinstance(x, (int, float)) and np.ndim(x) > 0
+        if vector:
+            x = np.asarray(x, dtype=float)
+            if x.ndim > 1:
+                raise InvalidInputError("argument x must be a scalar or a 1-D array")
+            top = float(np.abs(x).max(initial=0.0))
+        else:
+            x = float(x)
+            top = abs(x)
+        if not math.isfinite(top):
             raise InvalidInputError("argument x must be finite")
-        if not self.steps:
-            return np.eye(gens.dim, dtype=complex)
+        if not self.steps or vector and not x.size:
+            return np.broadcast_to(np.eye(gens.dim, dtype=complex),
+                                   np.shape(x) + (gens.dim, gens.dim)).copy()
         tags, coeffs, largest = self._by_tag
-        if not math.isfinite(largest * x):  # so no coeffs * x below overflows
+        if not math.isfinite(largest * top):  # so no coeffs * x below overflows
             raise InvalidInputError("exponent contains non-finite entries")
+        t = coeffs * x[:, None] if vector else coeffs * x
         if len(gens._spectra) == 2 + (gens.c is not None):  # every generator anti-Hermitian
-            return _grouped_product(gens, tags, coeffs * x)[0]
-        with np.errstate(all="ignore"):
-            out = _grouped_product(gens, tags, coeffs * x)[0]
-        if not np.isfinite(out).all():
-            raise InvalidInputError("product of exponentials overflows")
-        return out
+            out = _grouped_product(gens, tags, t)
+        else:
+            with np.errstate(all="ignore"):
+                out = _grouped_product(gens, tags, t)
+            if not np.isfinite(out).all():
+                raise InvalidInputError("product of exponentials overflows")
+        return out if vector else out[0]
 
     def inverse(self) -> "ProductFormula":
         """Reverse the steps and negate every coefficient."""
@@ -259,13 +271,7 @@ class ProductFormula:
 
     def simplify(self) -> "ProductFormula":
         """Merge adjacent same-tag steps and drop coefficients below 1e-14."""
-        merged: list[tuple[str, float]] = []
-        for tag, coeff in self.steps:
-            if merged and merged[-1][0] == tag:
-                coeff = merged.pop()[1] + coeff
-            if abs(coeff) >= MERGE_TOL:
-                merged.append((tag, coeff))
-        return replace(self, steps=tuple(merged))
+        return replace(self, steps=tuple(merged_steps(self.steps)))
 
     def gate_count(self) -> int:
         """Number of elementary exponentials after simplification."""
@@ -282,6 +288,18 @@ class ProductFormula:
                 acc += coeff
                 sums.append(acc)
         return sums
+
+
+def merged_steps(steps: Sequence[tuple[str, float]]) -> list[tuple[str, float]]:
+    """The steps with adjacent same-tag steps merged and coefficients below
+    MERGE_TOL dropped, as `ProductFormula.simplify` takes them."""
+    merged: list[tuple[str, float]] = []
+    for tag, coeff in steps:
+        if merged and merged[-1][0] == tag:
+            coeff = merged.pop()[1] + coeff
+        if abs(coeff) >= MERGE_TOL:
+            merged.append((tag, coeff))
+    return merged
 
 
 def concat(formulas: Sequence[ProductFormula], label: str = "",

@@ -8,8 +8,9 @@ package, is I + V diag(e^{i t lam} - 1) V^dagger from one Hermitian
 eigensolve of -iG (`SkewSpectrum`), which a caller can keep for every
 later t. `expm` takes that route for any anti-Hermitian input and
 scipy's Pade scaling-and-squaring for any other; `is_hermitian` is the
-one tolerance rule for that choice and for what `eigh` accepts. The
-spectral norm comes from a full SVD, and matrix logarithms from inverse
+one tolerance rule for that choice and for what `eigh` accepts. `expm`,
+`spectral_norm` and `eigh` also take a (k, n, n) stack, in one call. The
+spectral norm comes from an SVD, and matrix logarithms from inverse
 scaling-and-squaring with an explicit domain check. scipy is imported only
 by the Pade route and the logarithm's square roots, on first use.
 """
@@ -72,19 +73,22 @@ class SkewSpectrum:
 
     Built from H = -iG, which must pass `is_hermitian`; the eigenvalues
     and eigenvectors of H's Hermitian part are kept for every later t.
+    H may also be a (k, n, n) stack, whose spectra then come from one
+    stacked eigensolve and serve one scalar t at a time.
     """
 
     __slots__ = ("vals", "vecs", "_vecs_h", "_eye", "_bound")
 
     def __init__(self, h: np.ndarray):
         self.vals, self.vecs = _hermitian_eigh(h)
-        self._vecs_h = np.ascontiguousarray(self.vecs.conj().T)
-        self._eye = np.eye(h.shape[0], dtype=complex)
+        self._vecs_h = np.ascontiguousarray(np.swapaxes(self.vecs.conj(), -1, -2))
+        self._eye = np.eye(h.shape[-1], dtype=complex)
         self._bound = float(np.max(np.abs(self.vals)))
 
     def exp(self, t) -> np.ndarray:
-        """e^{tG} = I + V diag(e^{i t lam} - 1) V^dagger, for a scalar t or
-        a 1-D array of k values (then a (k, d, d) stack, one e^{tG} per t).
+        """e^{tG} = I + V diag(e^{i t lam} - 1) V^dagger, for a scalar t or,
+        for one G, a 1-D array of k values (then a (k, d, d) stack, one
+        e^{tG} per t).
 
         The identity is added last, so the rounding of V enters scaled by
         ||e^{tG} - I|| as Pade's does, not in full: V diag(e^{i t lam})
@@ -96,22 +100,34 @@ class SkewSpectrum:
             raise InvalidInputError("exponent contains non-finite entries")
         phases = np.exp(1j * (t[..., None] * self.vals)) - 1.0
         scaled = self.vecs * phases[..., None, :]
-        # one (k d, d) x (d, d) product: numpy's stacked matmul against a
-        # shared right factor skips BLAS and is many times slower
-        out = (scaled.reshape(-1, scaled.shape[-1]) @ self._vecs_h).reshape(scaled.shape)
+        if self.vecs.ndim == 2:
+            # one (k d, d) x (d, d) product: numpy's stacked matmul against
+            # a shared right factor skips BLAS and is many times slower
+            out = (scaled.reshape(-1, scaled.shape[-1]) @ self._vecs_h).reshape(scaled.shape)
+        else:
+            out = scaled @ self._vecs_h
         out += self._eye
         return out
 
 
 def expm(m) -> np.ndarray:
-    """Matrix exponential e^M: spectral for anti-Hermitian M, Pade otherwise.
+    """Matrix exponential e^M, or of each matrix of a (k, n, n) stack:
+    spectral for anti-Hermitian M, Pade otherwise.
 
-    An e^M beyond the float range is refused, not returned as inf or NaN.
+    An anti-Hermitian stack takes one stacked eigensolve; a stack with any
+    other matrix takes each matrix by its own route, so every matrix gets
+    what its own call gives. An e^M beyond the float range is refused, not
+    returned as inf or NaN.
     """
-    mat = as_square_matrix(m)
+    return _expm(as_square_matrix(m, stack=np.ndim(m) == 3))
+
+
+def _expm(mat: np.ndarray) -> np.ndarray:
     h = -1j * mat
     if is_hermitian(h):
         return SkewSpectrum(h).exp(1.0)
+    if mat.ndim == 3:
+        return np.array([_expm(m) for m in mat])
     import scipy.linalg
     with np.errstate(all="ignore"):
         out = scipy.linalg.expm(mat)
@@ -120,9 +136,12 @@ def expm(m) -> np.ndarray:
     return out
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value of M."""
-    return float(np.linalg.norm(as_square_matrix(m), 2))
+def spectral_norm(m):
+    """Largest singular value of M, or a 1-D array of them for a (k, n, n)
+    stack, from one SVD call: the values `np.linalg.norm(M, 2)` gives."""
+    mat = as_square_matrix(m, stack=np.ndim(m) == 3)
+    norms = np.linalg.svd(mat, compute_uv=False)[..., 0]
+    return float(norms) if mat.ndim == 2 else norms
 
 
 def commutator(a, b) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,14 +11,16 @@ import scipy.linalg
 
 from trotterion import (AccuracyWarning, GeneratorPair, ProductFormula, commutator,
                         concat, f_r, pure_commutator_library, s2, s3, repeat)
-from trotterion import matcore
+from trotterion import formula, matcore
+from trotterion.apps import ChainConfig, chain_hoppings
 from trotterion.bases import SixGateParams, reparam
-from trotterion.certify import (DEFAULT_XS, NOISE_FLOOR, BCHCoefficients,
+from trotterion.certify import (DEFAULT_XS, NOISE_FLOOR, BCHCoefficients, _matrix_powers,
                                 _repeat_gate_count, commutator_target, error_scan,
                                 extract_bch, fit_loglog, gates_to_accuracy,
                                 step_count_scan, sum_commutator_target)
 from trotterion.errors import (BudgetExceededError, DegenerateScanError,
                                InvalidInputError)
+from trotterion.recursion import apply_scheme
 
 from conftest import PAULI_PAIR
 
@@ -57,6 +60,56 @@ def test_targets_shapes():
     want = scipy.linalg.expm(0.2 * (PAULI_PAIR.a + PAULI_PAIR.b)
                              + 2.0 * 0.04 * PAULI_COMM)
     assert np.allclose(u(0.2), want, atol=1e-13)
+
+
+def test_targets_of_a_vector_stack_the_scalar_targets():
+    xs = np.array([0.01, 0.2, 0.75])
+    for t in (commutator_target(PAULI_PAIR), sum_commutator_target(PAULI_PAIR, 2.5)):
+        stack = t(xs)
+        assert stack.shape == (3, 2, 2)
+        for k, x in enumerate(xs):
+            assert np.array_equal(stack[k], t(float(x)))
+
+
+@pytest.mark.parametrize("R", [math.inf, -math.inf, math.nan])
+def test_sum_commutator_target_refuses_non_finite_weight(R):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="R must be finite"):
+            sum_commutator_target(PAULI_PAIR, R)
+
+
+def test_error_scan_matches_one_point_at_a_time():
+    for target, R in (("commutator", None), ("sum-commutator", 6.0)):
+        want_fn = (commutator_target(PAULI_PAIR) if R is None
+                   else sum_commutator_target(PAULI_PAIR, R))
+        f = pure_commutator_library()["G5"] if R is None else f_r(R)
+        result = error_scan(f, PAULI_PAIR, target=target, R=R)
+        for x, e in result.rows:
+            assert e == matcore.spectral_norm(f.evaluate(PAULI_PAIR, x) - want_fn(x))
+    custom = error_scan(s3(), PAULI_PAIR, target=commutator_target(PAULI_PAIR))
+    assert custom.rows == error_scan(s3(), PAULI_PAIR).rows and custom.target == "custom"
+
+
+def test_error_scan_fit_leaves_out_rows_at_the_rounding_floor():
+    g5 = pure_commutator_library()["G5"]
+    twice = apply_scheme("g10", g5)
+    thrice = apply_scheme("g10", twice)
+    # the library formulas keep every row: G5's lowest error is 6.5 times
+    # its floor of 56 eps
+    for f in pure_commutator_library().values():
+        rows = error_scan(f, PAULI_PAIR).rows
+        assert min(e for _, e in rows) > len(f) * np.finfo(float).eps, f.label
+    floor = len(twice) * np.finfo(float).eps
+    result = error_scan(twice, PAULI_PAIR)
+    assert len(result.rows) == 20 and any(e <= floor for _, e in result.rows)
+    kept = [(x, e) for x, e in result.rows if e > floor]
+    assert result.slope == fit_loglog(kept, result.fit_window)[0]
+    assert result.slope == pytest.approx(8.0, abs=0.05)  # order 7, not rounding
+    with pytest.raises(DegenerateScanError):
+        error_scan(thrice, PAULI_PAIR)
+    # a one-point scan has no fit, floor or not
+    assert error_scan(thrice, PAULI_PAIR, xs=[0.01]).slope is None
 
 
 def test_error_scan_s3_slope():
@@ -196,6 +249,134 @@ def test_gates_to_accuracy_monotone_and_sufficient():
         gates_to_accuracy(f, PAULI_PAIR, 0.3, 1e-30, cap=64)
     with pytest.raises(InvalidInputError):
         gates_to_accuracy(f, PAULI_PAIR, 0.3, -1.0)
+
+
+def reference_gates(f, gens, x, eps, cap=10**6):
+    """Doubling, then bisection, one repetition count at a time."""
+    target = commutator_target(gens)(x)
+
+    def err(r):
+        step = f.evaluate(gens, x / math.sqrt(r))
+        with np.errstate(all="ignore"):
+            power = np.linalg.matrix_power(step, r)
+        return matcore.spectral_norm(power - target)
+
+    r = 1
+    while err(r) > eps:
+        r *= 2
+        if r > cap:
+            raise BudgetExceededError(f"no repetition count up to {cap} reaches eps={eps}")
+    lo, hi = max(1, r // 2), r
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if err(mid) <= eps:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, _repeat_gate_count(f, lo)
+
+
+def outcome(search, *args, **kwargs):
+    """What a search returns, or the type and message of what it raises."""
+    try:
+        return search(*args, **kwargs)
+    except (BudgetExceededError, InvalidInputError) as exc:
+        return type(exc), str(exc)
+
+
+def test_gates_search_matches_doubling_and_bisection():
+    # near eps = 1e-10 and at large r, rounding makes the error
+    # non-monotone in r, so only the same bisection path gives the same r
+    formulas = list(pure_commutator_library().values())
+    formulas.append(apply_scheme("q4", apply_scheme("q4", s3())))
+    found = 0
+    for f in formulas:
+        for x in np.arange(1, 11) * 0.05:
+            for eps in (1e-4, 1e-6, 1e-8, 1e-10):
+                want = outcome(reference_gates, f, PAULI_PAIR, x, eps)
+                assert outcome(gates_to_accuracy, f, PAULI_PAIR, x, eps) == want, (f.label, x, eps)
+                found += isinstance(want[0], int)
+    assert found > 250
+
+
+def test_matrix_powers_are_matrix_power_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for dim in (2, 3):
+        g = rng.normal(size=(40, dim, dim)) + 1j * rng.normal(size=(40, dim, dim))
+        steps = matcore.expm(0.3 * (g - np.swapaxes(g.conj(), -1, -2)))
+        ns = [1, 2, 3, 4, 5, 6, 7, 3] + [int(n) for n in rng.integers(1, 5000, size=32)]
+        powers = _matrix_powers(steps, ns)
+        for step, n, power in zip(steps, ns, powers):
+            assert np.array_equal(power, np.linalg.matrix_power(step, n)), (dim, n)
+
+
+def test_gates_search_at_small_caps():
+    f = pure_commutator_library()["G5"]
+    r, _ = gates_to_accuracy(f, PAULI_PAIR, 0.3, 1e-8)
+    assert 64 < r <= 128
+    # the rungs run up to 64 below a cap of 128, and r lies past rung 64
+    for cap in (-1, 0, 1, 16, 127):
+        with pytest.raises(BudgetExceededError):
+            gates_to_accuracy(f, PAULI_PAIR, 0.3, 1e-8, cap=cap)
+    assert gates_to_accuracy(f, PAULI_PAIR, 0.3, 1e-8, cap=128) == (r, _repeat_gate_count(f, r))
+    assert gates_to_accuracy(f, PAULI_PAIR, 0.1, 1e-3, cap=0)[0] == 1
+
+
+@pytest.mark.parametrize("eps", [1e30, 1e-3])
+def test_gates_search_with_overflowing_later_rungs(eps):
+    # e^{x sqrt(r) A} grows without bound in r: from r = 256 the power
+    # overflows. At eps = 1e30 r = 1 passes and no later rung may raise; at
+    # 1e-3 every rung fails up to the overflowing one, which raises as the
+    # search one r at a time does
+    gens = GeneratorPair(50.0 * np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    f = ProductFormula((("A", 1.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(gates_to_accuracy, f, gens, 1.0, eps)
+    assert got == outcome(reference_gates, f, gens, 1.0, eps)
+    assert got == ((1, 1) if eps > 1.0 else (InvalidInputError, "matrix contains non-finite entries"))
+
+
+def test_gates_search_retakes_a_refused_batch_one_r_at_a_time(monkeypatch):
+    evaluate = ProductFormula.evaluate
+    batches = []
+
+    def refuse_vectors(self, gens, x):
+        if np.ndim(x):
+            batches.append(len(x))
+            raise InvalidInputError("product of exponentials overflows")
+        return evaluate(self, gens, x)
+
+    f = pure_commutator_library()["W5"]
+    want = reference_gates(f, PAULI_PAIR, 0.2, 1e-8)
+    monkeypatch.setattr(ProductFormula, "evaluate", refuse_vectors)
+    assert gates_to_accuracy(f, PAULI_PAIR, 0.2, 1e-8) == want
+    assert batches
+
+
+def _chain_pair(L):
+    h0, h1 = chain_hoppings(ChainConfig(L=L, t1=1.0, t2=0.5, T=1.0))
+    return GeneratorPair(1j * h0, 1j * h1)
+
+
+def test_scan_and_ladder_memory_stay_under_the_cap():
+    # 200 points of 64 modes are 13 MB a stack; the chunks hold a few
+    # stacks of 8 points
+    gens = _chain_pair(64)
+    f = s3()
+    f.evaluate(gens, 0.1)  # builds and keeps both spectra
+    tracemalloc.start()
+    try:
+        error_scan(f, gens, xs=np.linspace(0.01, 0.5, 200))
+        _, scan_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with pytest.raises(BudgetExceededError):  # all 20 rungs of the ladder
+            gates_to_accuracy(f, gens, 0.3, 1e-300, cap=2**19)
+        _, ladder_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scan_peak < formula.EVALUATION_BYTES
+    assert ladder_peak < formula.EVALUATION_BYTES
 
 
 def test_repeat_gate_count_is_exact():

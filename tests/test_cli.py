@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 import trotterion
-from trotterion import SixGateParams, reparam
+from trotterion import SixGateParams, apply_scheme, reparam, s3
 from trotterion.apps import CDConfig, cd_beta
 from trotterion.apps.cd import MAX_SLICES
 from trotterion.apps.common import MAX_MODES
 from trotterion.cli import MAX_GRID_POINTS, _parse_grid, main
-from trotterion.formula import from_json
+from trotterion.formula import from_json, to_json
 
 
 def run_cli(capsys, *argv):
@@ -386,6 +386,9 @@ def test_cd_exact_pr_rescues_slice_beyond_first_multistart_round(capsys):
 
 
 GOOD_JSON = '{"steps": [["A", 1.0], ["B", 1.0]]}'
+# g10 applied three times to S3: every error of its default scan sits at
+# the rounding floor of its 5556 factors
+G10_CUBED_JSON = to_json(apply_scheme("g10", apply_scheme("g10", apply_scheme("g10", s3()))))
 HUGE_INT = "1" + "0" * 400  # beyond the float range
 HUGE_STEPS = "1" + "0" * 300  # within the float range, but its matrix power overflows
 HUGE_COEFF_JSON = '{"steps": [["A", %s], ["B", 1.0]]}' % HUGE_INT
@@ -498,7 +501,28 @@ BAD_INPUTS = [
                  id="cd-weight-over-time-step-overflows"),
     pytest.param({}, ["cd", "--J", "0", "--hz", "1e-152", "--tau", "1", "--N", "10",
                       "--exact-pr"], 2, id="cd-exact-weight-overflows-later"),
+    pytest.param({"f.json": GOOD_JSON}, ["scan", "--formula", "f.json", "--target",
+                                         "sum-commutator", "--R", "inf"], 2,
+                 id="scan-infinite-commutator-weight"),
+    pytest.param({"f.json": G10_CUBED_JSON}, ["scan", "--formula", "f.json"], 3,
+                 id="scan-errors-at-rounding-floor"),
+    # STEP below the spacing of doubles at LO. Made one point at a time
+    # until a point passes HI, the first two grids never end; the third
+    # repeats points
+    pytest.param({"f.json": GOOD_JSON}, ["scan", "--formula", "f.json", "--xs", "1e300:1e300:1"],
+                 2, id="scan-grid-step-below-spacing"),
+    pytest.param({"f.json": GOOD_JSON}, ["gates", "--formula", "f.json", "--eps", "1e-4",
+                                         "--xs", "1e154:1e154:1"], 2,
+                 id="gates-grid-step-below-spacing"),
+    pytest.param({"f.json": GOOD_JSON}, ["scan", "--formula", "f.json", "--xs", "1:1:1.2e-16"],
+                 2, id="scan-grid-points-do-not-increase"),
 ]
+
+# Rows run in a child process with a timeout, so that a grid made without
+# end fails the suite instead of hanging it. Their error comes from argparse,
+# as its last line after the usage lines.
+CHILD_PROCESS_ROWS = {"scan-grid-step-below-spacing", "gates-grid-step-below-spacing",
+                      "scan-grid-points-do-not-increase"}
 
 # The error line of the ramps above. With J = 0 and hz = 1e-152 the weight
 # R = beta/dt is finite beyond the exact solve's cap from slice 1, overflows
@@ -517,6 +541,14 @@ def test_malformed_input_exits_with_one_error_line(request, tmp_path, capsys, fi
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in files else a for a in argv]
+    if request.node.callspec.id in CHILD_PROCESS_ROWS:
+        proc = subprocess.run([sys.executable, "-m", "trotterion.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == want and proc.stdout == ""
+        lines = proc.stderr.strip().split("\n")
+        assert [line for line in lines if "error:" in line] == lines[-1:]
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        return
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, *argv)

@@ -165,3 +165,26 @@ def test_overflowing_exponent_raises_without_warning(steps, gens, x):
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError):
             ProductFormula(steps).evaluate(gens, x)
+        with pytest.raises(InvalidInputError):  # one overflowing x refuses the stack
+            ProductFormula(steps).evaluate(gens, np.array([0.0, x]))
+
+
+def test_evaluate_of_a_vector_stacks_the_scalar_evaluations():
+    xs = np.array([0.1, -0.35, 0.0, 0.8])
+    g5 = apply_scheme("g10", s3())
+    rng = np.random.default_rng(7)
+    a, b = (0.5 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) for _ in range(2))
+    for f, gens in ((g5, PAULI_PAIR), (s3(), GeneratorPair(a, b)), (g5, chain_pair(16))):
+        stack = f.evaluate(gens, xs)
+        assert stack.shape == (len(xs), gens.dim, gens.dim)
+        for k, x in enumerate(xs):
+            single = f.evaluate(gens, x)
+            if gens.dim == 2:  # one block either way: the same products, bit for bit
+                assert np.array_equal(stack[k], single)
+            assert np.linalg.norm(stack[k] - single, 2) <= TOL
+    assert f.evaluate(gens, np.array([])).shape == (0, gens.dim, gens.dim)
+    assert np.array_equal(ProductFormula(()).evaluate(gens, xs[:2]),
+                          np.stack([np.eye(gens.dim)] * 2))
+    for bad in (np.ones((2, 2)), np.array([0.1, np.nan]), np.array([np.inf])):
+        with pytest.raises(InvalidInputError):
+            g5.evaluate(PAULI_PAIR, bad)

@@ -140,3 +140,25 @@ def test_eigh_of_a_stack_checks_every_matrix():
     for bad in (np.zeros((2, 2, 3)), np.zeros((1, 2, 2, 2)), np.full((2, 2, 2), np.nan)):
         with pytest.raises(InvalidInputError):
             matcore.eigh(bad)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 16])
+def test_expm_and_norm_of_a_stack_are_each_matrix_call(dim):
+    rng = np.random.default_rng(40 + dim)
+    skew = np.stack([random_anti_hermitian(rng, dim, s) for s in (1e-3, 0.7, 3.0, 40.0)])
+    general = np.stack([random_matrix(rng, dim, s) for s in (0.1, 2.0, 5.0)])
+    # an anti-Hermitian stack takes one stacked eigensolve; a general or a
+    # mixed one takes each matrix by its own route
+    for stack in (skew, general, np.concatenate([skew[:2], general[:1], skew[2:]])):
+        exps = matcore.expm(stack)
+        norms = matcore.spectral_norm(stack)
+        assert exps.shape == stack.shape and norms.shape == (len(stack),)
+        for k, m in enumerate(stack):
+            assert np.array_equal(exps[k], matcore.expm(m))
+            assert norms[k] == matcore.spectral_norm(m) == np.linalg.norm(m, 2)
+    assert isinstance(matcore.spectral_norm(skew[0]), float)
+    bad = skew.copy()
+    bad[1, 0, 0] = np.inf
+    for fn in (matcore.expm, matcore.spectral_norm):
+        with pytest.raises(InvalidInputError):
+            fn(bad)

@@ -19,7 +19,7 @@ import numpy as np
 from .. import solver
 from ..bases import SIX_GATE_TAGS, f_r_params
 from ..errors import DomainError, InvalidInputError
-from ..formula import EVALUATION_BYTES, GeneratorPair, ProductFormula, _grouped_product
+from ..formula import GeneratorPair, ProductFormula, _grouped_product, _items_per_cap
 from ..matcore import eigh
 from .common import check_magnitudes, quiet_small_r
 
@@ -128,7 +128,7 @@ def _slices_per_chunk() -> int:
     17 to 100) took 61 ms at 11 slices a chunk, 66 ms at 4 and 49 ms at 32,
     while each slice a chunk holds adds 170 KB to the run's peak.
     """
-    return max(1, EVALUATION_BYTES // (4 * 24 * 4 * solver.P_OF_R_GAUGES.size * 8))
+    return _items_per_cap(4 * 24 * 4 * solver.P_OF_R_GAUGES.size * 8)
 
 
 def _ground_states(cfg: CDConfig, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

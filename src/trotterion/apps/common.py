@@ -16,10 +16,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..bases import AccuracyWarning
-from ..certify import ScanResult, step_count_scan
+from ..certify import ScanResult, power_errors, step_count_scan
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair, ProductFormula
-from ..matcore import commutator, expm, spectral_norm
+from ..matcore import commutator, expm
 
 # Largest mode space of the chain and the flux lattice: a run holds at most
 # about 22 dense complex matrices of this side at once, 16 MB each at 1024
@@ -83,20 +83,20 @@ def n_step_scan(step: Callable[[float], ProductFormula], gens: GeneratorPair, al
     beta, n), so the n-fold product targets n_step_target(gens, alpha,
     beta); R grows linearly with n, which limits the composite to 1/n
     convergence. The grid ns defaults to the single count default_n when
-    set, otherwise to the step grid of step_count_scan. A power that
-    overflows comes back non-finite and is rejected by spectral_norm, with
-    numpy's overflow warnings silenced.
+    set, otherwise to the step grid of step_count_scan. The errors of the
+    whole grid come from one `power_errors` pass; a power that overflows
+    is refused as bad input, at the first such n.
     """
     if ns is None and default_n is not None:
         ns = (default_n,)
     target = n_step_target(gens, alpha, beta)
 
-    def error(n: int) -> float:
-        R = step_weight(alpha, beta, n)
+    def errors_of(grid: list) -> list:
         with quiet_small_r():
-            one_step = step(R).evaluate(gens, alpha / n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = np.linalg.matrix_power(one_step, n)
-        return spectral_norm(power - target)
+            steps = [step(step_weight(alpha, beta, n)) for n in grid]
+        errors, refused = power_errors(gens, steps, [alpha / n for n in grid], grid, target)
+        for exc in filter(None, refused):
+            raise exc
+        return errors
 
-    return step_count_scan(error, ns)
+    return step_count_scan(errors_of, ns)

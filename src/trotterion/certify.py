@@ -8,6 +8,7 @@ terms of log(f(x)), read from the formula's word series.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -85,10 +86,8 @@ def sum_commutator_target(gens: GeneratorPair, R: float) -> Callable:
     return lambda x: _exp_at(x, lambda x: x * base + (R * x * x) * comm)
 
 
-def _resolve_target(gens: GeneratorPair, target, R: float | None):
+def _resolve_target(gens: GeneratorPair, target: str, R: float | None):
     """The target as a function of a 1-D array of x, and its name."""
-    if callable(target):
-        return lambda xs: np.array([target(float(x)) for x in xs]), "custom"
     if target == "commutator":
         return commutator_target(gens), "commutator"
     if target == "sum-commutator":
@@ -96,13 +95,6 @@ def _resolve_target(gens: GeneratorPair, target, R: float | None):
             raise InvalidInputError("sum-commutator target needs a commutator weight R")
         return sum_commutator_target(gens, R), f"sum-commutator[R={R:.12g}]"
     raise InvalidInputError(f"unknown scan target {target!r}")
-
-
-def _points_per_chunk(d: int) -> int:
-    """Points of a stacked pass that fit formula.EVALUATION_BYTES: a point
-    holds up to about 16 d x d complex slots at once, over its product, its
-    target's exponential and the SVD of their difference."""
-    return max(1, formula.EVALUATION_BYTES // (16 * 16 * d * d))
 
 
 def _scan(grid: list, errors_of: Callable, window: tuple[float, float] | None,
@@ -132,7 +124,7 @@ def _scan(grid: list, errors_of: Callable, window: tuple[float, float] | None,
 
 def error_scan(f: ProductFormula, gens: GeneratorPair,
                xs: Sequence[float] | None = None,
-               target="commutator", R: float | None = None,
+               target: str = "commutator", R: float | None = None,
                window: tuple[float, float] | None = None) -> ScanResult:
     """Spectral-norm error ||f(x) - T(x)||_2 over a grid of x.
 
@@ -146,7 +138,9 @@ def error_scan(f: ProductFormula, gens: GeneratorPair,
     """
     grid = list(DEFAULT_XS) if xs is None else [float(x) for x in xs]
     target_fn, target_name = _resolve_target(gens, target, R)
-    chunk = _points_per_chunk(gens.dim)
+    # a point holds up to about 16 d x d complex slots at once, over its
+    # product, its target's exponential and the SVD of their difference
+    chunk = formula._items_per_cap(16 * 16 * gens.dim**2)
 
     def errors_of(points: list) -> list:
         errors = []
@@ -161,20 +155,21 @@ def error_scan(f: ProductFormula, gens: GeneratorPair,
     return _scan(grid, errors_of, window, target_name, len(f) * np.finfo(float).eps)
 
 
-def step_count_scan(error_of: Callable[[int], float],
+def step_count_scan(errors_of: Callable[[list], list],
                     ns: Sequence[int] | None = None) -> ScanResult:
     """Error of an n-step product over a grid of step counts.
 
-    error_of(n) is the error of the n-step run; the grid defaults to
-    DEFAULT_STEP_GRID and the log-log fit of error against n runs over
-    all of it. An n-step product accumulates about n roundings, so
-    DegenerateScanError is raised if every error is below n * NOISE_FLOOR:
-    the slope would then be rounding.
+    errors_of(grid) gives the n-step errors in grid order, once the grid
+    is checked: positive, increasing and within the float range. The grid
+    defaults to DEFAULT_STEP_GRID and the log-log fit runs over all of it.
+    An n-step product accumulates about n roundings, so DegenerateScanError
+    is raised if every error is below n * NOISE_FLOOR: the slope would then
+    be rounding.
     """
     grid = [int(n) for n in (DEFAULT_STEP_GRID if ns is None else ns)]
     if any(n > sys.float_info.max for n in grid):
         raise InvalidInputError("step counts must lie within the float range")
-    result = _scan(grid, lambda grid: [error_of(n) for n in grid], None, "custom")
+    result = _scan(grid, errors_of, None, "custom")
     if all(err < n * NOISE_FLOOR for n, err in result.rows):
         raise DegenerateScanError("scan errors sit at the noise floor; no order signal")
     return result
@@ -209,32 +204,37 @@ def _matrix_powers(a: np.ndarray, ns: list) -> np.ndarray:
     return result
 
 
-def _repeat_errors(f: ProductFormula, gens: GeneratorPair, x: float,
-                   target: np.ndarray, rs: list) -> list[float]:
-    """||f(x / sqrt(r))^r - target||_2 for each r of rs, inf where it is
-    not finite.
-
-    The r run in chunks that fit formula.EVALUATION_BYTES: one evaluation
-    call, one `_matrix_powers` and one norm call per chunk. A chunk whose
-    evaluation is refused reads inf throughout.
+def power_errors(gens: GeneratorPair, steps: Sequence[ProductFormula], xs: Sequence[float],
+                 powers: Sequence[int], target: np.ndarray) -> tuple[list, list]:
+    """||f(x)^n - target||_2 for each row (f, x, n), n >= 1, inf on a
+    refused row, and for each row None or, where its step f(x) or its power
+    is not finite, the InvalidInputError that row alone raises, for the
+    caller to raise if it needs the row. Each run of rows whose steps share
+    their tags goes in chunks: one `formula._products`, one `_matrix_powers`
+    and one norm call each. A row holds up to 16 d x d slots for its power
+    and norm, as a scan point does, or 3 a step for its factors, all in one
+    product block, so that its product is the one its own evaluation makes.
     """
-    size = _points_per_chunk(gens.dim)
-    out = []
-    for first in range(0, len(rs), size):
-        part = rs[first:first + size]
-        errors = np.full(len(part), math.inf)
-        try:
-            steps = f.evaluate(gens, np.array([x / math.sqrt(r) for r in part]))
-        except InvalidInputError:
-            out += errors.tolist()
-            continue
-        with np.errstate(all="ignore"):  # a power that overflows reads inf
-            diff = _matrix_powers(steps, part) - target
-        finite = np.isfinite(diff).all(axis=(1, 2))
-        if finite.any():
-            errors[finite] = matcore.spectral_norm(diff[finite])
-        out += errors.tolist()
-    return out
+    errors, refused = [math.inf] * len(steps), [None] * len(steps)
+    for tags, run in itertools.groupby(range(len(steps)), lambda i: steps[i]._by_tag[0]):
+        rows = list(run)
+        size = formula._items_per_cap(16 * gens.dim**2 * max(16, 3 * len(tags)))
+        for first in range(0, len(rows), size):
+            part = rows[first:first + size]
+            coeffs = np.concatenate([steps[i]._by_tag[1] for i in part])
+            product, finite = formula._products(gens, tags, coeffs, np.array([xs[i] for i in part]))
+            with np.errstate(all="ignore"):  # a power that overflows reads inf or NaN
+                diff = _matrix_powers(product, [powers[i] for i in part]) - target
+            power_ok = np.isfinite(diff).all(axis=(1, 2))
+            norms = iter(matcore.spectral_norm(diff[power_ok]).tolist())
+            for k, i in enumerate(part):
+                if not finite[k]:
+                    refused[i] = InvalidInputError("product of exponentials overflows")
+                elif not power_ok[k]:
+                    refused[i] = InvalidInputError("matrix contains non-finite entries")
+                else:
+                    errors[i] = next(norms)
+    return errors, refused
 
 
 def _doubling_search(passes: Callable[[int], bool], cap: int) -> int | None:
@@ -281,27 +281,19 @@ def gates_to_accuracy(f: ProductFormula, gens: GeneratorPair, x: float,
     The error of r sqrt-scaled copies against exp(x^2 [A,B]) is that of
     the r-th power of one copy. r is found by doubling r up to a passing
     count, then bisection between it and the count before
-    (`_doubling_search`). The search reads its errors from batches
-    (`_repeat_errors`): where it needs one it lacks, it takes in one batch
-    every r it would probe from there if the errors lay on the log-log
-    line through the known errors nearest eps (`_crossing_guess`). The
-    search thus probes what it would probe one r at a time, even where
-    rounding makes the error non-monotone near eps; where a batch's
-    evaluation runs in one block, as for 2x2 generators, its errors are
-    those of one r at a time bit for bit. Returns (r, gate count of the
-    simplified repeated formula).
+    (`_doubling_search`). Where it needs an error it lacks, it takes in
+    one `power_errors` pass every r it would probe from there if the
+    errors lay on the log-log line through the known errors nearest eps
+    (`_crossing_guess`). So it probes the r, and meets the errors and the
+    refusals, of the search one r at a time, even where rounding makes the
+    error non-monotone near eps. Returns (r, gate count of the simplified
+    repeated formula).
     """
     if not eps > 0.0:
         raise InvalidInputError("accuracy eps must be positive")
     target = commutator_target(gens)(x)
     known: dict[int, float] = {}
-
-    def err(r: int) -> float:
-        # one r alone, for an error a batch could not give as a number
-        step = f.evaluate(gens, x / math.sqrt(r))
-        with np.errstate(all="ignore"):  # spectral_norm refuses inf and NaN
-            power = np.linalg.matrix_power(step, r)
-        return matcore.spectral_norm(power - target)
+    refused: dict[int, InvalidInputError | None] = {}
 
     def passes(r: int) -> bool:
         if r not in known:
@@ -314,9 +306,12 @@ def gates_to_accuracy(f: ProductFormula, gens: GeneratorPair, x: float,
                 return path.setdefault(m, m >= guess)
 
             _doubling_search(model, cap)
-            known.update(zip(path, _repeat_errors(f, gens, x, target, list(path))))
-        if not math.isfinite(known[r]):
-            known[r] = err(r)
+            errors, failures = power_errors(gens, [f] * len(path), [x / math.sqrt(m) for m in path],
+                                            list(path), target)
+            known.update(zip(path, errors))
+            refused.update(zip(path, failures))
+        if refused[r]:
+            raise refused[r]
         return known[r] <= eps
 
     r = _doubling_search(passes, cap)

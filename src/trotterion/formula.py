@@ -123,6 +123,11 @@ class WordSums:
 EVALUATION_BYTES = 1 << 23
 
 
+def _items_per_cap(item_bytes: int) -> int:
+    """The chunk rule: items of item_bytes that fit EVALUATION_BYTES, >= 1."""
+    return max(1, EVALUATION_BYTES // item_bytes)
+
+
 def _pairwise_product(stack: np.ndarray) -> np.ndarray:
     """stack[..., 0, :, :] @ stack[..., 1, :, :] @ ... over the factor axis,
     the third from last, in about log2(len) batched products of
@@ -161,15 +166,18 @@ def _grouped_product(gens: GeneratorPair, tags: Sequence[str], t: np.ndarray) ->
     table t of exponents.
 
     The one home of product-of-exponential evaluation: `ProductFormula.
-    evaluate` calls it on one row, and `apps.cd.cd_run` on both protocols
-    of a chunk of ramp slices. The steps are taken in blocks whose factors,
+    evaluate` and `certify.power_errors` call it through `_products`, and
+    `apps.cd.cd_run` on both protocols of a chunk of ramp slices. The
+    steps are taken in blocks whose factors,
     over all rows, fit EVALUATION_BYTES. A block's factors come from one
     exponential call per tag into a stack, whose pairwise product is
     folded into the running product.
     """
     rows, n = t.shape
     d = gens.dim
-    block = min(n, max(1, EVALUATION_BYTES // (3 * 16 * d * d * rows)))
+    if not t.size:  # no rows, or no steps: each product is the identity
+        return np.broadcast_to(np.eye(d, dtype=complex), (rows, d, d)).copy()
+    block = min(n, _items_per_cap(3 * 16 * d * d * rows))
     out = None
     for start, groups in _blocks(tuple(tags), block):
         part = t[:, start:start + block]
@@ -179,6 +187,20 @@ def _grouped_product(gens: GeneratorPair, tags: Sequence[str], t: np.ndarray) ->
         product = _pairwise_product(stack)
         out = product if out is None else out @ product
     return out
+
+
+def _products(gens: GeneratorPair, tags: Sequence[str], coeffs: np.ndarray,
+              x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_grouped_product` of the exponents coeffs * x[:, None], a row per
+    entry of the 1-D x, and which rows are finite. An exponent beyond the
+    float range is refused; a product that overflows is left for the
+    caller to refuse."""
+    with np.errstate(all="ignore"):
+        t = coeffs * x[:, None]
+        if not np.isfinite(t).all():
+            raise InvalidInputError("exponent contains non-finite entries")
+        out = _grouped_product(gens, tags, t)
+    return out, np.isfinite(out).all(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -215,47 +237,28 @@ class ProductFormula:
         return len(self.steps)
 
     @functools.cached_property
-    def _by_tag(self) -> tuple[tuple[str, ...], np.ndarray, float]:
-        """The step tags, the coefficients as a (1, steps) array, and the
-        largest |coefficient|. Built on the first evaluation, since most
-        formulas the recursion makes are never evaluated."""
-        largest = max([abs(coeff) for _, coeff in self.steps], default=0.0)
+    def _by_tag(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The step tags, and the coefficients as a (1, steps) array.
+        Built on the first evaluation, since most formulas the recursion
+        makes are never evaluated."""
         return (tuple(tag for tag, _ in self.steps),
-                np.array([[coeff for _, coeff in self.steps]]), largest)
+                np.array([[coeff for _, coeff in self.steps]]))
 
     def evaluate(self, gens: GeneratorPair, x) -> np.ndarray:
         """Multiply out the steps at argument x, first step leftmost, with
-        `_grouped_product`, for a scalar x or a 1-D array of k values (then
-        a (k, d, d) stack, one product per x, in blocks sized over all k).
-        A product that overflows is refused; only a generator that is not
-        anti-Hermitian can overflow, since the others give unitary factors.
+        `_products`, for a scalar x or a 1-D array of k values (then a
+        (k, d, d) stack, one product per x, in blocks sized over all k).
+        An exponent or a product that overflows is refused.
         """
-        vector = not isinstance(x, (int, float)) and np.ndim(x) > 0
-        if vector:
-            x = np.asarray(x, dtype=float)
-            if x.ndim > 1:
-                raise InvalidInputError("argument x must be a scalar or a 1-D array")
-            top = float(np.abs(x).max(initial=0.0))
-        else:
-            x = float(x)
-            top = abs(x)
-        if not math.isfinite(top):
+        xs = np.asarray(x, dtype=float)
+        if xs.ndim > 1:
+            raise InvalidInputError("argument x must be a scalar or a 1-D array")
+        if not np.isfinite(xs).all():
             raise InvalidInputError("argument x must be finite")
-        if not self.steps or vector and not x.size:
-            return np.broadcast_to(np.eye(gens.dim, dtype=complex),
-                                   np.shape(x) + (gens.dim, gens.dim)).copy()
-        tags, coeffs, largest = self._by_tag
-        if not math.isfinite(largest * top):  # so no coeffs * x below overflows
-            raise InvalidInputError("exponent contains non-finite entries")
-        t = coeffs * x[:, None] if vector else coeffs * x
-        if len(gens._spectra) == 2 + (gens.c is not None):  # every generator anti-Hermitian
-            out = _grouped_product(gens, tags, t)
-        else:
-            with np.errstate(all="ignore"):
-                out = _grouped_product(gens, tags, t)
-            if not np.isfinite(out).all():
-                raise InvalidInputError("product of exponentials overflows")
-        return out if vector else out[0]
+        out, finite = _products(gens, *self._by_tag, xs.reshape(-1))
+        if not finite.all():
+            raise InvalidInputError("product of exponentials overflows")
+        return out if xs.ndim else out[0]
 
     def inverse(self) -> "ProductFormula":
         """Reverse the steps and negate every coefficient."""
@@ -340,8 +343,8 @@ def _word_terms(letters: tuple[str, ...], degree: int) -> tuple[tuple[str, ...],
         append = np.zeros((n, n))
         for w in words[1:]:
             append[index[w], index[w[:-1]]] = w[-1] == g
-        powers = np.reshape([np.linalg.matrix_power(append, m) / math.factorial(m)
-                             for m in range(degree + 1)], (degree + 1, n * n))
+        powers = np.reshape([functools.reduce(np.matmul, [append] * m, np.eye(n))
+                             / math.factorial(m) for m in range(degree + 1)], (degree + 1, n * n))
         powers.flags.writeable = False
         terms.append(powers)
     return tuple(words), tuple(terms)

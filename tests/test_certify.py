@@ -12,7 +12,7 @@ import scipy.linalg
 from trotterion import (AccuracyWarning, GeneratorPair, ProductFormula, commutator,
                         concat, f_r, pure_commutator_library, s2, s3, repeat)
 from trotterion import formula, matcore
-from trotterion.apps import ChainConfig, chain_hoppings
+from trotterion.apps import ChainConfig, KMConfig, chain_hoppings, chain_simulate, km_simulate
 from trotterion.bases import SixGateParams, reparam
 from trotterion.certify import (DEFAULT_XS, NOISE_FLOOR, BCHCoefficients, _matrix_powers,
                                 _repeat_gate_count, commutator_target, error_scan,
@@ -22,7 +22,7 @@ from trotterion.errors import (BudgetExceededError, DegenerateScanError,
                                InvalidInputError)
 from trotterion.recursion import apply_scheme
 
-from conftest import PAULI_PAIR
+from conftest import PAULI_PAIR, SIGMA_X, SIGMA_Z
 
 PAULI_COMM = commutator(PAULI_PAIR.a, PAULI_PAIR.b)
 # the upper half of the default grid
@@ -87,8 +87,8 @@ def test_error_scan_matches_one_point_at_a_time():
         result = error_scan(f, PAULI_PAIR, target=target, R=R)
         for x, e in result.rows:
             assert e == matcore.spectral_norm(f.evaluate(PAULI_PAIR, x) - want_fn(x))
-    custom = error_scan(s3(), PAULI_PAIR, target=commutator_target(PAULI_PAIR))
-    assert custom.rows == error_scan(s3(), PAULI_PAIR).rows and custom.target == "custom"
+    with pytest.raises(InvalidInputError, match="unknown scan target"):
+        error_scan(s3(), PAULI_PAIR, target=commutator_target(PAULI_PAIR))
 
 
 def test_error_scan_fit_leaves_out_rows_at_the_rounding_floor():
@@ -134,8 +134,9 @@ def test_error_scan_validates_grid():
 def test_step_count_scan_noise_floor_grows_with_n():
     # an n-step product accumulates about n roundings
     with pytest.raises(DegenerateScanError):
-        step_count_scan(lambda n: 0.9 * n * NOISE_FLOOR)
-    assert step_count_scan(lambda n: 2.0 * n * NOISE_FLOOR).slope == pytest.approx(1.0)
+        step_count_scan(lambda grid: [0.9 * n * NOISE_FLOOR for n in grid])
+    result = step_count_scan(lambda grid: [2.0 * n * NOISE_FLOOR for n in grid])
+    assert result.slope == pytest.approx(1.0)
 
 
 def test_fit_stability_under_grid_doubling():
@@ -320,6 +321,11 @@ def test_gates_search_at_small_caps():
             gates_to_accuracy(f, PAULI_PAIR, 0.3, 1e-8, cap=cap)
     assert gates_to_accuracy(f, PAULI_PAIR, 0.3, 1e-8, cap=128) == (r, _repeat_gate_count(f, r))
     assert gates_to_accuracy(f, PAULI_PAIR, 0.1, 1e-3, cap=0)[0] == 1
+    # the empty formula is the identity at every r
+    for eps in (1.0, 1e-3):
+        got = outcome(gates_to_accuracy, ProductFormula(()), PAULI_PAIR, 0.3, eps, cap=64)
+        assert got == outcome(reference_gates, ProductFormula(()), PAULI_PAIR, 0.3, eps, cap=64)
+    assert got[0] is BudgetExceededError
 
 
 @pytest.mark.parametrize("eps", [1e30, 1e-3])
@@ -337,21 +343,29 @@ def test_gates_search_with_overflowing_later_rungs(eps):
     assert got == ((1, 1) if eps > 1.0 else (InvalidInputError, "matrix contains non-finite entries"))
 
 
-def test_gates_search_retakes_a_refused_batch_one_r_at_a_time(monkeypatch):
-    evaluate = ProductFormula.evaluate
-    batches = []
-
-    def refuse_vectors(self, gens, x):
-        if np.ndim(x):
-            batches.append(len(x))
-            raise InvalidInputError("product of exponentials overflows")
-        return evaluate(self, gens, x)
-
-    f = pure_commutator_library()["W5"]
-    want = reference_gates(f, PAULI_PAIR, 0.2, 1e-8)
-    monkeypatch.setattr(ProductFormula, "evaluate", refuse_vectors)
-    assert gates_to_accuracy(f, PAULI_PAIR, 0.2, 1e-8) == want
-    assert batches
+@pytest.mark.parametrize("scale,f,eps,want", [
+    # the step at r = 1 overflows: e^{800 Z} itself, or at scale 400 only
+    # the product e^{400 Z} e^X e^{-400 Z} e^{-X}; the pass that holds
+    # r = 1 refuses it as r = 1 alone does
+    pytest.param(800.0, s2(), 1e30, (InvalidInputError, "matrix exponential overflows"),
+                 id="exponential-1e30"),
+    pytest.param(800.0, s2(), 1e-3, (InvalidInputError, "matrix exponential overflows"),
+                 id="exponential-1e-3"),
+    pytest.param(400.0, s2(), 1e30, (InvalidInputError, "product of exponentials overflows"),
+                 id="product-1e30"),
+    pytest.param(400.0, s2(), 1e-3, (InvalidInputError, "product of exponentials overflows"),
+                 id="product-1e-3"),
+    # r = 1 passes; the first pass also holds r = 4, whose power e^{800 Z}
+    # overflows, but the search never reads it
+    pytest.param(400.0, ProductFormula((("A", 1.0),)), 1e300, (1, 1), id="unread-power"),
+])
+def test_gates_search_raises_only_what_one_r_at_a_time_raises(scale, f, eps, want):
+    gens = GeneratorPair(scale * SIGMA_Z, SIGMA_X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(gates_to_accuracy, f, gens, 1.0, eps)
+    assert got == outcome(reference_gates, f, gens, 1.0, eps)
+    assert got == want
 
 
 def _chain_pair(L):
@@ -361,7 +375,8 @@ def _chain_pair(L):
 
 def test_scan_and_ladder_memory_stay_under_the_cap():
     # 200 points of 64 modes are 13 MB a stack; the chunks hold a few
-    # stacks of 8 points
+    # stacks of 8 points. The 64-mode chain and 8x8 lattice take their
+    # default grids of six step counts in one pass
     gens = _chain_pair(64)
     f = s3()
     f.evaluate(gens, 0.1)  # builds and keeps both spectra
@@ -373,10 +388,18 @@ def test_scan_and_ladder_memory_stay_under_the_cap():
         with pytest.raises(BudgetExceededError):  # all 20 rungs of the ladder
             gates_to_accuracy(f, gens, 0.3, 1e-300, cap=2**19)
         _, ladder_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        chain_simulate(ChainConfig(L=64, t1=1.0, t2=0.5, T=1.0))
+        _, chain_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        km_simulate(KMConfig(Lx=8, Ly=8, J=1.0, phi=math.pi / 2, T=1.0))
+        _, km_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert scan_peak < formula.EVALUATION_BYTES
     assert ladder_peak < formula.EVALUATION_BYTES
+    assert chain_peak < formula.EVALUATION_BYTES
+    assert km_peak < formula.EVALUATION_BYTES
 
 
 def test_repeat_gate_count_is_exact():

@@ -479,6 +479,10 @@ BAD_INPUTS = [
                       "--ns", f"8,{HUGE_STEPS}"], 2, id="km-step-power-overflows"),
     pytest.param({}, ["cd", "--J", "-1", "--hz", "5", "--tau", "1", "--N", str(MAX_SLICES + 1)],
                  2, id="cd-step-count-above-slice-cap"),
+    pytest.param({}, ["chain", "--L", "6", "--t1", "1", "--t2", "0.5", "--T", "1", "--ns", "0"], 2,
+                 id="chain-zero-step-count"),
+    pytest.param({}, ["km", "--Lx", "3", "--Ly", "3", "--J", "1", "--phi", "1", "--T", "1",
+                      "--ns", "2,-3"], 2, id="km-negative-step-count"),
     # every error sits at the rounding floor, so no slope is fitted
     pytest.param({}, ["chain", "--L", "6", "--t1", "1e-300", "--t2", "1e-300", "--T", "1"], 3,
                  id="chain-couplings-at-noise-floor"),

@@ -215,20 +215,25 @@ def _cmd_cd(args) -> int:
     return 0
 
 
+def _write_n_steps(result, gate_count, out: str | None) -> None:
+    """The n,error,gates CSV of a simulator's step-count scan, with its
+    slope footer; gate_count(n) is the gates of n steps."""
+    rows = [(int(n), err, gate_count(int(n))) for n, err in result.rows]
+    _write(_csv("n,error,gates", rows, result.slope, result.fit_window), out)
+
+
 def _cmd_chain(args) -> int:
     cfg = ChainConfig(L=args.L, t1=args.t1, t2=args.t2, T=args.T, n=args.n)
-    result = chain_simulate(cfg, ns=args.ns)
-    rows = [(int(n), err, chain_gate_count(cfg, int(n))) for n, err in result.rows]
-    _write(_csv("n,error,gates", rows, result.slope, result.fit_window), args.out)
+    _write_n_steps(chain_simulate(cfg, ns=args.ns), functools.partial(chain_gate_count, cfg),
+                   args.out)
     return 0
 
 
 def _cmd_km(args) -> int:
     cfg = KMConfig(Lx=args.Lx, Ly=args.Ly, J=args.J, phi=args.phi, T=args.T,
                    n=args.n, boundary=args.boundary)
-    result = km_simulate(cfg, ns=args.ns)
-    rows = [(int(n), err, km_gate_count(cfg, int(n))) for n, err in result.rows]
-    _write(_csv("n,error,gates", rows, result.slope, result.fit_window), args.out)
+    _write_n_steps(km_simulate(cfg, ns=args.ns), functools.partial(km_gate_count, cfg),
+                   args.out)
     return 0
 
 

@@ -78,15 +78,12 @@ class GeneratorPair:
         1-D array of k values (then a (k, d, d) stack).
 
         Spectral for an anti-Hermitian generator, from its kept
-        decomposition; one matcore.expm (Pade) per value for any other.
+        decomposition; one matcore.expm of the stack t G for any other,
+        which gives each value what its own call gives.
         """
         g = self.matrix(tag)
         if tag not in self._spectra:
-            scaled = np.asarray(t, dtype=float)[..., None, None] * g
-            out = np.empty_like(scaled)
-            for i in np.ndindex(scaled.shape[:-2]):
-                out[i] = matcore.expm(scaled[i])
-            return out
+            return matcore.expm(np.asarray(t, dtype=float)[..., None, None] * g)
         spectrum = self._spectra[tag]
         if spectrum is None:
             spectrum = self._spectra[tag] = matcore.SkewSpectrum(-1j * g)
@@ -328,48 +325,36 @@ def repeat(f: ProductFormula, r: int, commutator_target: bool = True) -> Product
     return out.simplify()
 
 
-@functools.cache
-def _word_terms(letters: tuple[str, ...], degree: int) -> tuple[tuple[str, ...], tuple]:
-    """The words of length <= degree over `letters`, shortest first, and for
-    each letter g, in order, the N^m / m! of m = 0..degree flattened into
-    the rows of one read-only array, where N appends g to a word."""
-    words = [""]
-    for length in range(degree):
-        words += [w + g for w in words if len(w) == length for g in letters]
-    index = {w: i for i, w in enumerate(words)}
-    n = len(words)
-    terms = []
-    for g in letters:
-        append = np.zeros((n, n))
-        for w in words[1:]:
-            append[index[w], index[w[:-1]]] = w[-1] == g
-        powers = np.reshape([functools.reduce(np.matmul, [append] * m, np.eye(n))
-                             / math.factorial(m) for m in range(degree + 1)], (degree + 1, n * n))
-        powers.flags.writeable = False
-        terms.append(powers)
-    return tuple(words), tuple(terms)
-
-
 def word_series(f: ProductFormula, degree: int) -> dict[str, float]:
     """Coefficient of every word of length <= degree, over the tags f uses,
     in the formal expansion of the product of exp(c_i x G_i).
 
     The word w = w_1 ... w_k, keyed as a string such as "BA", stands for
     G_{w_1} ... G_{w_k} x^k; words come shortest first. One pass over the
-    steps builds it: a step (g, c) adds the sum over m = 1..run of
-    coeff(w[:-m]) * c^m / m! to each word w ending in a run of g of length
-    run, every prefix read from the product before the step.
+    steps builds it: a step (g, c) adds coeff(w[:-m]) * c^m / m! to each
+    word w that ends in a run of at least m g's. Words are updated longest
+    first, so each prefix is read before the step changes it. The memory
+    is O(words * degree), built per call.
     """
-    letters = tuple(sorted({tag for tag, _ in f.steps}))
-    words, powers = _word_terms(letters, degree)
-    terms = dict(zip(letters, powers))
-    n = len(words)
-    # a step (g, c) multiplies by the sum of c^m N^m / m!
-    c_powers = np.array([c for _, c in f.steps])[:, None] ** np.arange(degree + 1)
-    series = np.eye(n)[0]
-    for (g, _), scale in zip(f.steps, c_powers):
-        series = (scale @ terms[g]).reshape(n, n) @ series
-    return dict(zip(words, series.tolist()))
+    if type(degree) is not int or degree < 0:
+        raise InvalidInputError(f"degree must be a non-negative integer, got {degree!r}")
+    letters = sorted({tag for tag, _ in f.steps})
+    words = [""]
+    for length in range(degree):
+        words += [w + g for w in words if len(w) == length for g in letters]
+    index = {w: i for i, w in enumerate(words)}
+    # letter g -> (word, prefix, m) for each word ending in a run of >= m g's
+    runs: dict[str, list[tuple[int, int, int]]] = {g: [] for g in letters}
+    for i in reversed(range(1, len(words))):
+        w = words[i]
+        run = len(w) - len(w.rstrip(w[-1]))
+        runs[w[-1]] += [(i, index[w[:-m]], m) for m in range(1, run + 1)]
+    series = [1.0] + [0.0] * (len(words) - 1)
+    for g, c in f.steps:
+        scale = [c**m / math.factorial(m) for m in range(degree + 1)]
+        for i, j, m in runs[g]:
+            series[i] += series[j] * scale[m]
+    return dict(zip(words, series))
 
 
 def word_sums(f: ProductFormula) -> WordSums:

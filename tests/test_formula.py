@@ -1,15 +1,18 @@
 """Formula algebra: evaluation order, inverse, simplify, word sums, JSON."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from trotterion import (GeneratorPair, ProductFormula, concat, from_json,
-                        repeat, s2, s3, to_json, word_sums)
+from trotterion import (GeneratorPair, ProductFormula, apply_scheme, concat,
+                        from_json, pure_commutator_library, repeat, s2, s3,
+                        to_json, word_sums)
+from trotterion.bases import f_r_with_c
 from trotterion.errors import InvalidInputError
-from trotterion import formula
 from trotterion.formula import _pairwise_product, word_series
 
 from conftest import PAULI_PAIR
@@ -143,18 +146,60 @@ def test_word_series_is_the_expansion_of_the_product():
             assert 15.0 < big / small < 17.0, (f.steps, errors)
 
 
-def test_word_series_from_cached_terms_is_the_first_call_series():
-    rng = np.random.default_rng(37)
-    f = ProductFormula(tuple(("ABC"[int(rng.integers(3))], float(rng.uniform(-2, 2)))
-                             for _ in range(12)))
-    formula._word_terms.cache_clear()
-    first = word_series(f, 4)
-    assert formula._word_terms.cache_info().misses == 1
-    assert word_series(f, 4) == first
-    assert formula._word_terms.cache_info().hits == 1
-    _, terms = formula._word_terms(("A", "B", "C"), 4)
-    with pytest.raises(ValueError):
-        terms[0][0, 0] = 1.0
+def exact_word_series(f, degree):
+    """word_series in Fraction arithmetic on the same float coefficients,
+    every word updated from its prefixes, longest word first."""
+    letters = sorted({tag for tag, _ in f.steps})
+    words = [""]
+    for length in range(degree):
+        words += [w + g for w in words if len(w) == length for g in letters]
+    series = dict.fromkeys(words, Fraction(0))
+    series[""] = Fraction(1)
+    for g, c in f.steps:
+        scale = [Fraction(c) ** m / math.factorial(m) for m in range(degree + 1)]
+        for w in reversed(words):
+            m = 1
+            while m <= len(w) and w[-m] == g:
+                series[w] += series[w[:-m]] * scale[m]
+                m += 1
+    return series
+
+
+def test_word_series_is_exact_arithmetic_up_to_rounding():
+    # each coefficient is within len(f) * eps of the series of the same
+    # steps with |c_i|, the scale of the sums it cancels through
+    cases = list(pure_commutator_library().values())
+    cases += [apply_scheme("g10", apply_scheme("g10", s3())), f_r_with_c(5.0)]
+    eps = np.finfo(float).eps
+    for f in cases:
+        exact = exact_word_series(f, 6)
+        magnitude = ProductFormula(tuple((g, abs(c)) for g, c in f.steps))
+        for degree in range(3, 7):
+            series = word_series(f, degree)
+            scale = word_series(magnitude, degree)
+            assert list(series) == [w for w in exact if len(w) <= degree]
+            for word, coeff in series.items():
+                error = abs(Fraction(coeff) - exact[word])
+                assert error <= len(f) * eps * scale[word], (f.label, degree, word)
+
+
+def test_word_series_memory_is_words_times_degree():
+    # 1093 words over A, B and C; dense word operators took 264 MiB here
+    f = f_r_with_c(5.0)
+    tracemalloc.start()
+    try:
+        series = word_series(f, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 1093
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("degree", [-1, 2.5, True, "3", None])
+def test_word_series_rejects_a_bad_degree(degree):
+    with pytest.raises(InvalidInputError):
+        word_series(s3(), degree)
 
 
 def test_pairwise_product_batches_over_a_leading_axis():

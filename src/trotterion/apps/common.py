@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..bases import AccuracyWarning
-from ..certify import ScanResult, power_errors, step_count_scan
+from ..certify import ScanResult, power_errors, step_count_scan, step_grid
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair, ProductFormula
 from ..matcore import commutator, expm
@@ -83,20 +83,15 @@ def n_step_scan(step: Callable[[float], ProductFormula], gens: GeneratorPair, al
     beta, n), so the n-fold product targets n_step_target(gens, alpha,
     beta); R grows linearly with n, which limits the composite to 1/n
     convergence. The grid ns defaults to the single count default_n when
-    set, otherwise to the step grid of step_count_scan. The errors of the
-    whole grid come from one `power_errors` pass; a power that overflows
-    is refused as bad input, at the first such n.
+    set, otherwise to `step_grid`'s, which checks it before the target or
+    any step is built. The errors come from one `power_errors` pass; a
+    power that overflows is refused as bad input, at the first such n.
     """
-    if ns is None and default_n is not None:
-        ns = (default_n,)
+    grid = step_grid((default_n,) if ns is None and default_n is not None else ns)
     target = n_step_target(gens, alpha, beta)
-
-    def errors_of(grid: list) -> list:
-        with quiet_small_r():
-            steps = [step(step_weight(alpha, beta, n)) for n in grid]
-        errors, refused = power_errors(gens, steps, [alpha / n for n in grid], grid, target)
-        for exc in filter(None, refused):
-            raise exc
-        return errors
-
-    return step_count_scan(errors_of, ns)
+    with quiet_small_r():
+        steps = [step(step_weight(alpha, beta, n)) for n in grid]
+    errors, refused = power_errors(gens, steps, [alpha / n for n in grid], grid, target)
+    for exc in filter(None, refused):
+        raise exc
+    return step_count_scan(grid, errors)

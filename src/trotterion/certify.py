@@ -62,58 +62,34 @@ def fit_loglog(rows: Sequence[tuple[float, float]],
     return float(slope), float(intercept)
 
 
-def _exp_at(x, exponent: Callable) -> np.ndarray:
-    """matcore.expm(exponent(x)) for a scalar x, or for a 1-D array of k
-    values as one (k, d, d) stack, x taking two trailing unit axes."""
-    x = np.asarray(x, dtype=float)[..., None, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # expm refuses inf and NaN
-        return matcore.expm(exponent(x))
-
-
-def commutator_target(gens: GeneratorPair) -> Callable:
-    """x -> exp(x^2 [A,B]), for a scalar x or a 1-D array (`_exp_at`)."""
-    comm = matcore.commutator(gens.a, gens.b)
-    return lambda x: _exp_at(x, lambda x: (x * x) * comm)
-
-
-def sum_commutator_target(gens: GeneratorPair, R: float) -> Callable:
-    """x -> exp(x (A + B) + R x^2 [A,B]), for a scalar x or a 1-D array
-    (`_exp_at`). A non-finite R is refused before any arithmetic."""
-    if not math.isfinite(R):
-        raise InvalidInputError("commutator weight R must be finite")
-    comm = matcore.commutator(gens.a, gens.b)
-    base = gens.a + gens.b
-    return lambda x: _exp_at(x, lambda x: x * base + (R * x * x) * comm)
-
-
-def _resolve_target(gens: GeneratorPair, target: str, R: float | None):
-    """The target as a function of a 1-D array of x, and its name."""
-    if target == "commutator":
-        return commutator_target(gens), "commutator"
-    if target == "sum-commutator":
-        if R is None:
-            raise InvalidInputError("sum-commutator target needs a commutator weight R")
-        return sum_commutator_target(gens, R), f"sum-commutator[R={R:.12g}]"
-    raise InvalidInputError(f"unknown scan target {target!r}")
-
-
-def _scan(grid: list, errors_of: Callable, window: tuple[float, float] | None,
-          target: str, floor: float = 0.0) -> ScanResult:
-    """Rows (x, error) over a grid, with errors_of(grid) the errors in grid
-    order, and their fit.
-
-    The grid must be strictly increasing and positive. The log-log fit
-    runs over `window` when given, otherwise over the whole grid, and
-    leaves out rows with error <= floor. DegenerateScanError is raised when
-    that floor leaves fewer than two rows to fit where there were two.
-    """
+def _check_grid(grid: list) -> None:
+    """Refuse a scan grid that is empty, not positive or not strictly
+    increasing: the one check made before any target or step is built."""
     if not grid or any(not x > 0 for x in grid):
         raise InvalidInputError("scan grid must contain positive values")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError("scan grid must be strictly increasing")
+
+
+def _targets(gens: GeneratorPair, xs: Sequence[float], R: float | None = None) -> np.ndarray:
+    """The (k, d, d) stack of exp(x^2 [A,B]) over the k values x of xs, or
+    of exp(x (A + B) + R x^2 [A,B]) when R is given, from one expm call."""
+    x = np.asarray(xs, dtype=float)[:, None, None]
+    comm = matcore.commutator(gens.a, gens.b)
+    with np.errstate(over="ignore", invalid="ignore"):  # expm refuses inf and NaN
+        exponent = (x * x) * comm if R is None else x * (gens.a + gens.b) + (R * x * x) * comm
+        return matcore.expm(exponent)
+
+
+def _scan(grid: list, errors: list, window: tuple[float, float] | None,
+          target: str, floor: float = 0.0) -> ScanResult:
+    """Rows (x, error) over a checked grid, errors in grid order, and their
+    log-log fit over `window`, by default the whole grid, leaving out rows
+    with error <= floor. DegenerateScanError is raised when that floor
+    leaves fewer than two rows to fit where there were two."""
     if window is None and len(grid) > 1:
         window = (float(grid[0]), float(grid[-1]))
-    rows = tuple(zip(map(float, grid), errors_of(grid)))
+    rows = tuple(zip(map(float, grid), errors))
     # a negative or non-finite error stays in, for fit_loglog to refuse
     slope, intercept = fit_loglog([(x, e) for x, e in rows if not 0.0 <= e <= floor], window)
     if slope is None and floor > 0.0 and fit_loglog(rows, window)[0] is not None:
@@ -128,48 +104,57 @@ def error_scan(f: ProductFormula, gens: GeneratorPair,
                window: tuple[float, float] | None = None) -> ScanResult:
     """Spectral-norm error ||f(x) - T(x)||_2 over a grid of x.
 
-    The grid must be strictly increasing and positive. The points run in
-    chunks that fit formula.EVALUATION_BYTES: a chunk takes its targets in
-    one exponential call, one evaluation per point and its errors in one
+    T is exp(x^2 [A,B]) for target "commutator", and exp(x (A + B) +
+    R x^2 [A,B]) for "sum-commutator", which needs a finite R. The grid
+    must be strictly increasing and positive. The points run in chunks
+    that fit formula.EVALUATION_BYTES: a chunk takes its targets in one
+    exponential call, one evaluation per point and its errors in one
     norm call. The log-log fit runs over `window` when given, otherwise
     over every row. A row with error <= len(f) * eps, the rounding of the
     evaluation, stays in the rows but out of the fit; DegenerateScanError
     is raised when that leaves fewer than two rows to fit.
     """
     grid = list(DEFAULT_XS) if xs is None else [float(x) for x in xs]
-    target_fn, target_name = _resolve_target(gens, target, R)
+    if target == "commutator":
+        name, R = target, None
+    elif target == "sum-commutator":
+        if R is None:
+            raise InvalidInputError("sum-commutator target needs a commutator weight R")
+        if not math.isfinite(R):
+            raise InvalidInputError("commutator weight R must be finite")
+        name = f"sum-commutator[R={R:.12g}]"
+    else:
+        raise InvalidInputError(f"unknown scan target {target!r}")
+    _check_grid(grid)
     # a point holds up to about 16 d x d complex slots at once, over its
     # product, its target's exponential and the SVD of their difference
     chunk = formula._items_per_cap(16 * 16 * gens.dim**2)
-
-    def errors_of(points: list) -> list:
-        errors = []
-        for start in range(0, len(points), chunk):
-            part = points[start:start + chunk]
-            diff = target_fn(np.array(part))
-            for k, x in enumerate(part):
-                np.subtract(f.evaluate(gens, x), diff[k], out=diff[k])
-            errors += matcore.spectral_norm(diff).tolist()
-        return errors
-
-    return _scan(grid, errors_of, window, target_name, len(f) * np.finfo(float).eps)
+    errors = []
+    for start in range(0, len(grid), chunk):
+        part = grid[start:start + chunk]
+        diff = _targets(gens, part, R)
+        for k, x in enumerate(part):
+            np.subtract(f.evaluate(gens, x), diff[k], out=diff[k])
+        errors += matcore.spectral_norm(diff).tolist()
+    return _scan(grid, errors, window, name, len(f) * np.finfo(float).eps)
 
 
-def step_count_scan(errors_of: Callable[[list], list],
-                    ns: Sequence[int] | None = None) -> ScanResult:
-    """Error of an n-step product over a grid of step counts.
-
-    errors_of(grid) gives the n-step errors in grid order, once the grid
-    is checked: positive, increasing and within the float range. The grid
-    defaults to DEFAULT_STEP_GRID and the log-log fit runs over all of it.
-    An n-step product accumulates about n roundings, so DegenerateScanError
-    is raised if every error is below n * NOISE_FLOOR: the slope would then
-    be rounding.
-    """
+def step_grid(ns: Sequence[int] | None = None) -> list[int]:
+    """The step counts ns as ints, DEFAULT_STEP_GRID when None, refused
+    unless positive, strictly increasing and within the float range."""
     grid = [int(n) for n in (DEFAULT_STEP_GRID if ns is None else ns)]
     if any(n > sys.float_info.max for n in grid):
         raise InvalidInputError("step counts must lie within the float range")
-    result = _scan(grid, errors_of, None, "custom")
+    _check_grid(grid)
+    return grid
+
+
+def step_count_scan(grid: list[int], errors: list[float]) -> ScanResult:
+    """Rows (n, error) over a `step_grid` and their log-log fit over all of
+    it. An n-step product accumulates about n roundings, so
+    DegenerateScanError is raised if every error is below n * NOISE_FLOOR:
+    the slope would then be rounding."""
+    result = _scan(grid, errors, None, "custom")
     if all(err < n * NOISE_FLOOR for n, err in result.rows):
         raise DegenerateScanError("scan errors sit at the noise floor; no order signal")
     return result
@@ -291,7 +276,7 @@ def gates_to_accuracy(f: ProductFormula, gens: GeneratorPair, x: float,
     """
     if not eps > 0.0:
         raise InvalidInputError("accuracy eps must be positive")
-    target = commutator_target(gens)(x)
+    target = _targets(gens, [x])[0]
     known: dict[int, float] = {}
     refused: dict[int, InvalidInputError | None] = {}
 

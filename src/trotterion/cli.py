@@ -15,6 +15,7 @@ import functools
 import math
 import re
 import sys
+import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .apps.cd import SIGMA_X, SIGMA_Z, CDConfig, cd_run
 from .apps.chain import ChainConfig, chain_gate_count, chain_simulate
 from .apps.km import BOUNDARIES, KMConfig, km_gate_count, km_simulate
-from .bases import f_r, s2, s3
+from .bases import AccuracyWarning, f_r, s2, s3
 from .certify import error_scan, fit_loglog, gates_to_accuracy
 from .errors import (BudgetExceededError, DegenerateScanError, DomainError,
                      InvalidInputError, SolverError)
@@ -68,7 +69,8 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError("grid must look like LO:HI:STEP")
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < step < math.inf and lo <= hi):
         raise argparse.ArgumentTypeError("grid needs finite LO <= HI and finite STEP > 0")
-    last = hi + 1e-12 * max(1.0, abs(hi))
+    # HI is in when within the rounding of the points, which scales with the grid
+    last = hi + 1e-12 * max(abs(lo), abs(hi))
     # the points lo + k * step up to `last`, counted before any is made
     if not (last - lo) / step < MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"grid must have at most {MAX_GRID_POINTS} points")
@@ -349,20 +351,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(show, message, category, *args, **kwargs) -> None:
+    """An AccuracyWarning as one `warning:` line on stderr, which names no
+    source file; any other warning through `show`, Python's own handling."""
+    if issubclass(category, AccuracyWarning):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        show(message, category, *args, **kwargs)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except (InvalidInputError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SolverError, DegenerateScanError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
+        try:
+            return args.handler(args)
+        except (InvalidInputError, DomainError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (SolverError, DegenerateScanError, BudgetExceededError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -19,6 +19,10 @@ from .errors import InvalidInputError
 from .formula import ProductFormula, concat
 from .solver import solve_sqrt4
 
+# Most steps a scheme may build. Each g10 level multiplies the steps by
+# about 10: five levels on S3 make 555556 steps, a sixth would make millions.
+MAX_STEPS = 10**6
+
 
 def _require_order(f: ProductFormula, parity: str | None = None, what: str = "") -> int:
     """f's claimed order; with parity "even" or "odd", also that it has it."""
@@ -33,7 +37,11 @@ def _require_order(f: ProductFormula, parity: str | None = None, what: str = "")
 def _assemble(f: ProductFormula, name: str, gain: int,
               copies: list[tuple[float, bool]]) -> ProductFormula:
     """The simplified product of f(s x), or of its inverse where flagged,
-    over the (s, inverted) copies, labelled name(f) and of order n + gain."""
+    over the (s, inverted) copies, labelled name(f) and of order n + gain.
+    A product of more than MAX_STEPS steps is refused before it is built."""
+    if len(copies) * len(f) > MAX_STEPS:
+        raise InvalidInputError(f"{name} of a {len(f)}-step formula would have "
+                                f"{len(copies) * len(f)} steps, more than {MAX_STEPS}")
     parts = [f.scale_argument(s).inverse() if inverted else f.scale_argument(s)
              for s, inverted in copies]
     out = concat(parts, label=f"{name}({f.label})", claimed_order=f.claimed_order + gain)

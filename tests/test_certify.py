@@ -13,11 +13,13 @@ from trotterion import (AccuracyWarning, GeneratorPair, ProductFormula, commutat
                         concat, f_r, pure_commutator_library, s2, s3, repeat)
 from trotterion import formula, matcore
 from trotterion.apps import ChainConfig, KMConfig, chain_hoppings, chain_simulate, km_simulate
+from trotterion.apps import chain as chain_module
+from trotterion.apps import common as common_module
+from trotterion.apps import km as km_module
 from trotterion.bases import SixGateParams, reparam
 from trotterion.certify import (DEFAULT_XS, NOISE_FLOOR, BCHCoefficients, _matrix_powers,
-                                _repeat_gate_count, commutator_target, error_scan,
-                                extract_bch, fit_loglog, gates_to_accuracy,
-                                step_count_scan, sum_commutator_target)
+                                _repeat_gate_count, _targets, error_scan, extract_bch,
+                                fit_loglog, gates_to_accuracy, step_count_scan, step_grid)
 from trotterion.errors import (BudgetExceededError, DegenerateScanError,
                                InvalidInputError)
 from trotterion.recursion import apply_scheme
@@ -54,21 +56,22 @@ def test_fit_loglog_window_and_degenerate():
 
 
 def test_targets_shapes():
-    t = commutator_target(PAULI_PAIR)
-    assert np.allclose(t(0.2), scipy.linalg.expm(0.04 * PAULI_COMM), atol=1e-13)
-    u = sum_commutator_target(PAULI_PAIR, 2.0)
+    t = _targets(PAULI_PAIR, [0.2])
+    assert t.shape == (1, 2, 2)
+    assert np.allclose(t[0], scipy.linalg.expm(0.04 * PAULI_COMM), atol=1e-13)
+    u = _targets(PAULI_PAIR, [0.2], R=2.0)
     want = scipy.linalg.expm(0.2 * (PAULI_PAIR.a + PAULI_PAIR.b)
                              + 2.0 * 0.04 * PAULI_COMM)
-    assert np.allclose(u(0.2), want, atol=1e-13)
+    assert np.allclose(u[0], want, atol=1e-13)
 
 
 def test_targets_of_a_vector_stack_the_scalar_targets():
-    xs = np.array([0.01, 0.2, 0.75])
-    for t in (commutator_target(PAULI_PAIR), sum_commutator_target(PAULI_PAIR, 2.5)):
-        stack = t(xs)
+    xs = [0.01, 0.2, 0.75]
+    for R in (None, 2.5):
+        stack = _targets(PAULI_PAIR, xs, R)
         assert stack.shape == (3, 2, 2)
         for k, x in enumerate(xs):
-            assert np.array_equal(stack[k], t(float(x)))
+            assert np.array_equal(stack[k], _targets(PAULI_PAIR, [x], R)[0])
 
 
 @pytest.mark.parametrize("R", [math.inf, -math.inf, math.nan])
@@ -76,19 +79,21 @@ def test_sum_commutator_target_refuses_non_finite_weight(R):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match="R must be finite"):
-            sum_commutator_target(PAULI_PAIR, R)
+            error_scan(f_r(6.0), PAULI_PAIR, target="sum-commutator", R=R)
+        # the weight is refused before the grid is read
+        with pytest.raises(InvalidInputError, match="R must be finite"):
+            error_scan(f_r(6.0), PAULI_PAIR, xs=[0.2, 0.1], target="sum-commutator", R=R)
 
 
 def test_error_scan_matches_one_point_at_a_time():
     for target, R in (("commutator", None), ("sum-commutator", 6.0)):
-        want_fn = (commutator_target(PAULI_PAIR) if R is None
-                   else sum_commutator_target(PAULI_PAIR, R))
         f = pure_commutator_library()["G5"] if R is None else f_r(R)
         result = error_scan(f, PAULI_PAIR, target=target, R=R)
         for x, e in result.rows:
-            assert e == matcore.spectral_norm(f.evaluate(PAULI_PAIR, x) - want_fn(x))
+            want = _targets(PAULI_PAIR, [x], R)[0]
+            assert e == matcore.spectral_norm(f.evaluate(PAULI_PAIR, x) - want)
     with pytest.raises(InvalidInputError, match="unknown scan target"):
-        error_scan(s3(), PAULI_PAIR, target=commutator_target(PAULI_PAIR))
+        error_scan(s3(), PAULI_PAIR, target=_targets)
 
 
 def test_error_scan_fit_leaves_out_rows_at_the_rounding_floor():
@@ -133,10 +138,35 @@ def test_error_scan_validates_grid():
 
 def test_step_count_scan_noise_floor_grows_with_n():
     # an n-step product accumulates about n roundings
+    grid = step_grid()
     with pytest.raises(DegenerateScanError):
-        step_count_scan(lambda grid: [0.9 * n * NOISE_FLOOR for n in grid])
-    result = step_count_scan(lambda grid: [2.0 * n * NOISE_FLOOR for n in grid])
+        step_count_scan(grid, [0.9 * n * NOISE_FLOOR for n in grid])
+    result = step_count_scan(grid, [2.0 * n * NOISE_FLOOR for n in grid])
     assert result.slope == pytest.approx(1.0)
+
+
+def test_malformed_grids_are_refused_before_any_target_or_step(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("built before the grid was checked")
+
+    monkeypatch.setattr(matcore, "expm", fail)
+    monkeypatch.setattr(common_module, "expm", fail)
+    monkeypatch.setattr(ProductFormula, "evaluate", fail)
+    monkeypatch.setattr(chain_module, "f_r_signed", fail)
+    monkeypatch.setattr(km_module, "f_r_with_c", fail)
+    for xs in ([], [0.1, 0.05], [0.1, 0.1], [0.0, 0.1], [math.nan]):
+        for target, R in (("commutator", None), ("sum-commutator", 6.0)):
+            with pytest.raises(InvalidInputError, match="scan grid"):
+                error_scan(s3(), PAULI_PAIR, xs=xs, target=target, R=R)
+    chain = ChainConfig(L=6, t1=1.0, t2=0.5, T=1.0)
+    lattice = KMConfig(Lx=4, Ly=4, J=1.0, phi=math.pi / 2, T=1.0)
+    for ns in ([], [16, 8], [8, 8], [0, 8], [-1], [10**400]):
+        with pytest.raises(InvalidInputError, match="scan grid|float range"):
+            step_grid(ns)
+        with pytest.raises(InvalidInputError, match="scan grid|float range"):
+            chain_simulate(chain, ns=ns)
+        with pytest.raises(InvalidInputError, match="scan grid|float range"):
+            km_simulate(lattice, ns=ns)
 
 
 def test_fit_stability_under_grid_doubling():
@@ -254,7 +284,7 @@ def test_gates_to_accuracy_monotone_and_sufficient():
 
 def reference_gates(f, gens, x, eps, cap=10**6):
     """Doubling, then bisection, one repetition count at a time."""
-    target = commutator_target(gens)(x)
+    target = _targets(gens, [x])[0]
 
     def err(r):
         step = f.evaluate(gens, x / math.sqrt(r))

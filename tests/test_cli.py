@@ -292,6 +292,31 @@ def test_scan_rejects_malformed_grid(tmp_path, capsys):
     assert len(_parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
 
 
+def test_grid_endpoint_tolerance_scales_with_the_grid():
+    # HI is in when a point passes it by rounding alone, at any magnitude:
+    # an absolute 1e-12 took 1e-13:5e-13 to 15 points, and counted
+    # 1e-300:1e-299 as about 1e287 of them
+    small = _parse_grid("1e-13:5e-13:1e-13")
+    assert len(small) == 5 and small[-1] == pytest.approx(5e-13, rel=1e-15)
+    tiny = _parse_grid("1e-300:1e-299:1e-300")
+    assert len(tiny) == 10 and tiny[-1] == pytest.approx(1e-299, rel=1e-15)
+    assert _parse_grid("0.1:0.3:0.1") == [0.1, 0.2, 0.1 + 2 * 0.1]
+    assert len(_parse_grid("0.1:0.3:0.05")) == 5
+
+
+def test_accuracy_warning_is_one_line():
+    warning = ("warning: closed-form sum+commutator coefficients requested below the "
+               "large-R regime; third-order residuals are O(1)\n")
+    for argv, code, tail in (
+            (["--R", "0.3"], 0, "gates=6 order=3 label=fR[R=0.3]\n"),
+            (["--R", "-0.3", "--scheme", "two-copy"], 2,
+             "error: the 2-copy step needs an even-order input\n")):
+        proc = subprocess.run([sys.executable, "-m", "trotterion.cli", "build", "--base", "fr",
+                               *argv], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code
+        assert proc.stderr == warning + tail
+
+
 def test_console_script_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "trotterion.cli", "build",
                            "--base", "s2"],

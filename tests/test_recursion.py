@@ -8,8 +8,9 @@ import pytest
 from trotterion import (SCHEMES, apply_scheme, error_scan, pure_commutator_library, s2, s3,
                         word_sums)
 from trotterion.errors import InvalidInputError
+from trotterion import recursion
 from trotterion.formula import ProductFormula
-from trotterion.recursion import (build_cw_sqrt6_baseline, build_g, build_q, build_v, build_w,
+from trotterion.recursion import (MAX_STEPS, build_cw_sqrt6_baseline, build_g, build_q, build_v, build_w,
                                   childs_wiebe5, jean_koseleff, sum_comm_step, two_copy)
 
 from conftest import PAULI_PAIR
@@ -162,3 +163,21 @@ def test_sum_comm_step_structure():
     assert g1.gate_count() == 11
     g2 = sum_comm_step(g1)  # even order 4: f(ax) f(bx)^(-1) f(ax)
     assert g2.claimed_order == 5
+
+
+def test_scheme_results_over_max_steps_are_refused():
+    # a 5-copy step of a 200001-step formula would make 1000005 steps; it is
+    # refused before any copy is built
+    long = ProductFormula((("A", 0.5), ("B", 0.5)) * 100_000 + (("A", 0.5),), claimed_order=3)
+    assert 5 * len(long) > MAX_STEPS == 10**6
+    with pytest.raises(InvalidInputError, match="more than 1000000"):
+        apply_scheme("cw5", long)
+    with pytest.raises(InvalidInputError, match="more than 1000000"):
+        apply_scheme("g10", long)
+
+
+def test_max_steps_bounds_the_product_before_simplification(monkeypatch):
+    monkeypatch.setattr(recursion, "MAX_STEPS", 12)
+    assert len(jean_koseleff(s2())) <= 12  # 3 copies of 4 steps: at the cap
+    with pytest.raises(InvalidInputError, match="more than 12"):
+        childs_wiebe5(s3())  # 5 copies of 6 steps

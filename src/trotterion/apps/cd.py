@@ -36,10 +36,10 @@ GAP_TOL = 1e-10
 TROTTER_STEP = ProductFormula(tuple((tag, 1.0 / 3.0) for tag in SIX_GATE_TAGS))
 EXPONENTIALS_PER_STEP = len(TROTTER_STEP)
 
-# Most slices of one ramp: a slice costs about 0.05 ms (0.32 ms with the
+# Most slices of one ramp: a slice costs about 0.02 ms (0.08 ms with the
 # exact coefficients; best of 3 ramps of N = 20 000 on a 2-vCPU Xeon) and
-# adds one CDPoint of about 200 bytes, so a ramp at the cap runs for 5 to
-# 32 seconds and holds 20 MB of points, 5x the longest tested ramp.
+# adds one CDPoint of about 200 bytes, so a ramp at the cap runs for 2 to
+# 8 seconds and holds 20 MB of points, 5x the longest tested ramp.
 MAX_SLICES = 100_000
 
 
@@ -119,16 +119,20 @@ class CDPoint(NamedTuple):
 
 
 def _slices_per_chunk() -> int:
-    """Slices `cd_run` takes in one chunk: 11 with the default gauges.
+    """Slices `cd_run` takes in one chunk: 45 with the default gauges.
 
-    A slice's exact solve holds at most 22 float arrays of its
-    4 * len(P_OF_R_GAUGES) candidates at once (170 KB at 240 gauges, by
-    tracemalloc). Counting 24, for the chunk's other arrays, a chunk keeps
-    them within a quarter of EVALUATION_BYTES. Four short exact ramps (N =
-    17 to 100) took 61 ms at 11 slices a chunk, 66 ms at 4 and 49 ms at 32,
-    while each slice a chunk holds adds 170 KB to the run's peak.
+    Each round of a slice's exact solve holds about 11 float arrays of its
+    4 * 120 candidates at once (42 KB a slice by tracemalloc on a 4000-slice
+    exact ramp, with the chunk's other arrays). Counting 12, a chunk keeps
+    them within a quarter of EVALUATION_BYTES. A slice whose root lies
+    past the solve's screen (`solver.P_OF_R_SCREEN`) holds about 16 arrays
+    more while it checks the rest (about 100 KB a slice when all do). Of a
+    ramp's weights, R >= 0, only those near R = 0.32 do, and a chunk of
+    them reaches about 0.55 of EVALUATION_BYTES.
     """
-    return _items_per_cap(4 * 24 * 4 * solver.P_OF_R_GAUGES.size * 8)
+    inner = np.count_nonzero(np.abs(solver.P_OF_R_GAUGES) <= solver.P_OF_R_WINDOW)
+    gauges = max(inner, solver.P_OF_R_GAUGES.size - inner)
+    return _items_per_cap(4 * 12 * 4 * gauges * 8)
 
 
 def _ground_states(cfg: CDConfig, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -105,7 +105,8 @@ def error_scan(f: ProductFormula, gens: GeneratorPair,
     """Spectral-norm error ||f(x) - T(x)||_2 over a grid of x.
 
     T is exp(x^2 [A,B]) for target "commutator", and exp(x (A + B) +
-    R x^2 [A,B]) for "sum-commutator", which needs a finite R. The grid
+    R x^2 [A,B]) for "sum-commutator", which needs a finite R; the
+    commutator target has no weight and refuses one. The grid
     must be strictly increasing and positive. The points run in chunks
     that fit formula.EVALUATION_BYTES: a chunk takes its targets in one
     exponential call, one evaluation per point and its errors in one
@@ -116,7 +117,9 @@ def error_scan(f: ProductFormula, gens: GeneratorPair,
     """
     grid = list(DEFAULT_XS) if xs is None else [float(x) for x in xs]
     if target == "commutator":
-        name, R = target, None
+        if R is not None:
+            raise InvalidInputError("the commutator target takes no weight R")
+        name = target
     elif target == "sum-commutator":
         if R is None:
             raise InvalidInputError("sum-commutator target needs a commutator weight R")

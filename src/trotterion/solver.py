@@ -29,10 +29,22 @@ P_OF_R_TOL = 1e-10
 P_OF_R_MAX_WEIGHT = 1e8
 P_OF_R_MAX_FLOOR = 1e-3
 # Gauges p6 = t * sqrt(R + 1/2) of the exact solve: 240 values of t evenly
-# spaced on [-3, 3]. On 165 weights in (-1/2, 1e8] each solve found a root
-# (best t from 0.09 to 2.25), at most 8e-4 larger than the former Newton
-# root (3.41 against 5.02 at R = 10); 25 or 50 gauges did worse at R = 0.66.
+# spaced on [-3, 3]. On 165 weights in (-1/2, 1e8] each solve found a root,
+# at most 8e-4 larger than the former Newton root (3.41 against 5.02 at
+# R = 10); 25 or 50 gauges did worse at R = 0.66.
 P_OF_R_GAUGES = np.linspace(-3.0, 3.0, 240)
+# The solve builds the gauges with |t| <= P_OF_R_WINDOW first, and the rest
+# only for a weight whose best root there is not below fl(P_OF_R_WINDOW *
+# sqrt(R + 1/2)). On 10 766 weights in (-1/2, 1e8], and 40 000 more spread
+# over it, no weight with R >= -0.146 built the rest, and there the best t
+# lay in [-0.79, 1.49]; from R = -0.378 to -0.151 an outer t may win (2.40
+# at R = -0.32).
+P_OF_R_WINDOW = 1.5
+# Residuals are taken first on the P_OF_R_SCREEN candidates of a row with
+# the smallest max|p|. On those weights, of R >= 0 only weights in [0.3215,
+# 0.3257] had no root among them (one slice of the README ramp); so did
+# those in (-1/2, -0.4626]. Such rows check the rest of their candidates.
+P_OF_R_SCREEN = 64
 
 
 @dataclass(frozen=True)
@@ -132,58 +144,106 @@ def _p_of_r_residuals(p, R) -> tuple:
     return (rp.l - 1.0, rp.m - 1.0, rp.q + R - 0.5, rp.r - 1.0 / 6.0, rp.s - 1.0 / 6.0)
 
 
+def _candidates(weights: np.ndarray, gauges: np.ndarray) -> tuple:
+    """The candidates p = (p1, ..., p6) of each weight of a 1-D array at each
+    t of `gauges`: six (len(weights), 4 * len(gauges)) arrays, gauge-major."""
+    n = weights.size
+    R = weights[:, None]
+    Q = 0.5 - R
+    # Python's scalar powers, not R * R * R, so a weight's coefficients
+    # keep every bit of the one-weight formula
+    R2, R3 = (np.array([r ** e for r in weights.tolist()]).reshape(n, 1) for e in (2, 3))
+    p6 = gauges * np.sqrt(R + 0.5)
+    p6_2 = p6 * p6
+    p1 = _quadratic_roots(
+        (72 * R - 36) * p6_2 - (72 * R - 48) * p6 - 12,
+        (48 - 72 * R) * p6_2 + (72 * R2 - 72 * R - 30) * p6 + 72 * R2 + 24 * R + 6,
+        -12 * p6_2 + (72 * R2 + 24 * R + 6) * p6 - 72 * R3 - 36 * R2 - 6 * R - 1)
+    p6 = p6[..., None]
+    k = (1.0 / 6.0 - p1 * Q[..., None]) / (1.0 / 6.0 - p6 * Q[..., None])
+    p2 = _quadratic_roots(-k, 1.0 - p1 + (1.0 - p6) * k, -Q[..., None])
+    p2 = p2.reshape(n, 4 * gauges.size)
+    # each (gauge, p1 root) pair carries both of its p2 roots
+    p1 = np.repeat(p1.reshape(n, 2 * gauges.size), 2, axis=1)
+    p5 = np.repeat(k.reshape(n, 2 * gauges.size), 2, axis=1) * p2
+    p6 = np.repeat(p6.reshape(n, gauges.size), 4, axis=1)
+    return p1, p2, 1.0 - p1 - p5, 1.0 - p6 - p2, p5, p6
+
+
+def _best_roots(weights: np.ndarray, gauges: np.ndarray) -> tuple:
+    """Each weight's root of the smallest largest coefficient among its
+    candidates at `gauges`, the first in gauge-major order of equals: that
+    max|p| (inf where no candidate is a root), its column, and its six
+    coefficients.
+
+    Residuals are taken first on the candidates whose max|p| is at most the
+    row's P_OF_R_SCREEN-th smallest; no other candidate can match a root
+    among them. Only rows with no root there check the rest; so does a row
+    whose P_OF_R_SCREEN-th smallest is NaN, as nothing passes `<= NaN`.
+    """
+    p = _candidates(weights, gauges)
+    largest = functools.reduce(np.maximum, (np.abs(col) for col in p))
+    kth = min(P_OF_R_SCREEN, largest.shape[1]) - 1
+    screened = largest <= np.partition(largest, kth, axis=1)[:, kth:kth + 1]
+    R = np.broadcast_to(weights[:, None], largest.shape)
+    # largest at each root found and inf elsewhere
+    ranked = np.full(largest.shape, np.inf)
+
+    def rank(check):
+        cands, top = tuple(col[check] for col in p), largest[check]
+        found = _converged(cands, _p_of_r_residuals(cands, R[check]), top)
+        ranked[check] = np.where(found, top, np.inf)
+
+    rank(screened)
+    rest = ~screened & np.isinf(ranked).all(axis=1, keepdims=True)
+    if rest.any():
+        rank(rest)
+    best = np.argmin(ranked, axis=1)
+    rows = np.arange(weights.size)
+    return ranked[rows, best], best, np.stack([col[rows, best] for col in p], axis=1)
+
+
 def _solve_p_of_r_many(weights) -> tuple[np.ndarray, np.ndarray]:
     """`solve_p_of_r` on each weight of a 1-D array: the chosen roots as rows
     of a (len, 6) array, and their residuals as rows of a (len, 5) array.
 
-    Each coefficient p1..p6 is one (len, 4 * gauges) array of candidates,
-    gauge-major. The first weight that fails, in order, raises what
+    The inner gauges' round, then the outer gauges' round for the weights
+    it leaves open; of their roots the smaller max|p| wins, and of equals
+    the earlier column. The first weight that fails, in order, raises what
     `solve_p_of_r` would raise on it. `apps.cd.cd_run` calls it on each
     chunk of a ramp's slices.
     """
     weights = np.asarray(weights, dtype=float)
     accepted = (np.abs(weights) <= P_OF_R_MAX_WEIGHT) & (weights > -0.5)
     n = int(np.argmin(accepted)) if not accepted.all() else weights.size
-    R = weights[:n, None]
-    Q = 0.5 - R
-    # Python's scalar powers, not R * R * R, so a weight's coefficients
-    # keep every bit of the one-weight formula
-    R2, R3 = (np.array([r ** e for r in weights[:n].tolist()]).reshape(n, 1) for e in (2, 3))
-    gauges = P_OF_R_GAUGES.size
-    p6 = P_OF_R_GAUGES * np.sqrt(R + 0.5)
+    valid = weights[:n]
+    inner = np.abs(P_OF_R_GAUGES) <= P_OF_R_WINDOW
+    # an outer candidate's max|p| >= |p6| >= bound, so an inner root below it is final
+    bound = P_OF_R_WINDOW * np.sqrt(valid + 0.5)
+    largest = np.full(n, np.inf)
+    column = np.full(n, 4 * P_OF_R_GAUGES.size)
+    roots = np.empty((n, 6))
     with np.errstate(all="ignore"):
-        p6_2 = p6 * p6
-        p1 = _quadratic_roots(
-            (72 * R - 36) * p6_2 - (72 * R - 48) * p6 - 12,
-            (48 - 72 * R) * p6_2 + (72 * R2 - 72 * R - 30) * p6 + 72 * R2 + 24 * R + 6,
-            -12 * p6_2 + (72 * R2 + 24 * R + 6) * p6 - 72 * R3 - 36 * R2 - 6 * R - 1)
-        p6 = p6[..., None]
-        k = (1.0 / 6.0 - p1 * Q[..., None]) / (1.0 / 6.0 - p6 * Q[..., None])
-        p2 = _quadratic_roots(-k, 1.0 - p1 + (1.0 - p6) * k, -Q[..., None])
-        p2 = p2.reshape(n, 4 * gauges)
-        # each (gauge, p1 root) pair carries both of its p2 roots
-        p1 = np.repeat(p1.reshape(n, 2 * gauges), 2, axis=1)
-        p5 = np.repeat(k.reshape(n, 2 * gauges), 2, axis=1) * p2
-        p6 = np.repeat(p6.reshape(n, gauges), 4, axis=1)
-        p = (p1, p2, 1.0 - p1 - p5, 1.0 - p6 - p2, p5, p6)
-        largest = functools.reduce(np.maximum, (np.abs(col) for col in p))
-        # largest at each root found and inf elsewhere
-        ranked = np.where(_converged(p, _p_of_r_residuals(p, R), largest), largest, np.inf)
-        # the smallest largest coefficient, the first of equals
-        best = np.argmin(ranked, axis=1)
-        rows = np.arange(n)
-        failed = np.flatnonzero(np.isinf(ranked[rows, best]))
+        for gauges in (np.flatnonzero(inner), np.flatnonzero(~inner)):
+            rows = np.flatnonzero(~(largest < bound))
+            if not (gauges.size and rows.size):
+                continue
+            top, col, root = _best_roots(valid[rows], P_OF_R_GAUGES[gauges])
+            col = 4 * gauges[col // 4] + col % 4  # its column among all candidates
+            wins = (top < largest[rows]) | (top == largest[rows]) & (col < column[rows])
+            rows = rows[wins]
+            largest[rows], column[rows], roots[rows] = top[wins], col[wins], root[wins]
+        failed = np.flatnonzero(np.isinf(largest))
         if failed.size:
             raise SolverError(f"no gauge gave a real root at R={weights[failed[0]]:.6g}")
-        roots = tuple(col[rows, best] for col in p)
-        res = _p_of_r_residuals(roots, weights[:n])
+        res = _p_of_r_residuals(tuple(roots.T), valid)
     if n < weights.size:
         R = float(weights[n])
         if not abs(R) <= P_OF_R_MAX_WEIGHT:
             raise InvalidInputError(
                 f"R must be finite and at most {P_OF_R_MAX_WEIGHT:g} in magnitude")
         raise DomainError("R must exceed -1/2 for the exact coefficients")
-    return np.stack(roots, axis=1), np.stack(res, axis=1)
+    return roots, np.stack(res, axis=1)
 
 
 def solve_p_of_r(R: float) -> PofRResult:
@@ -197,7 +257,16 @@ def solve_p_of_r(R: float) -> PofRResult:
     candidates that pass `_converged` are roots; complex branches and
     degenerate gauges (c2 = 0, 1/6 = p6 Q) fail it by their NaN or inf.
     Returns the root with the smallest largest coefficient, which carries
-    the smallest higher-order defects; among equals, the first in order.
+    the smallest higher-order defects; among equals, the first in
+    gauge-major order.
+
+    Two cuts skip candidates that cannot win, as max|p| >= |p_i| for each
+    coefficient, and leave the root the same bit for bit. The gauges with
+    |t| <= P_OF_R_WINDOW go first; the rest are built only when the best
+    root there is not below fl(P_OF_R_WINDOW * sqrt(R + 1/2)), which every
+    outer candidate's |p6| reaches. In each of these two rounds residuals
+    are taken first on the P_OF_R_SCREEN candidates of smallest max|p|,
+    and on the others only when none of those is a root.
     """
     p, res = _solve_p_of_r_many([float(R)])
     return PofRResult(SixGateParams(*p[0].tolist()), tuple(res[0].tolist()))

@@ -134,6 +134,11 @@ def test_error_scan_validates_grid():
         error_scan(s3(), PAULI_PAIR, xs=[])
     with pytest.raises(InvalidInputError):
         error_scan(s3(), PAULI_PAIR, target="sum-commutator")  # missing R
+    # the commutator target, the default, has no weight: an R is refused, not ignored
+    with pytest.raises(InvalidInputError, match="takes no weight R"):
+        error_scan(s3(), PAULI_PAIR, R=3.0)
+    with pytest.raises(InvalidInputError, match="takes no weight R"):
+        error_scan(s3(), PAULI_PAIR, target="commutator", R=3.0)
 
 
 def test_step_count_scan_noise_floor_grows_with_n():

@@ -21,6 +21,13 @@ from trotterion.cli import MAX_GRID_POINTS, _parse_grid, main
 from trotterion.formula import from_json, to_json
 
 
+# Child processes import the package this process imports, from an
+# installed copy or from the checkout's src directory.
+SRC = pathlib.Path(trotterion.__file__).resolve().parents[1]
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -312,7 +319,7 @@ def test_accuracy_warning_is_one_line():
             (["--R", "-0.3", "--scheme", "two-copy"], 2,
              "error: the 2-copy step needs an even-order input\n")):
         proc = subprocess.run([sys.executable, "-m", "trotterion.cli", "build", "--base", "fr",
-                               *argv], capture_output=True, text=True, timeout=60)
+                               *argv], env=CHILD_ENV, capture_output=True, text=True, timeout=60)
         assert proc.returncode == code
         assert proc.stderr == warning + tail
 
@@ -320,7 +327,7 @@ def test_accuracy_warning_is_one_line():
 def test_console_script_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "trotterion.cli", "build",
                            "--base", "s2"],
-                          capture_output=True, text=True, timeout=60)
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert len(payload["steps"]) == 4
@@ -342,7 +349,7 @@ def test_one_process_matches_a_process_per_command(tmp_path, capsys):
     same.mkdir()
     for argv in commands(fresh):
         proc = subprocess.run([sys.executable, "-m", "trotterion.cli", *argv],
-                              capture_output=True, text=True, timeout=60)
+                              env=CHILD_ENV, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
     build, *rest = commands(same)
     assert main(build) == 0
@@ -368,10 +375,8 @@ def test_cli_import_leaves_scipy_optimize_out(tmp_path):
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    codes = [trotterion.cli.main(line.split()) for line in sys.argv[1:]]\n"
               "print(codes, 'scipy.linalg' in sys.modules)\n")
-    src = pathlib.Path(trotterion.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", script, *commands], cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=120)
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(commands) == 10
     assert proc.stdout.split("\n")[:2] == ["False", f"{[0] * len(commands)} False"]
@@ -533,6 +538,9 @@ BAD_INPUTS = [
     pytest.param({"f.json": GOOD_JSON}, ["scan", "--formula", "f.json", "--target",
                                          "sum-commutator", "--R", "inf"], 2,
                  id="scan-infinite-commutator-weight"),
+    # the default commutator target has no weight, so an R there is refused
+    pytest.param({"f.json": GOOD_JSON}, ["scan", "--formula", "f.json", "--R", "3"], 2,
+                 id="scan-commutator-target-with-weight"),
     pytest.param({"f.json": G10_CUBED_JSON}, ["scan", "--formula", "f.json"], 3,
                  id="scan-errors-at-rounding-floor"),
     # STEP below the spacing of doubles at LO. Made one point at a time
@@ -572,7 +580,7 @@ def test_malformed_input_exits_with_one_error_line(request, tmp_path, capsys, fi
     argv = [str(tmp_path / a) if a in files else a for a in argv]
     if request.node.callspec.id in CHILD_PROCESS_ROWS:
         proc = subprocess.run([sys.executable, "-m", "trotterion.cli", *argv],
-                              capture_output=True, text=True, timeout=60)
+                              env=CHILD_ENV, capture_output=True, text=True, timeout=60)
         assert proc.returncode == want and proc.stdout == ""
         lines = proc.stderr.strip().split("\n")
         assert [line for line in lines if "error:" in line] == lines[-1:]

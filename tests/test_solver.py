@@ -1,5 +1,6 @@
 """Coefficient solvers: the 4-copy power conditions and the exact 6-gate solve."""
 
+import functools
 import math
 import warnings
 
@@ -8,8 +9,10 @@ import pytest
 
 from trotterion import reparam, solve_p_of_r, solve_sqrt4, solver
 from trotterion.bases import f_r_params
-from trotterion.apps import CDConfig, cd_beta
+from trotterion.apps import CDConfig, cd_beta, cd_run
 from trotterion.errors import DomainError, InvalidInputError, SolverError
+
+from test_apps import REFERENCE_RAMPS
 
 GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
 
@@ -140,17 +143,24 @@ def test_p_of_r_roots_are_pinned(R):
     assert np.max(np.abs(p)) <= max(abs(v) for v in PINNED_ROOTS[R])
 
 
-def _readme_ramp_weights():
-    cfg = CDConfig(J=-1.0, hz=5.0, tau=1.0, n_steps=100)
-    dt = cfg.tau / cfg.n_steps
-    return [cd_beta(cfg, k * dt) / dt for k in range(cfg.n_steps)]
+def _slice_weights(J, hz, tau, N):
+    """The weights of a ramp's slices that the exact solve takes."""
+    cfg = CDConfig(J, hz, tau, N)
+    dt = tau / N
+    weights = []
+    for k in range(N):
+        try:
+            weights.append(cd_beta(cfg, k * dt) / dt)
+        except DomainError:
+            break
+    return [R for R in weights if -0.5 < R <= solver.P_OF_R_MAX_WEIGHT]
 
 
 # About 100 weights across the window (0.3, 0.68) where the closed-form gauge
 # has no root, every slice weight of the README ramp, and 40 weights spaced
 # logarithmically in R + 1/2 from R = -0.45 to R = 1e8.
 SWEEP_WEIGHTS = sorted({*np.linspace(0.3, 0.68, 102)[1:-1].tolist(),
-                        0.5946480095193062, *_readme_ramp_weights(),
+                        0.5946480095193062, *_slice_weights(-1.0, 5.0, 1.0, 100),
                         *(np.geomspace(0.05, 1e8 + 0.5, 40) - 0.5).tolist()})
 
 
@@ -208,6 +218,63 @@ def test_batched_solve_raises_for_the_first_failing_weight(monkeypatch, weights,
     monkeypatch.setattr(solver, "P_OF_R_GAUGES", np.array([1.0]))
     with pytest.raises(error):
         solver._solve_p_of_r_many(weights)
+
+
+def _unpruned_solve(weights):
+    """The exact solve without its cuts: every candidate, one `_converged`
+    pass, then the first smallest max|p| among the roots."""
+    weights = np.asarray(weights, dtype=float)
+    rows = np.arange(weights.size)
+    with np.errstate(all="ignore"):
+        p = solver._candidates(weights, solver.P_OF_R_GAUGES)
+        largest = functools.reduce(np.maximum, (np.abs(col) for col in p))
+        found = solver._converged(p, solver._p_of_r_residuals(p, weights[:, None]), largest)
+        best = np.argmin(np.where(found, largest, np.inf), axis=1)
+        assert found[rows, best].all()
+        roots = tuple(col[rows, best] for col in p)
+        residuals = solver._p_of_r_residuals(roots, weights)
+    return np.stack(roots, axis=1), np.stack(residuals, axis=1)
+
+
+# -0.4999 and -0.45 open the outer gauges and keep an inner root; at -0.32 an
+# outer gauge wins
+CUT_WEIGHTS = [-0.4999, -0.45, -0.32, 0.0, 1e8]
+EQUIVALENCE_WEIGHTS = [*SWEEP_WEIGHTS, *CUT_WEIGHTS,
+                       *(R for ramp in REFERENCE_RAMPS for R in _slice_weights(*ramp))]
+
+
+def test_cut_weights_reach_both_rounds():
+    roots, _ = solver._solve_p_of_r_many(CUT_WEIGHTS)
+    R = np.array(CUT_WEIGHTS)
+    t = roots[:, 5] / np.sqrt(R + 0.5)
+    opened = ~(np.max(np.abs(roots), axis=1) < solver.P_OF_R_WINDOW * np.sqrt(R + 0.5))
+    assert opened.tolist() == [True, True, True, False, False]
+    assert (np.abs(t) > solver.P_OF_R_WINDOW).tolist() == [False, False, True, False, False]
+
+
+@pytest.mark.parametrize("cut", [None, ("P_OF_R_WINDOW", 0.0), ("P_OF_R_WINDOW", 3.0),
+                                 ("P_OF_R_SCREEN", 1), ("P_OF_R_SCREEN", 960)])
+def test_cuts_pick_the_unpruned_root_bit_for_bit(monkeypatch, cut):
+    if cut is not None:
+        monkeypatch.setattr(solver, *cut)
+    want = _unpruned_solve(EQUIVALENCE_WEIGHTS)
+    got = solver._solve_p_of_r_many(EQUIVALENCE_WEIGHTS)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_readme_ramp_builds_only_the_inner_gauges(monkeypatch):
+    built = {"inner": 0, "outer": 0}
+    candidates = solver._candidates
+
+    def counted(weights, gauges):
+        outer = np.any(np.abs(gauges) > solver.P_OF_R_WINDOW)
+        built["outer" if outer else "inner"] += weights.size
+        return candidates(weights, gauges)
+
+    monkeypatch.setattr(solver, "_candidates", counted)
+    cd_run(CDConfig(J=-1.0, hz=5.0, tau=1.0, n_steps=100), exact_coefficients=True)
+    assert built == {"inner": 100, "outer": 0}
 
 
 @pytest.mark.parametrize("R", [4e4, 1e6, 1e8])

@@ -119,20 +119,10 @@ class CDPoint(NamedTuple):
 
 
 def _slices_per_chunk() -> int:
-    """Slices `cd_run` takes in one chunk: 45 with the default gauges.
-
-    Each round of a slice's exact solve holds about 11 float arrays of its
-    4 * 120 candidates at once (42 KB a slice by tracemalloc on a 4000-slice
-    exact ramp, with the chunk's other arrays). Counting 12, a chunk keeps
-    them within a quarter of EVALUATION_BYTES. A slice whose root lies
-    past the solve's screen (`solver.P_OF_R_SCREEN`) holds about 16 arrays
-    more while it checks the rest (about 100 KB a slice when all do). Of a
-    ramp's weights, R >= 0, only those near R = 0.32 do, and a chunk of
-    them reaches about 0.55 of EVALUATION_BYTES.
-    """
-    inner = np.count_nonzero(np.abs(solver.P_OF_R_GAUGES) <= solver.P_OF_R_WINDOW)
-    gauges = max(inner, solver.P_OF_R_GAUGES.size - inner)
-    return _items_per_cap(4 * 12 * 4 * gauges * 8)
+    """Slices `cd_run` takes in one chunk, 35 by default: their exact solve,
+    `solver.bytes_per_weight()` a slice (58 KB, over the 51 KB tracemalloc
+    measures), then holds at most a quarter of EVALUATION_BYTES."""
+    return _items_per_cap(4 * solver.bytes_per_weight())
 
 
 def _ground_states(cfg: CDConfig, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

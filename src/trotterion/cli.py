@@ -224,18 +224,25 @@ def _write_n_steps(result, gate_count, out: str | None) -> None:
     _write(_csv("n,error,gates", rows, result.slope, result.fit_window), out)
 
 
+def _step_counts(args) -> list[int] | None:
+    """The --ns grid, refused beside --n, which a grid would override."""
+    if args.n is not None and args.ns is not None:
+        raise InvalidInputError("give --n or --ns, not both")
+    return args.ns
+
+
 def _cmd_chain(args) -> int:
     cfg = ChainConfig(L=args.L, t1=args.t1, t2=args.t2, T=args.T, n=args.n)
-    _write_n_steps(chain_simulate(cfg, ns=args.ns), functools.partial(chain_gate_count, cfg),
-                   args.out)
+    _write_n_steps(chain_simulate(cfg, ns=_step_counts(args)),
+                   functools.partial(chain_gate_count, cfg), args.out)
     return 0
 
 
 def _cmd_km(args) -> int:
     cfg = KMConfig(Lx=args.Lx, Ly=args.Ly, J=args.J, phi=args.phi, T=args.T,
                    n=args.n, boundary=args.boundary)
-    _write_n_steps(km_simulate(cfg, ns=args.ns), functools.partial(km_gate_count, cfg),
-                   args.out)
+    _write_n_steps(km_simulate(cfg, ns=_step_counts(args)),
+                   functools.partial(km_gate_count, cfg), args.out)
     return 0
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .bases import SixGateParams, reparam
 from .errors import DomainError, InvalidInputError, SolverError
+from .formula import _items_per_cap
 
 SQRT4_RESIDUAL_TOL = 1e-12
 # The root's scale q = 4^-((n+1)/2) is 2^-1022, the smallest normal double, at
@@ -33,18 +34,16 @@ P_OF_R_MAX_FLOOR = 1e-3
 # at most 8e-4 larger than the former Newton root (3.41 against 5.02 at
 # R = 10); 25 or 50 gauges did worse at R = 0.66.
 P_OF_R_GAUGES = np.linspace(-3.0, 3.0, 240)
-# The solve builds the gauges with |t| <= P_OF_R_WINDOW first, and the rest
-# only for a weight whose best root there is not below fl(P_OF_R_WINDOW *
-# sqrt(R + 1/2)). On 10 766 weights in (-1/2, 1e8], and 40 000 more spread
-# over it, no weight with R >= -0.146 built the rest, and there the best t
-# lay in [-0.79, 1.49]; from R = -0.378 to -0.151 an outer t may win (2.40
-# at R = -0.32).
-P_OF_R_WINDOW = 1.5
-# Residuals are taken first on the P_OF_R_SCREEN candidates of a row with
-# the smallest max|p|. On those weights, of R >= 0 only weights in [0.3215,
-# 0.3257] had no root among them (one slice of the README ramp); so did
-# those in (-1/2, -0.4626]. Such rows check the rest of their candidates.
-P_OF_R_SCREEN = 64
+# Pairs (gauge, p1 root) of a weight that the exact solve finishes first: those
+# of the smallest max(|p1|, |p6|). On 1 600 weights log-spaced in R + 1/2 over
+# (-1/2, 1e8], with 96 (or 80) only weights below R = -0.29 went on to finish
+# every pair; with 64 so did 3 near R = 0.35 and each one from R = 1.75e4 up.
+P_OF_R_FIRST = 96
+# Float arrays the exact solve holds at once a pair and a candidate finished.
+# By tracemalloc on 200 weights, 120 or 240 gauges and 1 to every pair finished:
+# 5.2 a pair while building them, then 4 a pair and 21.4 to 22.9 a candidate.
+PAIR_ARRAYS = 6
+CANDIDATE_ARRAYS = 23
 
 
 @dataclass(frozen=True)
@@ -144,95 +143,96 @@ def _p_of_r_residuals(p, R) -> tuple:
     return (rp.l - 1.0, rp.m - 1.0, rp.q + R - 0.5, rp.r - 1.0 / 6.0, rp.s - 1.0 / 6.0)
 
 
-def _candidates(weights: np.ndarray, gauges: np.ndarray) -> tuple:
-    """The candidates p = (p1, ..., p6) of each weight of a 1-D array at each
-    t of `gauges`: six (len(weights), 4 * len(gauges)) arrays, gauge-major."""
+def bytes_per_weight(finished: int | None = None) -> int:
+    """Bytes the exact solve holds at once for each weight whose candidates it
+    builds from `finished` pairs: by default those of its first pass."""
+    pairs = 2 * P_OF_R_GAUGES.size
+    finished = min(P_OF_R_FIRST, pairs) if finished is None else finished
+    return 8 * (PAIR_ARRAYS * pairs + CANDIDATE_ARRAYS * 2 * finished)
+
+
+def _pairs(weights: np.ndarray) -> tuple:
+    """p1 and p6 of each weight of a 1-D array at each (gauge, p1 root) pair
+    of P_OF_R_GAUGES: two (len(weights), 2 * gauges) arrays, gauge-major."""
     n = weights.size
     R = weights[:, None]
-    Q = 0.5 - R
     # Python's scalar powers, not R * R * R, so a weight's coefficients
     # keep every bit of the one-weight formula
     R2, R3 = (np.array([r ** e for r in weights.tolist()]).reshape(n, 1) for e in (2, 3))
-    p6 = gauges * np.sqrt(R + 0.5)
+    p6 = P_OF_R_GAUGES * np.sqrt(R + 0.5)
     p6_2 = p6 * p6
     p1 = _quadratic_roots(
         (72 * R - 36) * p6_2 - (72 * R - 48) * p6 - 12,
         (48 - 72 * R) * p6_2 + (72 * R2 - 72 * R - 30) * p6 + 72 * R2 + 24 * R + 6,
         -12 * p6_2 + (72 * R2 + 24 * R + 6) * p6 - 72 * R3 - 36 * R2 - 6 * R - 1)
-    p6 = p6[..., None]
-    k = (1.0 / 6.0 - p1 * Q[..., None]) / (1.0 / 6.0 - p6 * Q[..., None])
-    p2 = _quadratic_roots(-k, 1.0 - p1 + (1.0 - p6) * k, -Q[..., None])
-    p2 = p2.reshape(n, 4 * gauges.size)
-    # each (gauge, p1 root) pair carries both of its p2 roots
-    p1 = np.repeat(p1.reshape(n, 2 * gauges.size), 2, axis=1)
-    p5 = np.repeat(k.reshape(n, 2 * gauges.size), 2, axis=1) * p2
-    p6 = np.repeat(p6.reshape(n, gauges.size), 4, axis=1)
+    return p1.reshape(n, 2 * P_OF_R_GAUGES.size), np.repeat(p6, 2, axis=1)
+
+
+def _finish(R, p1, p6) -> tuple:
+    """The candidates p = (p1, ..., p6) of pairs p1, p6 at weights R, arrays
+    that broadcast: each pair's two p2 roots on a new last axis."""
+    Q = 0.5 - R
+    k = (1.0 / 6.0 - p1 * Q) / (1.0 / 6.0 - p6 * Q)
+    p2 = _quadratic_roots(-k, 1.0 - p1 + (1.0 - p6) * k, -Q)
+    p1, p6 = (np.repeat(col[..., None], 2, axis=-1) for col in (p1, p6))
+    p5 = k[..., None] * p2
     return p1, p2, 1.0 - p1 - p5, 1.0 - p6 - p2, p5, p6
 
 
-def _best_roots(weights: np.ndarray, gauges: np.ndarray) -> tuple:
-    """Each weight's root of the smallest largest coefficient among its
-    candidates at `gauges`, the first in gauge-major order of equals: that
-    max|p| (inf where no candidate is a root), its column, and its six
-    coefficients.
-
-    Residuals are taken first on the candidates whose max|p| is at most the
-    row's P_OF_R_SCREEN-th smallest; no other candidate can match a root
-    among them. Only rows with no root there check the rest; so does a row
-    whose P_OF_R_SCREEN-th smallest is NaN, as nothing passes `<= NaN`.
-    """
-    p = _candidates(weights, gauges)
+def _best_roots(R: np.ndarray, p1: np.ndarray, p6: np.ndarray) -> tuple:
+    """Each weight's root of the smallest largest coefficient among the
+    candidates of its row of pairs p1, p6, the first of equals in the row's
+    order: that max|p| (inf where no candidate is a root) and its six
+    coefficients, as a (len(R), 6) array."""
+    p = _finish(R[:, None], p1, p6)
     largest = functools.reduce(np.maximum, (np.abs(col) for col in p))
-    kth = min(P_OF_R_SCREEN, largest.shape[1]) - 1
-    screened = largest <= np.partition(largest, kth, axis=1)[:, kth:kth + 1]
-    R = np.broadcast_to(weights[:, None], largest.shape)
-    # largest at each root found and inf elsewhere
-    ranked = np.full(largest.shape, np.inf)
-
-    def rank(check):
-        cands, top = tuple(col[check] for col in p), largest[check]
-        found = _converged(cands, _p_of_r_residuals(cands, R[check]), top)
-        ranked[check] = np.where(found, top, np.inf)
-
-    rank(screened)
-    rest = ~screened & np.isinf(ranked).all(axis=1, keepdims=True)
-    if rest.any():
-        rank(rest)
+    found = _converged(p, _p_of_r_residuals(p, R[:, None, None]), largest)
+    ranked = np.where(found, largest, np.inf).reshape(R.size, 2 * p1.shape[1])
     best = np.argmin(ranked, axis=1)
-    rows = np.arange(weights.size)
-    return ranked[rows, best], best, np.stack([col[rows, best] for col in p], axis=1)
+    rows = np.arange(R.size)
+    root = np.stack([col.reshape(ranked.shape)[rows, best] for col in p], axis=1)
+    return ranked[rows, best], root
+
+
+def _first_pass(R: np.ndarray) -> tuple:
+    """`_best_roots` on each weight's P_OF_R_FIRST pairs of smallest bound
+    max(|p1|, |p6|), a NaN read as inf, taken in gauge-major order; and
+    whether each root is final, strictly below the bound of every other
+    pair. A candidate's max|p| reaches its pair's bound, so a final root is
+    the one that every candidate gives."""
+    p1, p6 = _pairs(R)
+    bound = np.maximum(np.abs(p1), np.abs(p6))
+    bound[np.isnan(bound)] = np.inf
+    k = min(P_OF_R_FIRST, bound.shape[1])
+    order = np.argpartition(bound, k - 1, axis=1)
+    rows = np.arange(R.size)[:, None]
+    first = np.sort(order[:, :k], axis=1)
+    rest = bound[rows, order[:, k:]].min(axis=1, initial=np.inf)
+    top, roots = _best_roots(R, p1[rows, first], p6[rows, first])
+    return top, roots, top < rest
 
 
 def _solve_p_of_r_many(weights) -> tuple[np.ndarray, np.ndarray]:
     """`solve_p_of_r` on each weight of a 1-D array: the chosen roots as rows
     of a (len, 6) array, and their residuals as rows of a (len, 5) array.
 
-    The inner gauges' round, then the outer gauges' round for the weights
-    it leaves open; of their roots the smaller max|p| wins, and of equals
-    the earlier column. The first weight that fails, in order, raises what
-    `solve_p_of_r` would raise on it. `apps.cd.cd_run` calls it on each
-    chunk of a ramp's slices.
+    The first pass finishes each weight's P_OF_R_FIRST pairs of smallest
+    bound. A weight whose root there is not final finishes every pair, in
+    blocks of weights that hold a quarter of EVALUATION_BYTES. The first
+    weight that fails, in order, raises what `solve_p_of_r` would raise on
+    it. `apps.cd.cd_run` calls it on each chunk of a ramp's slices.
     """
     weights = np.asarray(weights, dtype=float)
     accepted = (np.abs(weights) <= P_OF_R_MAX_WEIGHT) & (weights > -0.5)
     n = int(np.argmin(accepted)) if not accepted.all() else weights.size
     valid = weights[:n]
-    inner = np.abs(P_OF_R_GAUGES) <= P_OF_R_WINDOW
-    # an outer candidate's max|p| >= |p6| >= bound, so an inner root below it is final
-    bound = P_OF_R_WINDOW * np.sqrt(valid + 0.5)
-    largest = np.full(n, np.inf)
-    column = np.full(n, 4 * P_OF_R_GAUGES.size)
-    roots = np.empty((n, 6))
     with np.errstate(all="ignore"):
-        for gauges in (np.flatnonzero(inner), np.flatnonzero(~inner)):
-            rows = np.flatnonzero(~(largest < bound))
-            if not (gauges.size and rows.size):
-                continue
-            top, col, root = _best_roots(valid[rows], P_OF_R_GAUGES[gauges])
-            col = 4 * gauges[col // 4] + col % 4  # its column among all candidates
-            wins = (top < largest[rows]) | (top == largest[rows]) & (col < column[rows])
-            rows = rows[wins]
-            largest[rows], column[rows], roots[rows] = top[wins], col[wins], root[wins]
+        largest, roots, final = _first_pass(valid)
+        rest = np.flatnonzero(~final)
+        block = _items_per_cap(4 * bytes_per_weight(2 * P_OF_R_GAUGES.size))
+        for start in range(0, rest.size, block):
+            rows = rest[start:start + block]
+            largest[rows], roots[rows] = _best_roots(valid[rows], *_pairs(valid[rows]))
         failed = np.flatnonzero(np.isinf(largest))
         if failed.size:
             raise SolverError(f"no gauge gave a real root at R={weights[failed[0]]:.6g}")
@@ -260,13 +260,11 @@ def solve_p_of_r(R: float) -> PofRResult:
     the smallest higher-order defects; among equals, the first in
     gauge-major order.
 
-    Two cuts skip candidates that cannot win, as max|p| >= |p_i| for each
-    coefficient, and leave the root the same bit for bit. The gauges with
-    |t| <= P_OF_R_WINDOW go first; the rest are built only when the best
-    root there is not below fl(P_OF_R_WINDOW * sqrt(R + 1/2)), which every
-    outer candidate's |p6| reaches. In each of these two rounds residuals
-    are taken first on the P_OF_R_SCREEN candidates of smallest max|p|,
-    and on the others only when none of those is a root.
+    Every candidate's max|p| is at least max(|p1|, |p6|) of its (gauge, p1
+    root) pair, so the solve finishes (p2 and the rest, then residuals) the
+    P_OF_R_FIRST pairs of smallest such bound first. Their best root is the
+    answer, bit for bit, when it is strictly below the bound of every other
+    pair; otherwise every pair is finished.
     """
     p, res = _solve_p_of_r_many([float(R)])
     return PofRResult(SixGateParams(*p[0].tolist()), tuple(res[0].tolist()))

@@ -513,6 +513,11 @@ BAD_INPUTS = [
                  id="chain-zero-step-count"),
     pytest.param({}, ["km", "--Lx", "3", "--Ly", "3", "--J", "1", "--phi", "1", "--T", "1",
                       "--ns", "2,-3"], 2, id="km-negative-step-count"),
+    # a single step count and a grid of them together
+    pytest.param({}, ["chain", "--L", "8", "--t1", "1", "--t2", "0.5", "--T", "1", "--n", "8",
+                      "--ns", "16,32"], 2, id="chain-step-count-and-grid"),
+    pytest.param({}, ["km", "--Lx", "4", "--Ly", "4", "--J", "1", "--phi", "1", "--T", "1",
+                      "--n", "8", "--ns", "16,32"], 2, id="km-step-count-and-grid"),
     # every error sits at the rounding floor, so no slope is fitted
     pytest.param({}, ["chain", "--L", "6", "--t1", "1e-300", "--t2", "1e-300", "--T", "1"], 3,
                  id="chain-couplings-at-noise-floor"),

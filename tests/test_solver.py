@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 from trotterion import reparam, solve_p_of_r, solve_sqrt4, solver
 from trotterion.bases import f_r_params
 from trotterion.apps import CDConfig, cd_beta, cd_run
+from trotterion.apps import cd as cd_module
 from trotterion.errors import DomainError, InvalidInputError, SolverError
+from trotterion.formula import EVALUATION_BYTES
 
 from test_apps import REFERENCE_RAMPS
 
@@ -220,41 +223,65 @@ def test_batched_solve_raises_for_the_first_failing_weight(monkeypatch, weights,
         solver._solve_p_of_r_many(weights)
 
 
+def _unpruned_ranks(weights):
+    """Every candidate of each weight, and its max|p| where it passes
+    `_converged` (inf elsewhere), as rows in column order."""
+    with np.errstate(all="ignore"):
+        p = solver._finish(weights[:, None], *solver._pairs(weights))
+        largest = functools.reduce(np.maximum, (np.abs(col) for col in p))
+        found = solver._converged(p, solver._p_of_r_residuals(p, weights[:, None, None]), largest)
+    ranked = np.where(found, largest, np.inf).reshape(weights.size, -1)
+    return tuple(col.reshape(ranked.shape) for col in p), ranked
+
+
 def _unpruned_solve(weights):
-    """The exact solve without its cuts: every candidate, one `_converged`
-    pass, then the first smallest max|p| among the roots."""
+    """The exact solve without its first pass: every candidate, one
+    `_converged` pass, then the first smallest max|p| among the roots."""
     weights = np.asarray(weights, dtype=float)
     rows = np.arange(weights.size)
+    p, ranked = _unpruned_ranks(weights)
+    best = np.argmin(ranked, axis=1)
+    assert np.isfinite(ranked[rows, best]).all()
+    roots = tuple(col[rows, best] for col in p)
     with np.errstate(all="ignore"):
-        p = solver._candidates(weights, solver.P_OF_R_GAUGES)
-        largest = functools.reduce(np.maximum, (np.abs(col) for col in p))
-        found = solver._converged(p, solver._p_of_r_residuals(p, weights[:, None]), largest)
-        best = np.argmin(np.where(found, largest, np.inf), axis=1)
-        assert found[rows, best].all()
-        roots = tuple(col[rows, best] for col in p)
         residuals = solver._p_of_r_residuals(roots, weights)
     return np.stack(roots, axis=1), np.stack(residuals, axis=1)
 
 
-# -0.4999 and -0.45 open the outer gauges and keep an inner root; at -0.32 an
-# outer gauge wins
+# -0.4999, -0.45 and -0.32 finish every pair; at -0.32 a gauge with |t| > 1.5
+# wins (t = 2.40)
 CUT_WEIGHTS = [-0.4999, -0.45, -0.32, 0.0, 1e8]
 EQUIVALENCE_WEIGHTS = [*SWEEP_WEIGHTS, *CUT_WEIGHTS,
                        *(R for ramp in REFERENCE_RAMPS for R in _slice_weights(*ramp))]
 
 
-def test_cut_weights_reach_both_rounds():
+def _count_pair_rows(monkeypatch):
+    """The weights of each `_pairs` call, as a list the solve appends to."""
+    built = []
+    pairs = solver._pairs
+
+    def counted(weights):
+        built.append(weights.size)
+        return pairs(weights)
+
+    monkeypatch.setattr(solver, "_pairs", counted)
+    return built
+
+
+def test_cut_weights_reach_both_rounds(monkeypatch):
+    # weights with R < -0.3 finish every pair after the first pass
+    built = _count_pair_rows(monkeypatch)
     roots, _ = solver._solve_p_of_r_many(CUT_WEIGHTS)
+    assert built == [5, 3]
     R = np.array(CUT_WEIGHTS)
     t = roots[:, 5] / np.sqrt(R + 0.5)
-    opened = ~(np.max(np.abs(roots), axis=1) < solver.P_OF_R_WINDOW * np.sqrt(R + 0.5))
-    assert opened.tolist() == [True, True, True, False, False]
-    assert (np.abs(t) > solver.P_OF_R_WINDOW).tolist() == [False, False, True, False, False]
+    assert (np.abs(t) > 1.5).tolist() == [False, False, True, False, False]
 
 
-@pytest.mark.parametrize("cut", [None, ("P_OF_R_WINDOW", 0.0), ("P_OF_R_WINDOW", 3.0),
-                                 ("P_OF_R_SCREEN", 1), ("P_OF_R_SCREEN", 960)])
+@pytest.mark.parametrize("cut", [None, ("P_OF_R_FIRST", 1), ("P_OF_R_FIRST", 16),
+                                 ("P_OF_R_FIRST", 480), ("P_OF_R_FIRST", 1000)])
 def test_cuts_pick_the_unpruned_root_bit_for_bit(monkeypatch, cut):
+    # the first pass at one pair, at 16, at the default, at every pair and past it
     if cut is not None:
         monkeypatch.setattr(solver, *cut)
     want = _unpruned_solve(EQUIVALENCE_WEIGHTS)
@@ -263,18 +290,40 @@ def test_cuts_pick_the_unpruned_root_bit_for_bit(monkeypatch, cut):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("R,t", [(-0.45, 0.25), (0.2436363636363636, -2.0),
+                                 (0.44181818181818183, 1.1500000000000001)])
+def test_tied_roots_pick_the_first_column(monkeypatch, R, t):
+    # at the gauges t and -t two distinct roots share the smallest max|p|;
+    # the first pass at each size must pick the earlier column
+    monkeypatch.setattr(solver, "P_OF_R_GAUGES", np.array([t, -t]))
+    ranked = _unpruned_ranks(np.array([R]))[1]
+    assert np.count_nonzero(ranked == ranked.min()) > 1
+    want = _unpruned_solve([R])
+    for first in (1, 2, 3, 4):
+        monkeypatch.setattr(solver, "P_OF_R_FIRST", first)
+        got = solver._solve_p_of_r_many([R])
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), first
+
+
 def test_readme_ramp_builds_only_the_inner_gauges(monkeypatch):
-    built = {"inner": 0, "outer": 0}
-    candidates = solver._candidates
-
-    def counted(weights, gauges):
-        outer = np.any(np.abs(gauges) > solver.P_OF_R_WINDOW)
-        built["outer" if outer else "inner"] += weights.size
-        return candidates(weights, gauges)
-
-    monkeypatch.setattr(solver, "_candidates", counted)
+    # each weight's pairs are built once: none finishes every pair
+    built = _count_pair_rows(monkeypatch)
     cd_run(CDConfig(J=-1.0, hz=5.0, tau=1.0, n_steps=100), exact_coefficients=True)
-    assert built == {"inner": 100, "outer": 0}
+    assert sum(built) == 100 and len(built) == -(-100 // cd_module._slices_per_chunk())
+
+
+@pytest.mark.parametrize("lo,hi", [(0.3215, 0.3257), (-0.4999, -0.4626)])
+def test_exact_solve_of_one_chunk_holds_a_quarter_of_the_cap(lo, hi):
+    # a ramp chunk near R = 0.32, where about 70 pairs bound below the root,
+    # and one where every weight finishes every pair
+    weights = np.linspace(lo, hi, cd_module._slices_per_chunk())
+    tracemalloc.start()
+    try:
+        solver._solve_p_of_r_many(weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= EVALUATION_BYTES // 4
 
 
 @pytest.mark.parametrize("R", [4e4, 1e6, 1e8])

@@ -29,7 +29,6 @@ class ChainConfig:
     t1: float
     t2: float
     T: float
-    n: int | None = None
 
     def __post_init__(self) -> None:
         if self.L < 4 or self.L % 2 != 0:
@@ -42,8 +41,6 @@ class ChainConfig:
             raise InvalidInputError("nearest-neighbor amplitude must be nonzero")
         check_magnitudes({"t1": self.t1, "t2": self.t2, "T": self.T,
                           "t1*T": self.t1 * self.T, "t2*T": self.t2 * self.T})
-        if self.n is not None and self.n < 1:
-            raise InvalidInputError("step count must be at least 1")
 
 
 def chain_hoppings(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -76,12 +73,13 @@ def chain_gate_count(cfg: ChainConfig, n: int) -> int:
 
 
 def chain_simulate(cfg: ChainConfig, ns: Sequence[int] | None = None) -> ScanResult:
-    """Error of the n-step product over a grid of step counts.
+    """Error of the n-step product over the grid ns of step counts.
 
     One step is the signed 6-gate sum-plus-commutator formula at argument
-    -t1*T/n whose n-fold product targets exp(-i*T*Heff); the grid and the
-    log-log fit are n_step_scan's, and the expected slope is -1.
+    -t1*T/n whose n-fold product targets exp(-i*T*Heff). ns is the run's
+    only step-count input; its check, its default and the log-log fit are
+    n_step_scan's, and the expected slope is -1.
     """
     h0, h1 = chain_hoppings(cfg)
     return n_step_scan(f_r_signed, GeneratorPair(1j * h0, 1j * h1), -cfg.t1 * cfg.T,
-                       -cfg.t2 * cfg.T, cfg.n, ns)
+                       -cfg.t2 * cfg.T, ns)

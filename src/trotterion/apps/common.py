@@ -76,18 +76,18 @@ def n_step_target(gens: GeneratorPair, alpha: float, beta: float) -> np.ndarray:
 
 
 def n_step_scan(step: Callable[[float], ProductFormula], gens: GeneratorPair, alpha: float,
-                beta: float, default_n: int | None, ns: Sequence[int] | None) -> ScanResult:
+                beta: float, ns: Sequence[int] | None) -> ScanResult:
     """Error of the n-fold product of one step against n_step_target, over n.
 
     One step is step(R) at argument alpha/n with R = step_weight(alpha,
     beta, n), so the n-fold product targets n_step_target(gens, alpha,
     beta); R grows linearly with n, which limits the composite to 1/n
-    convergence. The grid ns defaults to the single count default_n when
-    set, otherwise to `step_grid`'s, which checks it before the target or
-    any step is built. The errors come from one `power_errors` pass; a
-    power that overflows is refused as bad input, at the first such n.
+    convergence. The grid ns, the only step-count input, is `step_grid`'s
+    (its default when None), checked before the target or any step is
+    built. The errors come from one `power_errors` pass; a power that
+    overflows is refused as bad input, at the first such n.
     """
-    grid = step_grid((default_n,) if ns is None and default_n is not None else ns)
+    grid = step_grid(ns)
     target = n_step_target(gens, alpha, beta)
     with quiet_small_r():
         steps = [step(step_weight(alpha, beta, n)) for n in grid]

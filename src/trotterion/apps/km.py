@@ -36,7 +36,6 @@ class KMConfig:
     J: float
     phi: float
     T: float
-    n: int | None = None
     boundary: str = "auto"
 
     def __post_init__(self) -> None:
@@ -49,8 +48,6 @@ class KMConfig:
         if not math.isfinite(self.phi):
             raise InvalidInputError("flux must be finite")
         check_magnitudes({"J": self.J, "T": self.T, "J*T": self.J * self.T})
-        if self.n is not None and self.n < 1:
-            raise InvalidInputError("step count must be at least 1")
         if self.boundary not in BOUNDARIES:
             raise InvalidInputError(f"boundary must be one of {BOUNDARIES}")
 
@@ -201,9 +198,10 @@ def km_simulate(cfg: KMConfig, ns: Sequence[int] | None = None) -> ScanResult:
     commuting-cost term; the per-step commutator weight grows with n so
     the composite converges like 1/n. Either sign of the weight works,
     so any nonzero J and any flux off the multiples of 2*pi run. The
-    grid and the fit are n_step_scan's, as in chain_simulate.
+    grid ns is the only step-count input; its check, its default and the
+    fit are n_step_scan's, as in chain_simulate.
     """
     h1, h2, h3, h4 = km_hoppings(cfg)
     gens = GeneratorPair(1j * (h1 - h2), 1j * (h3 - h4), 1j * (2.0 * h2 + 2.0 * h4))
     beta = flat_band_coupling(cfg.J, cfg.phi) * cfg.T
-    return n_step_scan(f_r_with_c, gens, cfg.T, beta, cfg.n, ns)
+    return n_step_scan(f_r_with_c, gens, cfg.T, beta, ns)

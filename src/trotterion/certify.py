@@ -277,8 +277,8 @@ def gates_to_accuracy(f: ProductFormula, gens: GeneratorPair, x: float,
     error non-monotone near eps. Returns (r, gate count of the simplified
     repeated formula).
     """
-    if not eps > 0.0:
-        raise InvalidInputError("accuracy eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise InvalidInputError("accuracy eps must be positive and finite")
     target = _targets(gens, [x])[0]
     known: dict[int, float] = {}
     refused: dict[int, InvalidInputError | None] = {}

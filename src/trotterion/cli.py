@@ -69,8 +69,9 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError("grid must look like LO:HI:STEP")
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < step < math.inf and lo <= hi):
         raise argparse.ArgumentTypeError("grid needs finite LO <= HI and finite STEP > 0")
-    # HI is in when within the rounding of the points, which scales with the grid
-    last = hi + 1e-12 * max(abs(lo), abs(hi))
+    # HI is in when within the rounding of the points, which scales with the
+    # grid, and never a half STEP past it, which would count a point beyond HI
+    last = hi + min(1e-12 * max(abs(lo), abs(hi)), step / 2)
     # the points lo + k * step up to `last`, counted before any is made
     if not (last - lo) / step < MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"grid must have at most {MAX_GRID_POINTS} points")
@@ -106,13 +107,19 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _load_formula(path: str) -> ProductFormula:
+def _read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 file; one error naming the file if it is unreadable."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise InvalidInputError(f"cannot read formula file: {exc}")
-    return from_json(payload)
+        raise InvalidInputError(f"cannot read {what}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"cannot read {what}: {path!r} is not UTF-8 text: {exc}")
+
+
+def _load_formula(path: str) -> ProductFormula:
+    return from_json(_read_text(path, "formula file"))
 
 
 def _cmd_build(args) -> int:
@@ -159,21 +166,12 @@ def _cmd_scan(args) -> int:
 
 def _cmd_fit(args) -> int:
     rows = []
-    try:
-        with open(args.csv, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) < 2:
-                    continue
-                try:
-                    rows.append((float(parts[0]), float(parts[1])))
-                except ValueError:
-                    continue  # header or stray text
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read CSV: {exc}")
+    for line in _read_text(args.csv, "CSV").split("\n"):
+        try:
+            x, err = line.split(",")[:2]
+            rows.append((float(x), float(err)))
+        except ValueError:
+            continue  # header, comment, blank line or stray text
     slope, intercept = fit_loglog(rows, args.window)
     if slope is None:
         raise DegenerateScanError("fewer than two usable points in the window")
@@ -225,14 +223,14 @@ def _write_n_steps(result, gate_count, out: str | None) -> None:
 
 
 def _step_counts(args) -> list[int] | None:
-    """The --ns grid, refused beside --n, which a grid would override."""
+    """The step-count grid: --n N as the grid [N], else --ns; not both."""
     if args.n is not None and args.ns is not None:
         raise InvalidInputError("give --n or --ns, not both")
-    return args.ns
+    return args.ns if args.n is None else [args.n]
 
 
 def _cmd_chain(args) -> int:
-    cfg = ChainConfig(L=args.L, t1=args.t1, t2=args.t2, T=args.T, n=args.n)
+    cfg = ChainConfig(L=args.L, t1=args.t1, t2=args.t2, T=args.T)
     _write_n_steps(chain_simulate(cfg, ns=_step_counts(args)),
                    functools.partial(chain_gate_count, cfg), args.out)
     return 0
@@ -240,7 +238,7 @@ def _cmd_chain(args) -> int:
 
 def _cmd_km(args) -> int:
     cfg = KMConfig(Lx=args.Lx, Ly=args.Ly, J=args.J, phi=args.phi, T=args.T,
-                   n=args.n, boundary=args.boundary)
+                   boundary=args.boundary)
     _write_n_steps(km_simulate(cfg, ns=_step_counts(args)),
                    functools.partial(km_gate_count, cfg), args.out)
     return 0

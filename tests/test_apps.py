@@ -317,7 +317,7 @@ def test_chain_target_is_the_heff_evolution(monkeypatch):
     passed = []
     monkeypatch.setattr(chain_module, "n_step_scan", lambda *args: passed.append(args))
     chain_simulate(cfg)
-    _, gens, alpha, beta, _, _ = passed[0]
+    _, gens, alpha, beta, _ = passed[0]
     want = scipy.linalg.expm(-1j * cfg.T * chain_heff(cfg))
     assert spectral_norm(n_step_target(gens, alpha, beta) - want) <= 1e-12
 
@@ -333,12 +333,12 @@ def test_chain_simulate_slope_and_decay():
 
 
 def test_chain_gate_count_and_single_n():
-    cfg = ChainConfig(L=6, t1=1.0, t2=0.5, T=1.0, n=16)
+    cfg = ChainConfig(L=6, t1=1.0, t2=0.5, T=1.0)
     assert chain_gate_count(cfg, 16) == 3 * 16 * 6
-    res = chain_simulate(cfg)
+    res = chain_simulate(cfg, ns=(16,))
     assert len(res.rows) == 1
     assert res.rows[0][0] == 16.0
-    assert res.rows[0][1] == chain_simulate(cfg, ns=(16,)).rows[0][1]
+    assert res.rows[0][1] == pytest.approx(chain_simulate(cfg, ns=(8, 16)).rows[1][1], rel=1e-12)
 
 
 def test_chain_negative_weight_uses_reflected_step():
@@ -360,9 +360,9 @@ def test_chain_config_validation():
         ChainConfig(L=6, t1=0.0, t2=0.5, T=1.0)
     with pytest.raises(InvalidInputError):
         ChainConfig(L=6, t1=1.0, t2=0.5, T=-1.0)
-    with pytest.raises(InvalidInputError):
-        ChainConfig(L=6, t1=1.0, t2=0.5, T=1.0, n=0)
     cfg = ChainConfig(L=6, t1=1.0, t2=0.5, T=1.0)
+    with pytest.raises(InvalidInputError):
+        chain_simulate(cfg, ns=(0,))
     with pytest.raises(InvalidInputError):
         chain_simulate(cfg, ns=(16, 8))
     with pytest.raises(InvalidInputError):
@@ -494,9 +494,9 @@ def test_km_config_validation():
     with pytest.raises(InvalidInputError):
         KMConfig(Lx=4, Ly=4, J=1.0, phi=1.0, T=0.0)
     with pytest.raises(InvalidInputError):
-        KMConfig(Lx=4, Ly=4, J=1.0, phi=1.0, T=1.0, n=0)
-    with pytest.raises(InvalidInputError):
         KMConfig(Lx=4, Ly=4, J=1.0, phi=1.0, T=1.0, boundary="klein")
     cfg = KMConfig(Lx=4, Ly=4, J=1.0, phi=np.pi / 4, T=1.0, boundary="torus")
+    with pytest.raises(InvalidInputError):
+        km_simulate(cfg, ns=(0,))
     with pytest.raises(InvalidInputError):
         km_simulate(cfg, ns=(32, 16))

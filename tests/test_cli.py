@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import math
 import os
@@ -255,6 +256,18 @@ def test_chain_csv_and_convergence(capsys):
     assert 0.0 < single_error(128) < single_error(64)
 
 
+@pytest.mark.parametrize("argv", [
+    ["chain", "--L", "6", "--t1", "1", "--t2", "0.5", "--T", "1"],
+    ["km", "--Lx", "4", "--Ly", "4", "--J", "1", "--phi", "1.5707963267948966", "--T", "1"],
+], ids=["chain", "km"])
+def test_single_step_count_runs_as_a_one_count_grid(capsys, argv):
+    code, single, _ = run_cli(capsys, *argv, "--n", "16")
+    assert code == 0
+    code, grid, _ = run_cli(capsys, *argv, "--ns", "16")
+    assert code == 0
+    assert single == grid and single.startswith("n,error,gates\n16,")
+
+
 def test_km_csv(capsys):
     code, out, _ = run_cli(capsys, "km", "--Lx", "3", "--Ly", "3", "--J", "1",
                            "--phi", "0.7853981633974483", "--T", "1",
@@ -309,6 +322,13 @@ def test_grid_endpoint_tolerance_scales_with_the_grid():
     assert len(tiny) == 10 and tiny[-1] == pytest.approx(1e-299, rel=1e-15)
     assert _parse_grid("0.1:0.3:0.1") == [0.1, 0.2, 0.1 + 2 * 0.1]
     assert len(_parse_grid("0.1:0.3:0.05")) == 5
+    # but never by half a STEP: 1e-12 of the grid's magnitude alone took
+    # 1:1:1e-14 to 101 points up to 1.000000000001, and counted
+    # 1e154:1e154:1 as about 1e142 points
+    assert _parse_grid("1:1:1e-14") == [1.0]
+    assert _parse_grid("1:1:1.2e-16") == [1.0]
+    with pytest.raises(argparse.ArgumentTypeError, match="below the spacing of doubles"):
+        _parse_grid("1e154:1e154:1")
 
 
 def test_accuracy_warning_is_one_line():
@@ -434,6 +454,13 @@ BAD_INPUTS = [
     pytest.param({"f.json": GOOD_JSON},
                  ["gates", "--formula", "f.json", "--eps", "nan", "--xs", "0.1:0.1:0.1"], 2,
                  id="gates-eps-nan"),
+    pytest.param({"f.json": GOOD_JSON},
+                 ["gates", "--formula", "f.json", "--eps", "inf", "--xs", "0.1:0.1:0.1"], 2,
+                 id="gates-eps-inf"),
+    # files that are not UTF-8 text
+    pytest.param({"f.json": b"\xff\xfe"}, ["scan", "--formula", "f.json"], 2,
+                 id="formula-not-utf8"),
+    pytest.param({"s.csv": b"\xff\xfe"}, ["fit", "--csv", "s.csv"], 2, id="fit-csv-not-utf8"),
     pytest.param({"f.json": HUGE_COEFF_JSON}, ["trajectory", "--formula", "f.json", "--gen", "A"],
                  2, id="trajectory-coefficient-beyond-float-range"),
     pytest.param({"f.json": HUGE_COEFF_JSON}, ["scan", "--formula", "f.json"], 2,
@@ -556,8 +583,9 @@ BAD_INPUTS = [
     pytest.param({"f.json": GOOD_JSON}, ["gates", "--formula", "f.json", "--eps", "1e-4",
                                          "--xs", "1e154:1e154:1"], 2,
                  id="gates-grid-step-below-spacing"),
-    pytest.param({"f.json": GOOD_JSON}, ["scan", "--formula", "f.json", "--xs", "1:1:1.2e-16"],
-                 2, id="scan-grid-points-do-not-increase"),
+    pytest.param({"f.json": GOOD_JSON},
+                 ["scan", "--formula", "f.json", "--xs", "1:1.000000000001:1.2e-16"], 2,
+                 id="scan-grid-points-do-not-increase"),
 ]
 
 # Rows run in a child process with a timeout, so that a grid made without
@@ -581,7 +609,10 @@ RAMP_ERRORS = {
 @pytest.mark.parametrize("files,argv,want", BAD_INPUTS)
 def test_malformed_input_exits_with_one_error_line(request, tmp_path, capsys, files, argv, want):
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in files else a for a in argv]
     if request.node.callspec.id in CHILD_PROCESS_ROWS:
         proc = subprocess.run([sys.executable, "-m", "trotterion.cli", *argv],
@@ -601,6 +632,8 @@ def test_malformed_input_exits_with_one_error_line(request, tmp_path, capsys, fi
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
     assert lines[0] == RAMP_ERRORS.get(request.node.callspec.id, lines[0])
+    if any(isinstance(text, bytes) for text in files.values()):
+        assert str(tmp_path) in lines[0]  # an unreadable file is named
 
 
 def test_km_step_scale_whose_square_underflows_runs(capsys):

@@ -269,40 +269,40 @@ def gates_to_accuracy(f: ProductFormula, gens: GeneratorPair, x: float,
     The error of r sqrt-scaled copies against exp(x^2 [A,B]) is that of
     the r-th power of one copy. r is found by doubling r up to a passing
     count, then bisection between it and the count before
-    (`_doubling_search`). Where it needs an error it lacks, it takes in
-    one `power_errors` pass every r it would probe from there if the
-    errors lay on the log-log line through the known errors nearest eps
-    (`_crossing_guess`). So it probes the r, and meets the errors and the
-    refusals, of the search one r at a time, even where rounding makes the
-    error non-monotone near eps. Returns (r, gate count of the simplified
-    repeated formula).
+    (`_doubling_search`), run in rounds from r = 1 over the known errors.
+    A round answers each r it lacks as if the errors lay on the log-log
+    line through the known errors nearest eps (`_crossing_guess`) and
+    takes those r in one `power_errors` pass; a round that lacks none
+    gives r. So it probes the r, and meets the errors and the refusals,
+    of the search one r at a time, even where rounding makes the error
+    non-monotone near eps. A known r that a round reads lies on the
+    search's own path (past a wrong guess the two part into disjoint
+    ranges), so a refused r raises where that search would raise it.
+    Returns (r, gate count of the simplified repeated formula).
     """
     if not 0.0 < eps < math.inf:
         raise InvalidInputError("accuracy eps must be positive and finite")
     target = _targets(gens, [x])[0]
     known: dict[int, float] = {}
     refused: dict[int, InvalidInputError | None] = {}
+    while True:
+        guess = _crossing_guess(known, eps, cap)
+        guessed: dict[int, bool] = {}
 
-    def passes(r: int) -> bool:
-        if r not in known:
-            guess = _crossing_guess(known, eps, cap)
-            path: dict[int, bool] = {}
+        def passes(r: int) -> bool:
+            if r not in known:
+                return guessed.setdefault(r, r >= guess)
+            if refused[r]:
+                raise refused[r]
+            return known[r] <= eps
 
-            def model(m: int) -> bool:
-                if m in known:
-                    return known[m] <= eps
-                return path.setdefault(m, m >= guess)
-
-            _doubling_search(model, cap)
-            errors, failures = power_errors(gens, [f] * len(path), [x / math.sqrt(m) for m in path],
-                                            list(path), target)
-            known.update(zip(path, errors))
-            refused.update(zip(path, failures))
-        if refused[r]:
-            raise refused[r]
-        return known[r] <= eps
-
-    r = _doubling_search(passes, cap)
+        r = _doubling_search(passes, cap)
+        if not guessed:
+            break
+        errors, failures = power_errors(gens, [f] * len(guessed),
+                                        [x / math.sqrt(m) for m in guessed], list(guessed), target)
+        known.update(zip(guessed, errors))
+        refused.update(zip(guessed, failures))
     if r is None:
         raise BudgetExceededError(f"no repetition count up to {cap} reaches eps={eps}")
     return r, _repeat_gate_count(f, r)

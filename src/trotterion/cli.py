@@ -156,6 +156,8 @@ def _cmd_scan(args) -> int:
     gens = default_generators()
     result = error_scan(f, gens, xs=args.xs, target=args.target, R=args.R,
                         window=args.window)
+    if args.window is not None and result.slope is None:
+        raise DegenerateScanError("fewer than two usable points in the window")
     _write(_csv("x,error", result.rows, result.slope, result.fit_window), args.out)
     if args.gnuplot is not None:
         script = GNUPLOT_TEMPLATE.format(csv=args.out, title=f.label or "formula")

@@ -93,18 +93,12 @@ def build_q(f: ProductFormula) -> ProductFormula:
     """4-copy scheme raising order n to n+2 with sqrt(4 n) copies per level.
 
     f(a x/s) f(b x/s)^(-1) f(c x/s) f(d x/s)^(-1) with (a, b, c, d) from
-    the power-condition solve and s = sqrt(|a^2 - b^2 + c^2 - d^2|). A
-    negative signed square sum would flip the target to exp(-x^2 [A,B]);
-    the result is then tagged in its label and callers wanting the
-    positive target take the inverse.
+    the power-condition solve and s = sqrt(a^2 - b^2 + c^2 - d^2).
     """
     sol = solve_sqrt4(_require_order(f))
-    scale = 1.0 / math.sqrt(abs(sol.signed_sum))
-    out = _assemble(f, "q4", 2, [(sol.a * scale, False), (sol.b * scale, True),
-                                 (sol.c * scale, False), (sol.d * scale, True)])
-    if sol.signed_sum < 0.0:
-        out = replace(out, label=out.label + "[inverse-target]")
-    return out
+    scale = 1.0 / math.sqrt(sol.signed_sum)
+    return _assemble(f, "q4", 2, [(sol.a * scale, False), (sol.b * scale, True),
+                                  (sol.c * scale, False), (sol.d * scale, True)])
 
 
 def build_w(f: ProductFormula) -> ProductFormula:

@@ -54,7 +54,7 @@ class Sqrt4Solution:
         a^(n+1) - b^(n+1) + c^(n+1) - d^(n+1) = 0
         a^(n+2) - b^(n+2) + c^(n+2) - d^(n+2) = 0
     with a = 1, b = 2 pinned, and signed_sum = a^2 - b^2 + c^2 - d^2
-    nonzero so the composite still carries a commutator term.
+    positive so the composite carries +x^2 [A,B] once rescaled.
     """
 
     n: int
@@ -95,8 +95,8 @@ def solve_sqrt4(n: int) -> Sqrt4Solution:
     if d >= 0.0:
         raise SolverError("4-copy solve collapsed onto the trivial branch")
     signed_sum = 1.0 - 4.0 + c * c - d * d
-    if abs(signed_sum) <= 1e-6:
-        raise SolverError("4-copy signed square sum vanished; no commutator weight")
+    if signed_sum <= 1e-6:
+        raise SolverError("4-copy signed square sum is at most 1e-6; no positive commutator weight")
     return Sqrt4Solution(n=n, a=1.0, b=2.0, c=c, d=d, signed_sum=signed_sum)
 
 

@@ -11,7 +11,7 @@ import scipy.linalg
 
 from trotterion import (AccuracyWarning, GeneratorPair, ProductFormula, commutator,
                         concat, f_r, pure_commutator_library, s2, s3, repeat)
-from trotterion import formula, matcore
+from trotterion import certify, formula, matcore
 from trotterion.apps import ChainConfig, KMConfig, chain_hoppings, chain_simulate, km_simulate
 from trotterion.apps import chain as chain_module
 from trotterion.apps import common as common_module
@@ -297,6 +297,11 @@ def reference_gates(f, gens, x, eps, cap=10**6):
             power = np.linalg.matrix_power(step, r)
         return matcore.spectral_norm(power - target)
 
+    return reference_search(f, err, eps, cap)
+
+
+def reference_search(f, err, eps, cap):
+    """Doubling, then bisection, over the errors err(r), one r at a time."""
     r = 1
     while err(r) > eps:
         r *= 2
@@ -333,6 +338,51 @@ def test_gates_search_matches_doubling_and_bisection():
                 assert outcome(gates_to_accuracy, f, PAULI_PAIR, x, eps) == want, (f.label, x, eps)
                 found += isinstance(want[0], int)
     assert found > 250
+
+
+def test_gates_search_takes_three_passes_for_the_g5_example(monkeypatch):
+    # the README's G5 search: each round sends the r it answered from the
+    # log-log guess to one power_errors pass, and the fourth round lacks none
+    sizes = []
+    real = certify.power_errors
+
+    def counted(gens, steps, xs, powers, target):
+        sizes.append(len(powers))
+        return real(gens, steps, xs, powers, target)
+
+    monkeypatch.setattr(certify, "power_errors", counted)
+    f = pure_commutator_library()["G5"]
+    assert gates_to_accuracy(f, PAULI_PAIR, 0.3, 1e-8) == reference_gates(f, PAULI_PAIR, 0.3, 1e-8)
+    assert sizes == [4, 11, 2]
+
+
+def test_gates_search_meets_scripted_errors_as_one_r_at_a_time(monkeypatch):
+    # errors off a power law by up to 10^3 either way, and refused rows at
+    # random r: a guess goes wrong often, yet the rounds give the r, or
+    # raise the refusal, that the search one r at a time does
+    rng = random.Random(24)
+    f = s3()
+    for _ in range(300):
+        c, p, amp = 10 ** rng.uniform(-3, 3), rng.uniform(0.5, 6), rng.choice([0.1, 1, 3])
+        noise = {r: 10 ** rng.uniform(-amp, amp) for r in range(1, 2049)}
+        eps, cap = 10 ** rng.uniform(-10, 1), rng.choice([7, 100, 2048])
+        # refused rows about where the errors cross eps, or at a rung
+        crossing = math.log2(max(c / eps, 1.0)) / p
+        bad = {rng.choice([round(2 ** (crossing + rng.uniform(-1, 1))), 2 ** rng.randint(0, 11)])
+               for _ in range(rng.randint(0, 3))}
+
+        def err(r):
+            if r in bad:
+                raise InvalidInputError(f"row {r}")
+            return c * r ** -p * noise[r]
+
+        def scripted(gens, steps, xs, powers, target):
+            refusals = [InvalidInputError(f"row {n}") if n in bad else None for n in powers]
+            return [math.inf if n in bad else err(n) for n in powers], refusals
+
+        monkeypatch.setattr(certify, "power_errors", scripted)
+        got = outcome(gates_to_accuracy, f, PAULI_PAIR, 0.1, eps, cap=cap)
+        assert got == outcome(reference_search, f, err, eps, cap)
 
 
 def test_matrix_powers_are_matrix_power_bit_for_bit():

@@ -488,6 +488,13 @@ BAD_INPUTS = [
                  id="fit-nan-error"),
     pytest.param({"s.csv": "x,error\n0.1,1e-3\n0.1,2e-3\n"}, ["fit", "--csv", "s.csv"], 3,
                  id="fit-one-distinct-x"),
+    # a window that keeps fewer than two rows: scan exits as fit does
+    pytest.param({"s.csv": "x,error\n0.05,1e-3\n0.1,1e-4\n"},
+                 ["fit", "--csv", "s.csv", "--window", "1:2"], 3, id="fit-window-holds-no-row"),
+    pytest.param({"f.json": GOOD_JSON}, ["scan", "--formula", "f.json", "--window", "1:2"], 3,
+                 id="scan-window-holds-no-row"),
+    pytest.param({"f.json": GOOD_JSON}, ["scan", "--formula", "f.json", "--window", "0.1:0.2"],
+                 3, id="scan-window-holds-one-row"),
     pytest.param({}, ["solve", "--pr", "nan"], 2, id="solve-pr-nan"),
     pytest.param({}, ["solve", "--pr", "inf"], 2, id="solve-pr-inf"),
     pytest.param({}, ["solve", "--pr", "1e300"], 2, id="solve-pr-overflowing-seed"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trotterion import matcore
+from trotterion import GeneratorPair, matcore
 from trotterion.errors import DomainError, InvalidInputError
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -162,3 +162,25 @@ def test_expm_and_norm_of_a_stack_are_each_matrix_call(dim):
     for fn in (matcore.expm, matcore.spectral_norm):
         with pytest.raises(InvalidInputError):
             fn(bad)
+
+
+@pytest.mark.parametrize("singular_values,want", [((0.8e-10, 0.8e-10), True),
+                                                  ((1.2e-10, 0.3e-10), False)])
+def test_is_hermitian_between_the_frobenius_bounds_takes_the_svd(singular_values, want):
+    # the defect H - H^dagger = i diag(s) has ||.||_F between TOL and
+    # sqrt(2) TOL, so the Frobenius bounds leave it to ||.||_2 = max(s)
+    defect = 1j * np.diag(singular_values)
+    tol = matcore.HERMITICITY_TOL
+    assert tol < np.linalg.norm(defect) <= np.sqrt(2.0) * tol
+    h = SIGMA_X + defect / 2.0
+    assert matcore.is_hermitian(h) is want
+    assert matcore.is_hermitian(np.stack([h, h])) is want
+
+
+def test_skew_spectrum_refuses_an_overflowing_phase():
+    # |t| max|lambda| = 1e310 is past the float range, though t and the
+    # generator are finite
+    pair = GeneratorPair(-1j * 1e300 * SIGMA_Z, -1j * SIGMA_X)
+    with pytest.raises(InvalidInputError, match="exponent contains non-finite entries"):
+        pair.exp("A", 1e10)
+    assert np.allclose(pair.exp("A", 1e-300), matcore.expm(-1j * SIGMA_Z), atol=1e-15)

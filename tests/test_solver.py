@@ -64,9 +64,15 @@ def test_sqrt4_matches_reference_digits(n, c, d, signed_sum):
 
 
 def test_sqrt4_every_accepted_order_solves():
+    # build_q rescales by 1/sqrt(signed_sum), so every accepted order needs
+    # a positive sum; it falls with n, from 0.260 at n = 3 to 0.00214
+    sums = []
     for n in range(3, solver.SQRT4_MAX_ORDER + 1, 2):
         sol = solve_sqrt4(n)
         assert sol.d < 0.0 and sol.signed_sum > 1e-6, n
+        sums.append(sol.signed_sum)
+    assert sums == sorted(sums, reverse=True)
+    assert 0.00214 < sums[-1] and sums[0] < 0.2598
 
 
 def test_sqrt4_rejects_bad_orders():

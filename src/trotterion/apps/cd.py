@@ -19,7 +19,7 @@ import numpy as np
 from .. import solver
 from ..bases import SIX_GATE_TAGS, f_r_params
 from ..errors import DomainError, InvalidInputError
-from ..formula import GeneratorPair, ProductFormula, _grouped_product, _items_per_cap
+from ..formula import GeneratorPair, ProductFormula, _grouped_product, _items_per_cap, as_count
 from ..matcore import eigh
 from .common import check_magnitudes, quiet_small_r
 
@@ -51,6 +51,11 @@ class CDConfig:
     n_steps: int
 
     def __post_init__(self) -> None:
+        # Python numbers: a ramp's arithmetic in numpy scalars would warn
+        # where a Python float overflows to inf, for its checks to refuse
+        for name in ("J", "hz", "tau"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "n_steps", as_count(self.n_steps, "step count"))
         if not (self.tau > 0.0) or not math.isfinite(self.tau):
             raise InvalidInputError("ramp time tau must be positive and finite")
         if not 1 <= self.n_steps <= MAX_SLICES:

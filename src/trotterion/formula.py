@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -189,14 +190,11 @@ def _grouped_product(gens: GeneratorPair, tags: Sequence[str], t: np.ndarray) ->
 def _products(gens: GeneratorPair, tags: Sequence[str], coeffs: np.ndarray,
               x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_grouped_product` of the exponents coeffs * x[:, None], a row per
-    entry of the 1-D x, and which rows are finite. An exponent beyond the
-    float range is refused; a product that overflows is left for the
-    caller to refuse."""
+    entry of the 1-D x, and which rows are finite. An exponent the
+    exponential cannot take is refused there; a product that overflows is
+    left for the caller to refuse."""
     with np.errstate(all="ignore"):
-        t = coeffs * x[:, None]
-        if not np.isfinite(t).all():
-            raise InvalidInputError("exponent contains non-finite entries")
-        out = _grouped_product(gens, tags, t)
+        out = _grouped_product(gens, tags, coeffs * x[:, None])
     return out, np.isfinite(out).all(axis=(1, 2))
 
 
@@ -311,6 +309,15 @@ def concat(formulas: Sequence[ProductFormula], label: str = "",
     return ProductFormula(tuple(steps), label=label, claimed_order=claimed_order)
 
 
+def as_count(value, what: str) -> int:
+    """value as a Python int, from any integer type (numpy's included); a
+    value of any other type, 2.5 or 2.0 among them, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+
+
 def repeat(f: ProductFormula, r: int, commutator_target: bool = True) -> ProductFormula:
     """r-fold repetition, simplified.
 
@@ -318,6 +325,7 @@ def repeat(f: ProductFormula, r: int, commutator_target: bool = True) -> Product
     so the repeated formula approximates the same exp(x^2 [A,B]); for a
     linear target the copies are left unscaled.
     """
+    r = as_count(r, "repetition count")
     if r < 1:
         raise InvalidInputError("repetition count must be >= 1")
     copy = f.scale_argument(1.0 / math.sqrt(r)) if commutator_target else f

@@ -6,8 +6,9 @@ simulators, while the two-spin ramp is 4x4. The exponential of
 an anti-Hermitian G, the generator of every unitary evolution in this
 package, is I + V diag(e^{i t lam} - 1) V^dagger from one Hermitian
 eigensolve of -iG (`SkewSpectrum`), which a caller can keep for every
-later t. `expm` takes that route for any anti-Hermitian input and
-scipy's Pade scaling-and-squaring for any other; `is_hermitian` is the
+later t and which refuses a t whose phase no double resolves. `expm`
+takes that route for any anti-Hermitian input and scipy's Pade
+scaling-and-squaring for any other; `is_hermitian` is the
 one tolerance rule for that choice and for what `eigh` accepts. `expm`,
 `spectral_norm` and `eigh` also take a (k, n, n) stack, in one call. The
 spectral norm comes from an SVD, and matrix logarithms from inverse
@@ -24,6 +25,9 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, SolverError
 
 HERMITICITY_TOL = 1e-10
+# Least phase |t| max|lam| that `SkewSpectrum.exp` refuses: from 2**52 on,
+# adjacent doubles lie a radian or more apart, so e^{i t lam} has no correct digit.
+PHASE_LIMIT = 2.0**52
 
 _LOG_SERIES_TOL = 1e-20
 _LOG_SERIES_MAX_TERMS = 64
@@ -93,11 +97,17 @@ class SkewSpectrum:
         The identity is added last, so the rounding of V enters scaled by
         ||e^{tG} - I|| as Pade's does, not in full: V diag(e^{i t lam})
         V^dagger would put the rounding of V V^dagger into every factor.
+        The one check on a spectral exponent refuses a phase |t| max|lam|
+        that is not finite (so any NaN or infinite t) or not below PHASE_LIMIT.
         """
         t = np.asarray(t, dtype=float)
         # a Python float product: inf on overflow, and no numpy warning
-        if not math.isfinite(float(np.abs(t).max(initial=0.0)) * self._bound):
+        phase = float(np.abs(t).max(initial=0.0)) * self._bound
+        if not math.isfinite(phase):
             raise InvalidInputError("exponent contains non-finite entries")
+        if phase >= PHASE_LIMIT:
+            raise InvalidInputError(f"exponent phase {phase:.6g} is at least 2**52: "
+                                    "e^(i phase) has no correct digit")
         phases = np.exp(1j * (t[..., None] * self.vals)) - 1.0
         scaled = self.vecs * phases[..., None, :]
         if self.vecs.ndim == 2:
@@ -116,8 +126,9 @@ def expm(m) -> np.ndarray:
 
     An anti-Hermitian stack takes one stacked eigensolve; a stack with any
     other matrix takes each matrix by its own route, so every matrix gets
-    what its own call gives. An e^M beyond the float range is refused, not
-    returned as inf or NaN.
+    what its own call gives. An e^M beyond the float range, or an
+    anti-Hermitian M with a phase `SkewSpectrum.exp` refuses, is refused,
+    not returned as inf, NaN or digits of rounding.
     """
     return _expm(as_square_matrix(m, stack=np.ndim(m) == 3))
 

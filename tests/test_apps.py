@@ -187,31 +187,38 @@ def _reference_cd_run(cfg, exact_coefficients):
 
 
 # (J, hz, tau, N): the README ramp, one whose last chunk is ragged, a
-# degenerate start (hz = 0 keeps the field off), and two that fail: at
+# degenerate start (hz = 0 keeps the field off), and three that fail: at
 # J = 0, hz = 1e-152 the weight R = beta/dt passes the exact solve's cap from
-# slice 1 and overflows on slice 8, and beta overflows on slice 9.
+# slice 1 and overflows on slice 8, and beta overflows on slice 9. At
+# J = hz = 3e-154 the exact solve fails on slice 1, but the closed form only
+# on slice 37, after the first chunk has run.
 REFERENCE_RAMPS = [(-1.0, 5.0, 1.0, 100), (0.7, 2.3, 1.0, 3 * cd_module._slices_per_chunk() + 1),
-                   (1.0, 0.0, 1.0, 7), (0.0, 1e-152, 1.0, 10), (1e-5, 1e-5, 1.0, 10)]
+                   (1.0, 0.0, 1.0, 7), (0.0, 1e-152, 1.0, 10), (1e-5, 1e-5, 1.0, 10),
+                   (3e-154, 3e-154, 1.0, 100)]
 
 
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("ramp", REFERENCE_RAMPS)
 def test_cd_run_matches_the_per_slice_reference(ramp, exact):
     cfg = CDConfig(*ramp)
+    # numpy scalars run as the Python numbers they hold, with no numpy warning
+    configs = (cfg, CDConfig(*map(np.float64, ramp[:3]), np.int64(ramp[3])))
     try:
         want = _reference_cd_run(cfg, exact)
     except TrotterionError as exc:
-        with pytest.raises(type(exc)) as caught:
-            cd_run(cfg, exact_coefficients=exact)
-        assert str(caught.value) == str(exc)
+        for c in configs:
+            with pytest.raises(type(exc)) as caught:
+                cd_run(c, exact_coefficients=exact)
+            assert str(caught.value) == str(exc)
         return
-    got = cd_run(cfg, exact_coefficients=exact)
-    assert len(got) == len(want)
-    for p, q in zip(got, want):
-        assert (p.t, p.degenerate) == (q[0], q[4])
-        assert p.beta == q[3] or math.isnan(p.beta) and math.isnan(q[3])
-        assert abs(p.fidelity_trotter - q[1]) <= 1e-12
-        assert abs(p.fidelity_cd - q[2]) <= 1e-12
+    for c in configs:
+        got = cd_run(c, exact_coefficients=exact)
+        assert len(got) == len(want)
+        for p, q in zip(got, want):
+            assert (p.t, p.degenerate) == (q[0], q[4])
+            assert p.beta == q[3] or math.isnan(p.beta) and math.isnan(q[3])
+            assert abs(p.fidelity_trotter - q[1]) <= 1e-12
+            assert abs(p.fidelity_cd - q[2]) <= 1e-12
 
 
 def test_cd_run_builds_two_spectra_and_one_eigensolve_a_chunk(monkeypatch):

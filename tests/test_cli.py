@@ -442,6 +442,8 @@ G10_CUBED_JSON = to_json(apply_scheme("g10", apply_scheme("g10", apply_scheme("g
 HUGE_INT = "1" + "0" * 400  # beyond the float range
 HUGE_STEPS = "1" + "0" * 300  # within the float range, but its matrix power overflows
 HUGE_COEFF_JSON = '{"steps": [["A", %s], ["B", 1.0]]}' % HUGE_INT
+# finite coefficients whose phases are past 2**52, where no double resolves a radian
+HUGE_PHASE_JSON = '{"steps": [["A", 1e300], ["B", 1e300]]}'
 BAD_INPUTS = [
     # files to write, argv (file names replaced by their paths), exit code
     pytest.param({"f.json": '{"steps": [5]}'}, ["scan", "--formula", "f.json"], 2,
@@ -468,6 +470,14 @@ BAD_INPUTS = [
     pytest.param({"f.json": HUGE_COEFF_JSON},
                  ["gates", "--formula", "f.json", "--eps", "1e-4", "--xs", "0.1:0.1:0.1"], 2,
                  id="gates-coefficient-beyond-float-range"),
+    pytest.param({"f.json": HUGE_PHASE_JSON}, ["scan", "--formula", "f.json"], 2,
+                 id="scan-phase-beyond-resolution"),
+    pytest.param({"f.json": HUGE_PHASE_JSON},
+                 ["gates", "--formula", "f.json", "--xs", "0.1:0.1:0.1", "--eps", "1e-3"], 2,
+                 id="gates-phase-beyond-resolution"),
+    pytest.param({"f.json": GOOD_JSON}, ["scan", "--formula", "f.json", "--target",
+                                         "sum-commutator", "--R", "1e308"], 2,
+                 id="scan-commutator-weight-phase-beyond-resolution"),
     pytest.param({"f.json": '{"steps": [["A", true], ["B", 1.0]]}'},
                  ["scan", "--formula", "f.json"], 2, id="step-coefficient-bool"),
     pytest.param({"f.json": '{"steps": [["A", "1e-3"], ["B", 1.0]]}'},

@@ -230,6 +230,10 @@ def test_repeat_scales_by_inverse_sqrt():
         assert np.linalg.norm(got - want, 2) <= 1e-12
     with pytest.raises(InvalidInputError):
         repeat(f, 0)
+    # a count must be an integer; numpy's integers are
+    with pytest.raises(InvalidInputError, match="repetition count must be an integer"):
+        repeat(f, 2.5)
+    assert repeat(f, np.int64(2)) == repeat(f, 2)
 
 
 def test_repeat_linear_target_keeps_argument():

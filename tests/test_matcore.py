@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trotterion import GeneratorPair, matcore
+from trotterion import GeneratorPair, ProductFormula, matcore
 from trotterion.errors import DomainError, InvalidInputError
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -184,3 +184,24 @@ def test_skew_spectrum_refuses_an_overflowing_phase():
     with pytest.raises(InvalidInputError, match="exponent contains non-finite entries"):
         pair.exp("A", 1e10)
     assert np.allclose(pair.exp("A", 1e-300), matcore.expm(-1j * SIGMA_Z), atol=1e-15)
+
+
+def test_skew_spectrum_refuses_a_phase_no_double_resolves():
+    # the one rule on an exponent: a finite phase from PHASE_LIMIT on has no
+    # correct digit, and runs just below it
+    pair = GeneratorPair(-1j * SIGMA_Z, -1j * SIGMA_X, np.zeros((2, 2), dtype=complex))
+    with pytest.raises(InvalidInputError, match=r"at least 2\*\*52"):
+        pair.exp("A", matcore.PHASE_LIMIT)
+    assert np.isfinite(pair.exp("A", np.nextafter(matcore.PHASE_LIMIT, 0.0))).all()
+    # a NaN or infinite t, on the zero generator too, where inf * 0 is NaN
+    for tag, t in (("A", np.nan), ("B", [0.0, -np.inf]), ("C", np.inf), ("C", [0.0, np.nan])):
+        with pytest.raises(InvalidInputError, match="exponent contains non-finite entries"):
+            pair.exp(tag, t)
+    # a formula meets the rule through the exponential alone; a generator
+    # on the Pade route refuses a non-finite exponent before scipy runs
+    f = ProductFormula((("A", 1e300), ("B", 1.0)))
+    with pytest.raises(InvalidInputError, match=r"at least 2\*\*52"):
+        f.evaluate(pair, 0.1)
+    general = GeneratorPair(np.diag([1.0, -1.0]), SIGMA_X)
+    with pytest.raises(InvalidInputError, match="matrix contains non-finite entries"):
+        f.evaluate(general, 1e10)

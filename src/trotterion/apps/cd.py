@@ -19,9 +19,10 @@ import numpy as np
 from .. import solver
 from ..bases import SIX_GATE_TAGS, f_r_params
 from ..errors import DomainError, InvalidInputError
-from ..formula import GeneratorPair, ProductFormula, _grouped_product, _items_per_cap, as_count
+from ..formula import (GeneratorPair, ProductFormula, _grouped_product, _items_per_cap, as_count,
+                       as_real)
 from ..matcore import eigh
-from .common import check_magnitudes, quiet_small_r
+from .common import MAX_MAGNITUDE, quiet_small_r
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -51,21 +52,22 @@ class CDConfig:
     n_steps: int
 
     def __post_init__(self) -> None:
-        # Python numbers: a ramp's arithmetic in numpy scalars would warn
-        # where a Python float overflows to inf, for its checks to refuse
-        for name in ("J", "hz", "tau"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "n_steps", as_count(self.n_steps, "step count"))
-        if not (self.tau > 0.0) or not math.isfinite(self.tau):
-            raise InvalidInputError("ramp time tau must be positive and finite")
-        if not 1 <= self.n_steps <= MAX_SLICES:
+        # Python numbers (`as_real`, `as_count`): a ramp's arithmetic in
+        # numpy scalars would warn where a Python float overflows to inf,
+        # for its checks to refuse
+        tau = as_real(self.tau, "ramp time tau", positive=True)
+        n = as_count(self.n_steps, "step count")
+        if not 1 <= n <= MAX_SLICES:
             raise InvalidInputError(f"step count must be at least 1 and at most {MAX_SLICES}")
-        if self.tau / self.n_steps == 0.0:
+        if tau / n == 0.0:
             raise InvalidInputError("time step tau/N underflows to zero")
-        check_magnitudes({"J": self.J, "hz": self.hz, "tau": self.tau,
-                          "J*tau": self.J * self.tau, "hz*tau": self.hz * self.tau})
-        if self.J == 0.0 and self.hz == 0.0:
+        J, hz = (as_real(getattr(self, name), name, limit=MAX_MAGNITUDE) for name in ("J", "hz"))
+        for name, value in (("tau", tau), ("J*tau", J * tau), ("hz*tau", hz * tau)):
+            as_real(value, name, limit=MAX_MAGNITUDE)
+        if J == 0.0 and hz == 0.0:
             raise InvalidInputError("J and hz must not both be zero")
+        for name, value in (("J", J), ("hz", hz), ("tau", tau), ("n_steps", n)):
+            object.__setattr__(self, name, value)
 
 
 def schedule(t: float, tau: float) -> float:

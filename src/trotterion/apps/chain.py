@@ -9,7 +9,6 @@ matrix on modes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,9 +17,9 @@ import numpy as np
 from ..bases import f_r_signed
 from ..certify import ScanResult
 from ..errors import InvalidInputError
-from ..formula import GeneratorPair
+from ..formula import GeneratorPair, as_count, as_real
 from ..matcore import commutator, expm  # noqa: F401 -- perfbench's tracer tests read chain.expm
-from .common import MAX_MODES, check_magnitudes, n_step_scan
+from .common import MAX_MAGNITUDE, MAX_MODES, n_step_scan
 
 
 @dataclass(frozen=True)
@@ -31,16 +30,20 @@ class ChainConfig:
     T: float
 
     def __post_init__(self) -> None:
-        if self.L < 4 or self.L % 2 != 0:
+        L = as_count(self.L, "chain length")
+        if L < 4 or L % 2 != 0:
             raise InvalidInputError("chain length must be even and at least 4")
-        if self.L > MAX_MODES:
+        if L > MAX_MODES:
             raise InvalidInputError(f"chain length must be at most {MAX_MODES}")
-        if not (self.T > 0.0) or not math.isfinite(self.T):
-            raise InvalidInputError("total time must be positive and finite")
-        if self.t1 == 0.0:
+        T = as_real(self.T, "total time", positive=True)
+        t1 = as_real(self.t1, "t1", limit=MAX_MAGNITUDE)
+        if t1 == 0.0:
             raise InvalidInputError("nearest-neighbor amplitude must be nonzero")
-        check_magnitudes({"t1": self.t1, "t2": self.t2, "T": self.T,
-                          "t1*T": self.t1 * self.T, "t2*T": self.t2 * self.T})
+        t2 = as_real(self.t2, "t2", limit=MAX_MAGNITUDE)
+        for name, value in (("T", T), ("t1*T", t1 * T), ("t2*T", t2 * T)):
+            as_real(value, name, limit=MAX_MAGNITUDE)
+        for name, value in (("L", L), ("t1", t1), ("t2", t2), ("T", T)):
+            object.__setattr__(self, name, value)
 
 
 def chain_hoppings(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -34,13 +34,6 @@ MAX_MODES = 1024
 MAX_MAGNITUDE = 1e15
 
 
-def check_magnitudes(values: dict[str, float]) -> None:
-    """Reject any non-finite value, or one beyond MAX_MAGNITUDE in magnitude."""
-    for name, value in values.items():
-        if not abs(value) <= MAX_MAGNITUDE:
-            raise InvalidInputError(f"{name} must be finite and at most {MAX_MAGNITUDE:g}")
-
-
 def step_weight(alpha: float, beta: float, n: int) -> float:
     """Commutator weight beta*n/alpha^2 of one step of an n-step run.
 

@@ -19,9 +19,9 @@ import numpy as np
 from ..bases import f_r_with_c
 from ..certify import ScanResult
 from ..errors import InvalidInputError
-from ..formula import GeneratorPair
+from ..formula import GeneratorPair, as_count, as_real
 from ..matcore import commutator, spectral_norm
-from .common import MAX_MODES, check_magnitudes, n_step_scan
+from .common import MAX_MAGNITUDE, MAX_MODES, n_step_scan
 
 BOUNDARIES = ("auto", "torus", "open")
 
@@ -39,15 +39,18 @@ class KMConfig:
     boundary: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.Lx < 3 or self.Ly < 3:
+        Lx, Ly = (as_count(getattr(self, name), "lattice extent") for name in ("Lx", "Ly"))
+        if Lx < 3 or Ly < 3:
             raise InvalidInputError("lattice extents must be at least 3")
-        if self.Lx * self.Ly > MAX_MODES:
+        if Lx * Ly > MAX_MODES:
             raise InvalidInputError(f"lattice must have at most {MAX_MODES} sites")
-        if not (self.T > 0.0) or not math.isfinite(self.T):
-            raise InvalidInputError("total time must be positive and finite")
-        if not math.isfinite(self.phi):
-            raise InvalidInputError("flux must be finite")
-        check_magnitudes({"J": self.J, "T": self.T, "J*T": self.J * self.T})
+        T = as_real(self.T, "total time", positive=True)
+        phi = as_real(self.phi, "flux")
+        J = as_real(self.J, "J", limit=MAX_MAGNITUDE)
+        for name, value in (("T", T), ("J*T", J * T)):
+            as_real(value, name, limit=MAX_MAGNITUDE)
+        for name, value in (("Lx", Lx), ("Ly", Ly), ("J", J), ("phi", phi), ("T", T)):
+            object.__setattr__(self, name, value)
         if self.boundary not in BOUNDARIES:
             raise InvalidInputError(f"boundary must be one of {BOUNDARIES}")
 

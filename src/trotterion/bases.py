@@ -12,8 +12,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidInputError
-from .formula import ProductFormula
+from .errors import DomainError
+from .formula import ProductFormula, as_real
 
 GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
 
@@ -94,6 +94,12 @@ def s3() -> ProductFormula:
     return params.as_formula(label="S3", claimed_order=3)
 
 
+def _weight(R) -> float:
+    """A closed-form step's weight R (`as_real`); a weight that overflowed
+    gives no finite coefficient."""
+    return as_real(R, "commutator weight R", message="step coefficients must be finite")
+
+
 def f_r_params(R: float) -> SixGateParams:
     """Closed-form 6-gate coefficients for the sum-plus-commutator target.
 
@@ -101,11 +107,9 @@ def f_r_params(R: float) -> SixGateParams:
     conditions r = s = 1/6 hold only approximately, with the residual
     shrinking as R grows. Accurate use therefore wants R >= 4 or so.
     """
-    R = float(R)
+    R = _weight(R)
     if R <= -0.5:
         raise DomainError("R must exceed -1/2 for the closed-form coefficients")
-    if not math.isfinite(R):
-        raise InvalidInputError("step coefficients must be finite")
     if R < R_ACCURACY_FLOOR:
         warnings.warn(
             "closed-form sum+commutator coefficients requested below the "
@@ -141,7 +145,7 @@ def f_r_signed(R: float) -> ProductFormula:
     its logarithm. The result approximates exp(x(A+B) + R x^2 [A,B])
     with the same third-order defect as the positive-weight step.
     """
-    R = float(R)
+    R = _weight(R)
     if R > -0.5:
         return f_r(R)
     base = f_r(-R)

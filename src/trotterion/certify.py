@@ -18,7 +18,7 @@ import numpy as np
 
 from . import formula, matcore
 from .errors import BudgetExceededError, DegenerateScanError, InvalidInputError
-from .formula import GeneratorPair, ProductFormula, merged_steps, word_series
+from .formula import GeneratorPair, ProductFormula, as_count, as_real, merged_steps, word_series
 
 NOISE_FLOOR = 1e-14
 DEFAULT_XS = tuple(np.logspace(-2.0, -1.0, 20).tolist())
@@ -40,26 +40,44 @@ def fit_loglog(rows: Sequence[tuple[float, float]],
                window: tuple[float, float] | None) -> tuple[float | None, float | None]:
     """Least-squares slope and intercept of log(err) vs log(x) in a window.
 
-    Every row needs a finite x > 0 and a finite error >= 0; rows with
-    error exactly 0 carry no log-log signal and are dropped. Returns
-    (None, None) when fewer than two distinct x remain to fit.
+    Every row needs a finite x > 0 and a finite error >= 0 (`as_real`);
+    rows with error exactly 0 carry no log-log signal and are dropped. A
+    window (LO, HI) keeps the rows with LO <= x <= HI; an infinite end
+    leaves that side open. Returns (None, None) when fewer than two
+    distinct x remain to fit.
     """
-    if not all(0.0 < x < math.inf and 0.0 <= e < math.inf for x, e in rows):
-        raise InvalidInputError("fit rows need finite x > 0 and finite error >= 0")
-    if window is None:
-        selected = list(rows)
-    else:
-        lo, hi = window
-        if not lo < hi:
-            raise InvalidInputError("fit window needs LO < HI")
-        selected = [(x, e) for x, e in rows if lo <= x <= hi]
-    selected = [(x, e) for x, e in selected if e > 0.0]
+    bad_rows = "fit rows need finite x > 0 and finite error >= 0"
+    try:
+        pairs = [(x, e) for x, e in rows]
+        lo, hi = (-math.inf, math.inf) if window is None else window
+    except (TypeError, ValueError):  # not iterable, or not pairs
+        raise InvalidInputError("fit rows and the fit window must be pairs of numbers") from None
+    rows = [(as_real(x, "fit x", positive=True, message=bad_rows),
+             as_real(e, "fit error", message=bad_rows)) for x, e in pairs]
+    if any(e < 0.0 for _, e in rows):
+        raise InvalidInputError(bad_rows)
+    # an infinite end leaves that side open, and a NaN fails LO < HI
+    lo, hi = (as_real(v, "fit window", limit=math.inf, message="fit window needs LO < HI")
+              for v in (lo, hi))
+    if not lo < hi:
+        raise InvalidInputError("fit window needs LO < HI")
+    selected = [(x, e) for x, e in rows if lo <= x <= hi and e > 0.0]
     if len({x for x, _ in selected}) < 2:
         return None, None
     logx = np.log([x for x, _ in selected])
     loge = np.log([e for _, e in selected])
     slope, intercept = np.polyfit(logx, loge, 1)
     return float(slope), float(intercept)
+
+
+def _grid(values, rule: Callable, what: str) -> list:
+    """Each of values, a sequence, through rule(value, what): `as_real` or
+    `as_count`."""
+    try:
+        items = list(values)
+    except TypeError:
+        raise InvalidInputError(f"{what}s must come as a sequence, got {values!r}") from None
+    return [rule(v, what) for v in items]
 
 
 def _check_grid(grid: list) -> None:
@@ -115,7 +133,6 @@ def error_scan(f: ProductFormula, gens: GeneratorPair,
     evaluation, stays in the rows but out of the fit; DegenerateScanError
     is raised when that leaves fewer than two rows to fit.
     """
-    grid = list(DEFAULT_XS) if xs is None else [float(x) for x in xs]
     if target == "commutator":
         if R is not None:
             raise InvalidInputError("the commutator target takes no weight R")
@@ -123,11 +140,11 @@ def error_scan(f: ProductFormula, gens: GeneratorPair,
     elif target == "sum-commutator":
         if R is None:
             raise InvalidInputError("sum-commutator target needs a commutator weight R")
-        if not math.isfinite(R):
-            raise InvalidInputError("commutator weight R must be finite")
+        R = as_real(R, "commutator weight R")
         name = f"sum-commutator[R={R:.12g}]"
     else:
         raise InvalidInputError(f"unknown scan target {target!r}")
+    grid = list(DEFAULT_XS) if xs is None else _grid(xs, as_real, "scan grid point")
     _check_grid(grid)
     # a point holds up to about 16 d x d complex slots at once, over its
     # product, its target's exponential and the SVD of their difference
@@ -143,9 +160,9 @@ def error_scan(f: ProductFormula, gens: GeneratorPair,
 
 
 def step_grid(ns: Sequence[int] | None = None) -> list[int]:
-    """The step counts ns as ints, DEFAULT_STEP_GRID when None, refused
-    unless positive, strictly increasing and within the float range."""
-    grid = [int(n) for n in (DEFAULT_STEP_GRID if ns is None else ns)]
+    """The step counts ns as ints (`as_count`), DEFAULT_STEP_GRID when None,
+    refused unless positive, strictly increasing and within the float range."""
+    grid = _grid(DEFAULT_STEP_GRID if ns is None else ns, as_count, "step count")
     if any(n > sys.float_info.max for n in grid):
         raise InvalidInputError("step counts must lie within the float range")
     _check_grid(grid)
@@ -278,10 +295,12 @@ def gates_to_accuracy(f: ProductFormula, gens: GeneratorPair, x: float,
     non-monotone near eps. A known r that a round reads lies on the
     search's own path (past a wrong guess the two part into disjoint
     ranges), so a refused r raises where that search would raise it.
+    x and eps are real numbers (`as_real`), eps positive, and cap a count.
     Returns (r, gate count of the simplified repeated formula).
     """
-    if not 0.0 < eps < math.inf:
-        raise InvalidInputError("accuracy eps must be positive and finite")
+    eps = as_real(eps, "accuracy eps", positive=True)
+    x = as_real(x, "argument x")
+    cap = as_count(cap, "repetition cap")
     target = _targets(gens, [x])[0]
     known: dict[int, float] = {}
     refused: dict[int, InvalidInputError | None] = {}

@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -23,6 +24,11 @@ from .errors import InvalidInputError
 
 TAGS = ("A", "B", "C")
 MERGE_TOL = 1e-14
+# Most steps a product of copies may have, before simplification: `repeat`
+# and every recursion scheme refuse more before building a copy. Each g10
+# level multiplies the steps by about 10: five levels on S3 make 555556
+# steps, a sixth would make millions.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -208,25 +214,28 @@ class ProductFormula:
 
     def __post_init__(self):
         clean = []
-        for step in self.steps:
+        try:
+            steps = iter(self.steps)
+        except TypeError:
+            raise InvalidInputError(f"steps {self.steps!r} are not a sequence") from None
+        for step in steps:
             try:
                 tag, coeff = step
             except (TypeError, ValueError):
                 raise InvalidInputError(f"step {step!r} is not a (tag, coefficient) pair")
             if tag not in TAGS:
                 raise InvalidInputError(f"unknown step tag {tag!r}")
-            try:
-                coeff = float(coeff)
-            except (TypeError, ValueError):
-                raise InvalidInputError(f"step coefficient {coeff!r} is not a number")
-            except OverflowError:  # an int beyond the float range
-                coeff = math.inf
-            if not math.isfinite(coeff):
-                raise InvalidInputError("step coefficients must be finite")
+            # a finite Python float, as nearly every step is, needs no rule
+            if type(coeff) is not float or not math.isfinite(coeff):
+                coeff = as_real(coeff, "step coefficient",
+                                message="step coefficients must be finite")
             clean.append((tag, coeff))
         object.__setattr__(self, "steps", tuple(clean))
-        if self.claimed_order is not None and self.claimed_order < 1:
-            raise InvalidInputError("claimed_order must be a positive integer or None")
+        if self.claimed_order is not None:
+            order = as_count(self.claimed_order, "claimed_order")
+            if order < 1:
+                raise InvalidInputError("claimed_order must be a positive integer or None")
+            object.__setattr__(self, "claimed_order", order)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -245,7 +254,7 @@ class ProductFormula:
         (k, d, d) stack, one product per x, in blocks sized over all k).
         An exponent or a product that overflows is refused.
         """
-        xs = np.asarray(x, dtype=float)
+        xs = matcore.as_numeric(x, "argument x", float)
         if xs.ndim > 1:
             raise InvalidInputError("argument x must be a scalar or a 1-D array")
         if not np.isfinite(xs).all():
@@ -262,9 +271,7 @@ class ProductFormula:
 
     def scale_argument(self, v: float) -> "ProductFormula":
         """Multiply every coefficient by v, so f.scale(v)(x) = f(v*x)."""
-        v = float(v)
-        if not math.isfinite(v):
-            raise InvalidInputError("scale factor must be finite")
+        v = as_real(v, "scale factor")
         return replace(self, steps=tuple((tag, coeff * v) for tag, coeff in self.steps))
 
     def simplify(self) -> "ProductFormula":
@@ -310,12 +317,49 @@ def concat(formulas: Sequence[ProductFormula], label: str = "",
 
 
 def as_count(value, what: str) -> int:
-    """value as a Python int, from any integer type (numpy's included); a
-    value of any other type, 2.5 or 2.0 among them, is refused."""
+    """The one count rule: value as a Python int, from any integer type
+    (numpy's included). A bool, a float (2.0 among them), a string or a
+    value of any other type is refused."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+
+
+def as_real(value, what: str, positive: bool = False, limit: float | None = None,
+            message: str | None = None) -> float:
+    """The one real-number rule: value as a Python float, from any real
+    scalar type (numpy's included). A bool, a string, a complex value, a
+    sequence or a value of any other type is refused, and so is a NaN, an
+    infinity (an int beyond the float range counts as one), a value <= 0
+    with `positive`, and one beyond `limit` in magnitude. `limit=math.inf`
+    lets the infinities through. A refused value's message is `message`
+    when given, otherwise "<what> must be [positive and] finite [and at
+    most <limit>]"; a refused type's names the value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidInputError(f"{what} must be a real number, got {value!r}")
     try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+        out = float(value)
+    except OverflowError:
+        out = math.inf if value > 0 else -math.inf
+    largest = sys.float_info.max if limit is None else limit
+    if not (out > 0.0 if positive else out == out) or abs(out) > largest:
+        if message is None:
+            bound = "" if limit is None else f" and at most {limit:g}"
+            message = f"{what} must be {'positive and ' if positive else ''}finite{bound}"
+        raise InvalidInputError(message)
+    return out
+
+
+def check_steps(name: str, f: ProductFormula, copies: int, cap: int) -> None:
+    """Refuse a product of `copies` copies of f with more than cap steps
+    (MAX_STEPS at the callers), before any copy is built; `name` names the
+    product."""
+    if copies * len(f) > cap:
+        raise InvalidInputError(f"{name} of a {len(f)}-step formula would have "
+                                f"{copies * len(f)} steps, more than {cap}")
 
 
 def repeat(f: ProductFormula, r: int, commutator_target: bool = True) -> ProductFormula:
@@ -328,6 +372,7 @@ def repeat(f: ProductFormula, r: int, commutator_target: bool = True) -> Product
     r = as_count(r, "repetition count")
     if r < 1:
         raise InvalidInputError("repetition count must be >= 1")
+    check_steps("repeat", f, r, MAX_STEPS)
     copy = f.scale_argument(1.0 / math.sqrt(r)) if commutator_target else f
     out = concat([copy] * r, label=f.label, claimed_order=f.claimed_order)
     return out.simplify()
@@ -344,7 +389,8 @@ def word_series(f: ProductFormula, degree: int) -> dict[str, float]:
     first, so each prefix is read before the step changes it. The memory
     is O(words * degree), built per call.
     """
-    if type(degree) is not int or degree < 0:
+    degree = as_count(degree, "degree")
+    if degree < 0:
         raise InvalidInputError(f"degree must be a non-negative integer, got {degree!r}")
     letters = sorted({tag for tag, _ in f.steps})
     words = [""]

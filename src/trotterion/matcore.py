@@ -34,11 +34,25 @@ _LOG_SERIES_MAX_TERMS = 64
 _SQRT_MAX_PULLS = 64
 
 
+def as_numeric(m, name: str, dtype=complex) -> np.ndarray:
+    """m as an ndarray of dtype, complex or float, from nested sequences or
+    an array of numbers: complex ones only for a complex dtype. Ragged
+    nesting, and arrays of bools, strings or other objects, are refused."""
+    try:
+        a = np.asarray(m)
+    except ValueError:  # numpy refuses ragged nesting
+        raise InvalidInputError(f"{name} is a ragged nesting, not an array") from None
+    if a.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        raise InvalidInputError(f"{name} must hold {'numbers' if dtype is complex else 'reals'}, "
+                                f"got an array of dtype {a.dtype}")
+    return a.astype(dtype, copy=False)
+
+
 def as_square_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """Validate and return a square complex matrix, or with stack=True a
-    (k, n, n) stack of them, as a fresh ndarray."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 + stack or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+    """The one matrix rule: m as a square complex ndarray (`as_numeric`),
+    finite and at least 1x1, or with stack=True also a (k, n, n) stack."""
+    a = as_numeric(m, name)
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise InvalidInputError(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise InvalidInputError(f"{name} contains non-finite entries")
@@ -130,7 +144,7 @@ def expm(m) -> np.ndarray:
     anti-Hermitian M with a phase `SkewSpectrum.exp` refuses, is refused,
     not returned as inf, NaN or digits of rounding.
     """
-    return _expm(as_square_matrix(m, stack=np.ndim(m) == 3))
+    return _expm(as_square_matrix(m, stack=True))
 
 
 def _expm(mat: np.ndarray) -> np.ndarray:
@@ -150,7 +164,7 @@ def _expm(mat: np.ndarray) -> np.ndarray:
 def spectral_norm(m):
     """Largest singular value of M, or a 1-D array of them for a (k, n, n)
     stack, from one SVD call: the values `np.linalg.norm(M, 2)` gives."""
-    mat = as_square_matrix(m, stack=np.ndim(m) == 3)
+    mat = as_square_matrix(m, stack=True)
     norms = np.linalg.svd(mat, compute_uv=False)[..., 0]
     return float(norms) if mat.ndim == 2 else norms
 
@@ -206,7 +220,7 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     k axis for a stack. Each matrix is checked for Hermiticity to 1e-10
     and symmetrized before the solve.
     """
-    mat = as_square_matrix(h, "H", stack=np.ndim(h) == 3)
+    mat = as_square_matrix(h, "H", stack=True)
     if not is_hermitian(mat):
         raise InvalidInputError("matrix is not Hermitian to within 1e-10")
     return _hermitian_eigh(mat)

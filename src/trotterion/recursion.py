@@ -16,12 +16,8 @@ from dataclasses import replace
 
 from .bases import s2, s3
 from .errors import InvalidInputError
-from .formula import ProductFormula, concat
+from .formula import MAX_STEPS, ProductFormula, check_steps, concat
 from .solver import solve_sqrt4
-
-# Most steps a scheme may build. Each g10 level multiplies the steps by
-# about 10: five levels on S3 make 555556 steps, a sixth would make millions.
-MAX_STEPS = 10**6
 
 
 def _require_order(f: ProductFormula, parity: str | None = None, what: str = "") -> int:
@@ -39,9 +35,7 @@ def _assemble(f: ProductFormula, name: str, gain: int,
     """The simplified product of f(s x), or of its inverse where flagged,
     over the (s, inverted) copies, labelled name(f) and of order n + gain.
     A product of more than MAX_STEPS steps is refused before it is built."""
-    if len(copies) * len(f) > MAX_STEPS:
-        raise InvalidInputError(f"{name} of a {len(f)}-step formula would have "
-                                f"{len(copies) * len(f)} steps, more than {MAX_STEPS}")
+    check_steps(name, f, len(copies), MAX_STEPS)
     parts = [f.scale_argument(s).inverse() if inverted else f.scale_argument(s)
              for s, inverted in copies]
     out = concat(parts, label=f"{name}({f.label})", claimed_order=f.claimed_order + gain)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bases import SixGateParams, reparam
 from .errors import DomainError, InvalidInputError, SolverError
-from .formula import _items_per_cap
+from .formula import _items_per_cap, as_count, as_real
 
 SQRT4_RESIDUAL_TOL = 1e-12
 # The root's scale q = 4^-((n+1)/2) is 2^-1022, the smallest normal double, at
@@ -77,6 +77,7 @@ def solve_sqrt4(n: int) -> Sqrt4Solution:
     two adjacent doubles; then c = 2 exp(log1p(-A)/(2k)) and d = -t. No
     digit of d is lost to c's nearness to 2, as in the raw powers.
     """
+    n = as_count(n, "source order")
     if n < 3 or n % 2 == 0 or n > SQRT4_MAX_ORDER:
         raise InvalidInputError(
             f"the 4-copy solve needs an odd source order 3 <= n <= {SQRT4_MAX_ORDER}")
@@ -182,16 +183,18 @@ def _finish(R, p1, p6) -> tuple:
 def _best_roots(R: np.ndarray, p1: np.ndarray, p6: np.ndarray) -> tuple:
     """Each weight's root of the smallest largest coefficient among the
     candidates of its row of pairs p1, p6, the first of equals in the row's
-    order: that max|p| (inf where no candidate is a root) and its six
-    coefficients, as a (len(R), 6) array."""
+    order: that max|p| (inf where no candidate is a root), its six
+    coefficients as a (len(R), 6) array and its five residuals as a
+    (len(R), 5) array."""
     p = _finish(R[:, None], p1, p6)
     largest = functools.reduce(np.maximum, (np.abs(col) for col in p))
-    found = _converged(p, _p_of_r_residuals(p, R[:, None, None]), largest)
-    ranked = np.where(found, largest, np.inf).reshape(R.size, 2 * p1.shape[1])
+    res = _p_of_r_residuals(p, R[:, None, None])
+    ranked = np.where(_converged(p, res, largest), largest, np.inf).reshape(R.size, 2 * p1.shape[1])
     best = np.argmin(ranked, axis=1)
     rows = np.arange(R.size)
-    root = np.stack([col.reshape(ranked.shape)[rows, best] for col in p], axis=1)
-    return ranked[rows, best], root
+    root, root_res = (np.stack([col.reshape(ranked.shape)[rows, best] for col in cols], axis=1)
+                      for cols in (p, res))
+    return ranked[rows, best], root, root_res
 
 
 def _first_pass(R: np.ndarray) -> tuple:
@@ -208,8 +211,8 @@ def _first_pass(R: np.ndarray) -> tuple:
     rows = np.arange(R.size)[:, None]
     first = np.sort(order[:, :k], axis=1)
     rest = bound[rows, order[:, k:]].min(axis=1, initial=np.inf)
-    top, roots = _best_roots(R, p1[rows, first], p6[rows, first])
-    return top, roots, top < rest
+    top, roots, res = _best_roots(R, p1[rows, first], p6[rows, first])
+    return top, roots, res, top < rest
 
 
 def _solve_p_of_r_many(weights) -> tuple[np.ndarray, np.ndarray]:
@@ -227,23 +230,28 @@ def _solve_p_of_r_many(weights) -> tuple[np.ndarray, np.ndarray]:
     n = int(np.argmin(accepted)) if not accepted.all() else weights.size
     valid = weights[:n]
     with np.errstate(all="ignore"):
-        largest, roots, final = _first_pass(valid)
+        largest, roots, res, final = _first_pass(valid)
         rest = np.flatnonzero(~final)
         block = _items_per_cap(4 * bytes_per_weight(2 * P_OF_R_GAUGES.size))
         for start in range(0, rest.size, block):
             rows = rest[start:start + block]
-            largest[rows], roots[rows] = _best_roots(valid[rows], *_pairs(valid[rows]))
+            largest[rows], roots[rows], res[rows] = _best_roots(valid[rows], *_pairs(valid[rows]))
         failed = np.flatnonzero(np.isinf(largest))
         if failed.size:
             raise SolverError(f"no gauge gave a real root at R={weights[failed[0]]:.6g}")
-        res = _p_of_r_residuals(tuple(roots.T), valid)
     if n < weights.size:
-        R = float(weights[n])
-        if not abs(R) <= P_OF_R_MAX_WEIGHT:
-            raise InvalidInputError(
-                f"R must be finite and at most {P_OF_R_MAX_WEIGHT:g} in magnitude")
+        _weight(weights[n])  # refuses it: the first weight outside the solve's domain
+    return roots, res
+
+
+def _weight(R) -> float:
+    """R as a weight the exact solve takes (`as_real`): finite and at most
+    P_OF_R_MAX_WEIGHT in magnitude, and above -1/2 (else a DomainError)."""
+    R = as_real(R, "R", limit=P_OF_R_MAX_WEIGHT,
+                message=f"R must be finite and at most {P_OF_R_MAX_WEIGHT:g} in magnitude")
+    if not R > -0.5:
         raise DomainError("R must exceed -1/2 for the exact coefficients")
-    return roots, np.stack(res, axis=1)
+    return R
 
 
 def solve_p_of_r(R: float) -> PofRResult:
@@ -266,5 +274,5 @@ def solve_p_of_r(R: float) -> PofRResult:
     answer, bit for bit, when it is strictly below the bound of every other
     pair; otherwise every pair is finished.
     """
-    p, res = _solve_p_of_r_many([float(R)])
+    p, res = _solve_p_of_r_many([_weight(R)])
     return PofRResult(SixGateParams(*p[0].tolist()), tuple(res[0].tolist()))

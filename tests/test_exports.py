@@ -1,13 +1,19 @@
 """The package's public names, and the imports of every module."""
 
 import ast
+import dataclasses
+import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 import trotterion
-import trotterion.apps
+import trotterion.apps as apps
+from trotterion import DomainError, InvalidInputError
+from trotterion.certify import fit_loglog
+from trotterion.formula import as_count, as_real, word_series
 
 SRC = pathlib.Path(trotterion.__file__).resolve().parent
 README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -73,3 +79,178 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
 def test_module_has_no_unused_import(path):
     assert unused_imports(path) == []
+
+
+def test_readme_library_tour_runs(capsys):
+    block = README.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    ba, slope = capsys.readouterr().out.split()
+    assert ba == "-1.0"
+    assert abs(float(slope) - 6.0) < 0.3
+
+
+# The input contract: a count is a Python or numpy integer (`as_count`), a
+# real number a Python or numpy real scalar that is finite (`as_real`), a
+# matrix a square array of numbers (`matcore.as_square_matrix`). Below, each
+# numeric parameter of the public entry points gets each bad value with its
+# other arguments valid, and must refuse it with InvalidInputError or
+# DomainError; any other exception fails the test.
+RAGGED = [[0.1, 0.2], [0.3]]
+BAD_VALUES = {"2.5": 2.5, "True": True, "'1'": "1", "nan": math.nan, "inf": math.inf,
+              "nested": [[0.1, 0.2]], "ragged": RAGGED}
+# 2.5 is a bad value only where a count is expected
+NOT_FOR_REALS = {"2.5"}
+# bad values an entry point takes as good input, and the result it gives
+PINNED = {("fit_loglog rows", "nested"): (None, None)}  # one row (0.1, 0.2): no fit
+
+S3 = trotterion.s3()
+M = -1j * np.array([[0.0, 1.0], [1.0, 0.0]])
+H = np.array([[1.0, 0.5], [0.5, -1.0]])
+U = np.eye(2) + 0.1 * M
+ROWS = [(0.1, 1e-3), (0.2, 4e-3), (0.3, 9e-3)]
+CHAIN = {"L": 6, "t1": 1.0, "t2": 0.5, "T": 1.0}
+KM = {"Lx": 3, "Ly": 4, "J": 1.0, "phi": 1.0, "T": 1.0}
+CD = {"J": -1.0, "hz": 5.0, "tau": 1.0, "n_steps": 10}
+
+
+def _pair():
+    return trotterion.GeneratorPair(M, -1j * np.diag([1.0, -1.0]))
+
+
+def _config(cls, base, name):
+    return lambda v: cls(**{**base, name: v})
+
+
+def _entry_points():
+    t = trotterion
+    rows = [
+        # name, kind, call(value), a good value
+        ("repeat r", "count", lambda v: t.repeat(S3, v), 3),
+        ("word_series degree", "count", lambda v: word_series(S3, v), 3),
+        ("solve_sqrt4 n", "count", t.solve_sqrt4, 3),
+        ("ProductFormula claimed_order", "count",
+         lambda v: t.ProductFormula(S3.steps, claimed_order=v), 3),
+        ("concat claimed_order", "count", lambda v: t.concat([S3], claimed_order=v), 3),
+        ("gates_to_accuracy cap", "count",
+         lambda v: t.gates_to_accuracy(S3, _pair(), 0.1, 1e-3, cap=v), 64),
+        ("ProductFormula coefficient", "real",
+         lambda v: t.ProductFormula((("A", v), ("B", 1.0))), 0.5),
+        ("ProductFormula steps", "sequence", t.ProductFormula, (("A", 0.5), ("B", 1.0))),
+        ("evaluate x", "real", lambda v: S3.evaluate(_pair(), v), 0.5),
+        ("scale_argument v", "real", S3.scale_argument, 0.5),
+        ("f_r R", "real", t.f_r, 6.0),
+        ("f_r_signed R", "real", t.f_r_signed, -6.0),
+        ("solve_p_of_r R", "real", t.solve_p_of_r, 0.5),
+        ("error_scan xs", "sequence", lambda v: t.error_scan(S3, _pair(), xs=v), [0.05, 0.1]),
+        ("error_scan R", "real", lambda v: t.error_scan(t.f_r(6.0), _pair(), xs=[0.05, 0.1],
+                                                        target="sum-commutator", R=v), 6.0),
+        ("error_scan window", "sequence",
+         lambda v: t.error_scan(S3, _pair(), xs=[0.05, 0.1], window=v), (0.05, 0.1)),
+        ("gates_to_accuracy x", "real", lambda v: t.gates_to_accuracy(S3, _pair(), v, 1e-3), 0.1),
+        ("gates_to_accuracy eps", "real", lambda v: t.gates_to_accuracy(S3, _pair(), 0.1, v), 1e-3),
+        ("fit_loglog rows", "sequence", lambda v: fit_loglog(v, None), ROWS),
+        ("fit_loglog window", "sequence", lambda v: fit_loglog(ROWS, v), (0.05, 0.25)),
+        ("commutator a", "matrix", lambda v: t.commutator(v, M), M),
+        ("commutator b", "matrix", lambda v: t.commutator(M, v), M),
+        ("eigh", "matrix", t.eigh, H),
+        ("expm", "matrix", t.expm, M),
+        ("logm_near_identity", "matrix", t.logm_near_identity, U),
+        ("spectral_norm", "matrix", t.spectral_norm, H),
+        ("GeneratorPair a", "matrix", lambda v: t.GeneratorPair(v, M), M),
+        ("GeneratorPair b", "matrix", lambda v: t.GeneratorPair(M, v), M),
+        ("GeneratorPair c", "matrix", lambda v: t.GeneratorPair(M, M, v), M),
+        ("chain_simulate ns", "sequence",
+         lambda v: apps.chain_simulate(apps.ChainConfig(**CHAIN), ns=v), [8, 16]),
+        ("km_simulate ns", "sequence",
+         lambda v: apps.km_simulate(apps.KMConfig(**KM), ns=v), [8, 16]),
+    ]
+    for cls, base in ((apps.ChainConfig, CHAIN), (apps.KMConfig, KM), (apps.CDConfig, CD)):
+        for name, good in base.items():
+            kind = "count" if type(good) is int else "real"
+            rows.append((f"{cls.__name__} {name}", kind, _config(cls, base, name), good))
+    rows.append(("cd_run config", "real", lambda v: apps.cd_run(apps.CDConfig(**{**CD, "J": v}),
+                                                                exact_coefficients=True), -1.0))
+    return rows
+
+
+ENTRY_POINTS = _entry_points()
+NUMPY_SCALAR = {"count": np.int64, "real": np.float64}
+
+
+def _same(a, b) -> bool:
+    """Equal, bit for bit, through arrays, sequences and dataclasses."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b, equal_nan=True)
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name))
+                                           for f in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b or (a != a and b != b)
+
+
+@pytest.mark.parametrize("name,call,bad", [
+    pytest.param(name, call, bad, id=f"{name}-{bad}") for name, kind, call, _ in ENTRY_POINTS
+    for bad in BAD_VALUES if not (kind == "real" and bad in NOT_FOR_REALS)])
+def test_bad_numeric_input_is_refused(name, call, bad):
+    if (name, bad) in PINNED:
+        assert _same(call(BAD_VALUES[bad]), PINNED[name, bad])
+        return
+    with pytest.raises((InvalidInputError, DomainError)):
+        call(BAD_VALUES[bad])
+
+
+@pytest.mark.parametrize("name,kind,call,good", [r for r in ENTRY_POINTS if r[1] in NUMPY_SCALAR],
+                         ids=[r[0] for r in ENTRY_POINTS if r[1] in NUMPY_SCALAR])
+def test_numpy_scalars_give_the_python_result(name, kind, call, good):
+    want = call(good)
+    got = call(NUMPY_SCALAR[kind](good))
+    assert _same(got, want)
+    if isinstance(got, (apps.ChainConfig, apps.KMConfig, apps.CDConfig)):
+        # the configs hold Python numbers
+        assert all(type(getattr(got, f.name)) in (int, float, str) for f in dataclasses.fields(got))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: apps.chain_simulate(apps.ChainConfig(**CHAIN), ns=(8.9, 16.9)),
+    lambda: apps.chain_simulate(apps.ChainConfig(**CHAIN), ns=(True, 2)),
+    lambda: trotterion.error_scan(S3, _pair(), xs=["0.1", "0.2"]),
+    lambda: fit_loglog(ROWS, ("0.1", "0.2")),
+    lambda: trotterion.GeneratorPair([["0", "1"], ["1", "0"]], M),
+    lambda: trotterion.GeneratorPair({"a": 1}, M),
+    lambda: trotterion.GeneratorPair(np.eye(2, dtype=bool), M),
+    lambda: trotterion.GeneratorPair(np.array([[1, 0], [0, 1]], dtype=object), M),
+    lambda: trotterion.spectral_norm("ab"),
+    lambda: trotterion.eigh([["a"]]),
+    lambda: trotterion.solve_sqrt4(7.0),
+    lambda: as_count(True, "count"),
+    lambda: as_count(np.True_, "count"),
+    lambda: S3.evaluate(_pair(), [[0.1, 0.2]]),
+    lambda: S3.evaluate(_pair(), ["0.1"]),
+], ids=["ns-fractions", "ns-bool", "xs-strings", "window-strings", "string-matrix", "dict-matrix",
+        "bool-matrix", "object-matrix", "spectral_norm-string", "eigh-strings", "sqrt4-float",
+        "count-bool", "count-numpy-bool", "evaluate-nested", "evaluate-strings"])
+def test_values_inside_a_parameter_are_refused(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+def test_input_contract_pins():
+    assert as_count(np.int64(2), "count") == 2 and type(as_count(np.int64(2), "count")) is int
+    assert type(as_real(np.float32(0.5), "x")) is float
+    with pytest.raises(InvalidInputError, match="argument x must be finite"):
+        trotterion.gates_to_accuracy(S3, _pair(), math.nan, 1e-3)
+    # an infinite window end leaves that side open
+    assert fit_loglog(ROWS, (0.0, math.inf)) == fit_loglog(ROWS, None)
+    with pytest.raises(InvalidInputError, match="fit window needs LO < HI"):
+        fit_loglog(ROWS, (math.nan, 1.0))
+    # a refused value's message is the command line's error line
+    with pytest.raises(InvalidInputError, match=r"^J must be finite and at most 1e\+15$"):
+        apps.KMConfig(**{**KM, "J": 1e16})
+    with pytest.raises(InvalidInputError, match="^total time must be positive and finite$"):
+        apps.ChainConfig(**{**CHAIN, "T": -1.0})
+    with pytest.raises(InvalidInputError,
+                       match=r"^R must be finite and at most 1e\+08 in magnitude$"):
+        trotterion.solve_p_of_r(math.inf)

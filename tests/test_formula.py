@@ -13,7 +13,7 @@ from trotterion import (GeneratorPair, ProductFormula, apply_scheme, concat,
                         to_json, word_sums)
 from trotterion.bases import f_r_with_c
 from trotterion.errors import InvalidInputError
-from trotterion.formula import _pairwise_product, word_series
+from trotterion.formula import MAX_STEPS, _pairwise_product, word_series
 
 from conftest import PAULI_PAIR
 
@@ -234,6 +234,9 @@ def test_repeat_scales_by_inverse_sqrt():
     with pytest.raises(InvalidInputError, match="repetition count must be an integer"):
         repeat(f, 2.5)
     assert repeat(f, np.int64(2)) == repeat(f, 2)
+    # the step cap of the recursion schemes, checked before any copy is built
+    with pytest.raises(InvalidInputError, match="would have 1000002 steps, more than 1000000"):
+        repeat(f, MAX_STEPS // len(f) + 1)
 
 
 def test_repeat_linear_target_keeps_argument():

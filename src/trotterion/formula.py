@@ -280,7 +280,7 @@ class ProductFormula:
 
     def gate_count(self) -> int:
         """Number of elementary exponentials after simplification."""
-        return len(self.simplify().steps)
+        return len(merged_steps(self.steps))
 
     def trajectory(self, tag: str) -> list[float]:
         """Running cumulative sums of the coefficients carrying one tag."""
@@ -297,13 +297,19 @@ class ProductFormula:
 
 def merged_steps(steps: Sequence[tuple[str, float]]) -> list[tuple[str, float]]:
     """The steps with adjacent same-tag steps merged and coefficients below
-    MERGE_TOL dropped, as `ProductFormula.simplify` takes them."""
+    MERGE_TOL dropped, as `ProductFormula.simplify` takes them. A NaN,
+    which only a merge of opposite overflows makes, is kept, for the
+    formula built from the result to refuse."""
     merged: list[tuple[str, float]] = []
-    for tag, coeff in steps:
-        if merged and merged[-1][0] == tag:
-            coeff = merged.pop()[1] + coeff
-        if abs(coeff) >= MERGE_TOL:
-            merged.append((tag, coeff))
+    top = None  # the tag of merged[-1]
+    for step in steps:
+        if step[0] == top:
+            step = (top, merged.pop()[1] + step[1])
+        if abs(step[1]) < MERGE_TOL:
+            top = merged[-1][0] if merged else None
+        else:
+            merged.append(step)
+            top = step[0]
     return merged
 
 
@@ -353,6 +359,23 @@ def as_real(value, what: str, positive: bool = False, limit: float | None = None
     return out
 
 
+def copy_product(f: ProductFormula, copies: Sequence[tuple[float, bool]], label: str,
+                 claimed_order: int | None) -> ProductFormula:
+    """The simplified product of f(s x), or of its inverse where flagged,
+    over the (s, inverted) copies, labelled `label` and of order
+    `claimed_order`: the steps f.scale_argument(s) (then .inverse())
+    give each copy, chained and merged in one pass into one formula. A
+    scaled coefficient that overflows stays non-finite through the merge,
+    and the formula refuses it as scale_argument does."""
+    steps: list[tuple[str, float]] = []
+    for s, inverted in copies:
+        if inverted:
+            steps += [(tag, -(coeff * s)) for tag, coeff in reversed(f.steps)]
+        else:
+            steps += [(tag, coeff * s) for tag, coeff in f.steps]
+    return ProductFormula(tuple(merged_steps(steps)), label=label, claimed_order=claimed_order)
+
+
 def check_steps(name: str, f: ProductFormula, copies: int, cap: int) -> None:
     """Refuse a product of `copies` copies of f with more than cap steps
     (MAX_STEPS at the callers), before any copy is built; `name` names the
@@ -373,9 +396,8 @@ def repeat(f: ProductFormula, r: int, commutator_target: bool = True) -> Product
     if r < 1:
         raise InvalidInputError("repetition count must be >= 1")
     check_steps("repeat", f, r, MAX_STEPS)
-    copy = f.scale_argument(1.0 / math.sqrt(r)) if commutator_target else f
-    out = concat([copy] * r, label=f.label, claimed_order=f.claimed_order)
-    return out.simplify()
+    scale = 1.0 / math.sqrt(r) if commutator_target else 1.0
+    return copy_product(f, [(scale, False)] * r, f.label, f.claimed_order)
 
 
 def word_series(f: ProductFormula, degree: int) -> dict[str, float]:
@@ -421,19 +443,28 @@ def word_sums(f: ProductFormula) -> WordSums:
 
 
 def to_json(f: ProductFormula) -> str:
-    """Serialize to the on-disk JSON schema; floats round-trip bit-exactly."""
-    payload = {
-        "label": f.label,
-        "claimed_order": f.claimed_order,
-        "steps": [[tag, coeff] for tag, coeff in f.steps],
-    }
-    return json.dumps(payload, indent=2)
+    """Serialize to the on-disk JSON schema; floats round-trip bit-exactly.
+
+    The text is json.dumps({"label", "claimed_order", "steps"}, indent=2)
+    byte for byte, written directly: with an indent the standard library
+    encodes in pure Python, about four times slower on a deep formula.
+    Each coefficient is a finite float, which both write as its repr."""
+    if not isinstance(f, ProductFormula):
+        raise InvalidInputError(f"to_json needs a ProductFormula, got {type(f).__name__}")
+    head = (f'{{\n  "label": {json.dumps(f.label)},\n'
+            f'  "claimed_order": {json.dumps(f.claimed_order)},\n  "steps": ')
+    if not f.steps:
+        return head + "[]\n}"
+    body = ",\n".join([f'    [\n      "{tag}",\n      {coeff!r}\n    ]' for tag, coeff in f.steps])
+    return head + "[\n" + body + "\n  ]\n}"
 
 
-def from_json(text: str) -> ProductFormula:
+def from_json(text: str | bytes | bytearray) -> ProductFormula:
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise InvalidInputError(f"formula JSON must be text, got {type(text).__name__}")
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"malformed formula JSON: {exc}") from exc
     if not isinstance(payload, dict) or "steps" not in payload:
         raise InvalidInputError("formula JSON must be an object with a 'steps' list")

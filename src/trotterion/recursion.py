@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from .bases import s2, s3
 from .errors import InvalidInputError
-from .formula import MAX_STEPS, ProductFormula, check_steps, concat
+from .formula import MAX_STEPS, ProductFormula, check_steps, copy_product
 from .solver import solve_sqrt4
 
 
@@ -30,23 +30,35 @@ def _require_order(f: ProductFormula, parity: str | None = None, what: str = "")
     return n
 
 
-def _assemble(f: ProductFormula, name: str, gain: int,
-              copies: list[tuple[float, bool]]) -> ProductFormula:
-    """The simplified product of f(s x), or of its inverse where flagged,
-    over the (s, inverted) copies, labelled name(f) and of order n + gain.
-    A product of more than MAX_STEPS steps is refused before it is built."""
+def _assemble(f: ProductFormula, name: str, gain: int, copies: list[tuple[float, bool]],
+              label: str | None = None) -> ProductFormula:
+    """`copy_product` of f over the (s, inverted) copies, labelled `label`
+    (name(f) by default) and of order n + gain. A product of more than
+    MAX_STEPS steps is refused before it is built."""
     check_steps(name, f, len(copies), MAX_STEPS)
-    parts = [f.scale_argument(s).inverse() if inverted else f.scale_argument(s)
-             for s, inverted in copies]
-    out = concat(parts, label=f"{name}({f.label})", claimed_order=f.claimed_order + gain)
-    return out.simplify()
+    return copy_product(f, copies, f"{name}({f.label})" if label is None else label,
+                        f.claimed_order + gain)
+
+
+# the 2-copy step's copies: f(x/sqrt2) f(-x/sqrt2)
+_TWO_COPIES = [(1.0 / math.sqrt(2.0), False), (-1.0 / math.sqrt(2.0), False)]
 
 
 def two_copy(f: ProductFormula) -> ProductFormula:
     """f(x/sqrt2) f(-x/sqrt2): raises an even order 2k to 2k+1."""
     _require_order(f, "even", "the 2-copy step")
-    root = 1.0 / math.sqrt(2.0)
-    return _assemble(f, "two_copy", 1, [(root, False), (-root, False)])
+    return _assemble(f, "two_copy", 1, _TWO_COPIES)
+
+
+def _jk_copies(n: int) -> list[tuple[float, bool]]:
+    """The triple-copy step's copies for an order-n input."""
+    if n % 2 == 0:
+        t = (2.0 + 2.0 ** (2.0 / (n + 1))) ** -0.5
+        s = -(2.0 ** (1.0 / (n + 1))) * t
+        return [(t, False), (s, False), (t, False)]
+    u = (2.0 - 2.0 ** (2.0 / (n + 1))) ** -0.5
+    v = (2.0 ** (1.0 / (n + 1))) * u
+    return [(u, False), (v, True), (u, False)]
 
 
 def jean_koseleff(f: ProductFormula) -> ProductFormula:
@@ -56,14 +68,7 @@ def jean_koseleff(f: ProductFormula) -> ProductFormula:
     s = -2^(1/(n+1)) t. Odd n: f(ux) f(vx)^(-1) f(ux) with
     u = (2 - 2^(2/(n+1)))^(-1/2) and v = 2^(1/(n+1)) u.
     """
-    n = _require_order(f)
-    if n % 2 == 0:
-        t = (2.0 + 2.0 ** (2.0 / (n + 1))) ** -0.5
-        s = -(2.0 ** (1.0 / (n + 1))) * t
-        return _assemble(f, "jk", 1, [(t, False), (s, False), (t, False)])
-    u = (2.0 - 2.0 ** (2.0 / (n + 1))) ** -0.5
-    v = (2.0 ** (1.0 / (n + 1))) * u
-    return _assemble(f, "jk", 1, [(u, False), (v, True), (u, False)])
+    return _assemble(f, "jk", 1, _jk_copies(_require_order(f)))
 
 
 def childs_wiebe5(f: ProductFormula) -> ProductFormula:
@@ -118,14 +123,14 @@ def build_v(f: ProductFormula) -> ProductFormula:
     """6-copy scheme raising odd order n to n+2: the odd triple-copy step
     at x/sqrt2 composed with its negated-argument twin."""
     _require_order(f, "odd", "the 6-copy scheme")
-    return replace(two_copy(jean_koseleff(f)), label=f"v6({f.label})")
+    return _assemble(jean_koseleff(f), "two_copy", 1, _TWO_COPIES, f"v6({f.label})")
 
 
 def build_g(f: ProductFormula) -> ProductFormula:
     """10-copy scheme raising odd order n to n+2: the 5-copy step followed
     by the 2-copy step."""
     _require_order(f, "odd", "the 10-copy scheme")
-    return replace(two_copy(childs_wiebe5(f)), label=f"g10({f.label})")
+    return _assemble(childs_wiebe5(f), "two_copy", 1, _TWO_COPIES, f"g10({f.label})")
 
 
 def build_cw_sqrt6_baseline(f: ProductFormula) -> ProductFormula:
@@ -133,7 +138,8 @@ def build_cw_sqrt6_baseline(f: ProductFormula) -> ProductFormula:
     triple-copy step. Applied to the 4-gate base this is the 22-gate
     fourth-order benchmark formula."""
     _require_order(f, "even", "the 6-copy baseline")
-    return replace(jean_koseleff(two_copy(f)), label=f"cw6({f.label})")
+    g = two_copy(f)
+    return _assemble(g, "jk", 1, _jk_copies(g.claimed_order), f"cw6({f.label})")
 
 
 def sum_comm_step(f: ProductFormula) -> ProductFormula:
@@ -168,8 +174,10 @@ SCHEMES = {
 
 def apply_scheme(name: str, f: ProductFormula) -> ProductFormula:
     """The scheme registered under `name` in SCHEMES, applied to f."""
-    if name not in SCHEMES:
+    if not isinstance(name, str) or name not in SCHEMES:
         raise InvalidInputError(f"unknown scheme {name!r}; known: {', '.join(SCHEMES)}")
+    if not isinstance(f, ProductFormula):
+        raise InvalidInputError(f"scheme {name!r} needs a ProductFormula, got {type(f).__name__}")
     return SCHEMES[name](f)
 
 

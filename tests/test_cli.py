@@ -63,6 +63,19 @@ def test_build_matches_recipe_examples(tmp_path, capsys):
     assert f.claimed_order == 7
 
 
+# `build --base s3 --scheme g10` as written before formulas were built in
+# one pass and their JSON written without the standard library's encoder
+G5_GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "g5.json"
+
+
+def test_build_writes_the_golden_bytes(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "build", "--base", "s3", "--scheme", "g10")
+    assert code == 0
+    assert out.encode("utf-8") == G5_GOLDEN.read_bytes()
+    path = build_file(tmp_path, capsys, "g5.json", "--base", "s3", "--scheme", "g10")
+    assert pathlib.Path(path).read_bytes() == G5_GOLDEN.read_bytes()
+
+
 def test_build_parity_violation_exits_2(capsys):
     # the odd-order 5-copy promotion refuses the even-order base
     code, _, err = run_cli(capsys, "build", "--base", "s2", "--scheme", "cw5")

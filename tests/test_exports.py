@@ -229,9 +229,18 @@ def test_numpy_scalars_give_the_python_result(name, kind, call, good):
     lambda: as_count(np.True_, "count"),
     lambda: S3.evaluate(_pair(), [[0.1, 0.2]]),
     lambda: S3.evaluate(_pair(), ["0.1"]),
+    lambda: trotterion.from_json(2.5),
+    lambda: trotterion.from_json(None),
+    lambda: trotterion.apply_scheme(["g10"], S3),
+    lambda: trotterion.apply_scheme("g10", S3.steps),
+    lambda: trotterion.apply_scheme("g10", None),
+    lambda: trotterion.to_json(S3.steps),
+    lambda: trotterion.to_json(None),
 ], ids=["ns-fractions", "ns-bool", "xs-strings", "window-strings", "string-matrix", "dict-matrix",
         "bool-matrix", "object-matrix", "spectral_norm-string", "eigh-strings", "sqrt4-float",
-        "count-bool", "count-numpy-bool", "evaluate-nested", "evaluate-strings"])
+        "count-bool", "count-numpy-bool", "evaluate-nested", "evaluate-strings",
+        "from_json-float", "from_json-none", "scheme-name-list", "scheme-formula-steps",
+        "scheme-formula-none", "to_json-steps", "to_json-none"])
 def test_values_inside_a_parameter_are_refused(call):
     with pytest.raises(InvalidInputError):
         call()

@@ -1,5 +1,6 @@
 """Formula algebra: evaluation order, inverse, simplify, word sums, JSON."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,9 +14,9 @@ from trotterion import (GeneratorPair, ProductFormula, apply_scheme, concat,
                         to_json, word_sums)
 from trotterion.bases import f_r_with_c
 from trotterion.errors import InvalidInputError
-from trotterion.formula import MAX_STEPS, _pairwise_product, word_series
+from trotterion.formula import MAX_STEPS, _pairwise_product, copy_product, word_series
 
-from conftest import PAULI_PAIR
+from conftest import PAULI_PAIR, bits
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -254,6 +255,77 @@ def test_concat_chains_steps():
     assert np.linalg.norm(got - np.eye(2), 2) <= 1e-12
 
 
+# repeat's inputs: the library, and a formula whose copies merge at the
+# boundary and whose middle step falls below the merge tolerance
+REPEAT_INPUTS = [*pure_commutator_library().values(),
+                 ProductFormula((("A", 0.5), ("B", 1e-15), ("A", -0.25), ("B", 2.0), ("A", 0.75)),
+                                label="merges", claimed_order=2)]
+
+
+@pytest.mark.parametrize("commutator_target", [True, False])
+@pytest.mark.parametrize("r", range(1, 7))
+def test_repeat_is_the_scaled_concat_simplified(r, commutator_target):
+    # the one-pass copy product gives, bit for bit, the composition it
+    # replaced: scale_argument, concat and simplify
+    for f in REPEAT_INPUTS:
+        copy = f.scale_argument(1.0 / math.sqrt(r)) if commutator_target else f
+        want = concat([copy] * r, label=f.label, claimed_order=f.claimed_order).simplify()
+        got = repeat(f, r, commutator_target=commutator_target)
+        assert bits(got) == bits(want), (f.label, r)
+        assert (got.label, got.claimed_order) == (want.label, want.claimed_order)
+
+
+def test_copy_product_refuses_an_overflowing_copy():
+    # f(1.5x) f(1.5x)^(-1) of a step near the float maximum: each scaled
+    # coefficient overflows, as scale_argument refuses, though their
+    # merge would cancel to nothing
+    f = ProductFormula((("A", 1.7e308),))
+    with pytest.raises(InvalidInputError, match="step coefficients must be finite"):
+        f.scale_argument(1.5)
+    with pytest.raises(InvalidInputError, match="step coefficients must be finite"):
+        copy_product(f, [(1.5, False), (1.5, True)], "x", None)
+    # a merge that overflows is refused as well
+    with pytest.raises(InvalidInputError, match="step coefficients must be finite"):
+        copy_product(f, [(1.0, False), (1.0, False)], "x", None)
+    assert copy_product(ProductFormula(()), [(2.0, True)], "empty", 1).steps == ()
+
+
+def json_oracle(f: ProductFormula) -> str:
+    """What to_json writes, from the standard library's indented encoder."""
+    return json.dumps({"label": f.label, "claimed_order": f.claimed_order,
+                       "steps": [[tag, coeff] for tag, coeff in f.steps]}, indent=2)
+
+
+def _g10_levels(k):
+    f = s3()
+    for _ in range(k):
+        f = apply_scheme("g10", f)
+    return f
+
+
+JSON_CASES = {
+    **pure_commutator_library(),
+    **{f"g10^{k}(S3)": _g10_levels(k) for k in (1, 2, 3)},
+    "empty": ProductFormula(()),
+    "empty-ordered": ProductFormula((), label="e", claimed_order=4),
+    "no-order": ProductFormula(s3().steps, label="S3"),
+    "quotes": ProductFormula(s2().steps, label='say "hi"', claimed_order=2),
+    "backslashes": ProductFormula(s2().steps, label="a\\b\\", claimed_order=2),
+    "non-ascii": ProductFormula(s2().steps, label="\u00f1 \u2013 \u91cf\u5b50 \U0001f600"),
+    "control": ProductFormula(s2().steps, label="tab\tnew\nline\r\x00\x1f\x7f\u2028"),
+    "extreme-coefficients": ProductFormula((("A", -0.0), ("B", 5e-324), ("C", 1.7976931348623157e308),
+                                            ("A", -1.7976931348623157e308), ("B", -5e-324))),
+}
+
+
+@pytest.mark.parametrize("name", JSON_CASES)
+def test_to_json_is_the_standard_indented_encoding(name):
+    f = JSON_CASES[name]
+    assert to_json(f) == json_oracle(f)
+    g = from_json(to_json(f))
+    assert bits(g) == bits(f) and (g.label, g.claimed_order) == (f.label, f.claimed_order)
+
+
 def test_json_round_trip_bit_exact():
     f = ProductFormula((("A", 1.0 / 3.0), ("B", -math.sqrt(2.0))), label="x",
                        claimed_order=2)
@@ -272,6 +344,14 @@ def test_json_rejects_malformed_payloads():
         from_json('{"steps": [["D", 1.0]]}')
     with pytest.raises(InvalidInputError):
         from_json('{"steps": [["A", 1.0]], "claimed_order": "three"}')
+    # text is a str, or bytes json.loads decodes; anything else is refused
+    for text in (2.5, None, ["{}"]):
+        with pytest.raises(InvalidInputError, match="formula JSON must be text"):
+            from_json(text)
+    text = to_json(s3())
+    assert from_json(text.encode()) == from_json(bytearray(text.encode())) == s3()
+    with pytest.raises(InvalidInputError, match="malformed formula JSON"):
+        from_json(b"\x80{}")  # bytes that are not UTF-8
 
 
 def test_formula_validation():

@@ -9,11 +9,11 @@ from trotterion import (SCHEMES, apply_scheme, error_scan, pure_commutator_libra
                         word_sums)
 from trotterion.errors import InvalidInputError
 from trotterion import recursion
-from trotterion.formula import ProductFormula
+from trotterion.formula import ProductFormula, concat
 from trotterion.recursion import (MAX_STEPS, build_cw_sqrt6_baseline, build_g, build_q, build_v, build_w,
                                   childs_wiebe5, jean_koseleff, sum_comm_step, two_copy)
 
-from conftest import PAULI_PAIR
+from conftest import PAULI_PAIR, bits
 
 FIT_WINDOW = (0.05, 0.1)
 
@@ -181,3 +181,61 @@ def test_max_steps_bounds_the_product_before_simplification(monkeypatch):
     assert len(jean_koseleff(s2())) <= 12  # 3 copies of 4 steps: at the cap
     with pytest.raises(InvalidInputError, match="more than 12"):
         childs_wiebe5(s3())  # 5 copies of 6 steps
+
+
+def old_assembly(f, copies, label, claimed_order):
+    """The composition `copy_product` replaced, through the public API:
+    each copy scaled (and inverted), chained, then simplified."""
+    parts = [f.scale_argument(s).inverse() if inverted else f.scale_argument(s)
+             for s, inverted in copies]
+    return concat(parts, label=label, claimed_order=claimed_order).simplify()
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+def test_each_scheme_is_the_old_copy_composition(name, monkeypatch):
+    # every copy product a scheme builds, on S2 and S3 and one level
+    # deeper, is bit for bit the scale/inverse/concat/simplify composition
+    calls = []
+    real = recursion.copy_product
+
+    def spy(f, copies, label, claimed_order):
+        out = real(f, copies, label, claimed_order)
+        calls.append((f, list(copies), label, claimed_order, out))
+        return out
+
+    monkeypatch.setattr(recursion, "copy_product", spy)
+    built = []
+    for base in (s2(), s3()):
+        try:
+            f = apply_scheme(name, base)
+        except InvalidInputError:
+            continue  # the base's parity or order does not suit the scheme
+        built.append(f)
+        try:
+            built.append(apply_scheme(name, f))
+        except InvalidInputError:
+            pass
+    assert built and calls
+    for f, copies, label, claimed_order, out in calls:
+        want = old_assembly(f, copies, label, claimed_order)
+        assert bits(out) == bits(want), label
+        assert (out.label, out.claimed_order) == (want.label, want.claimed_order)
+    # each result is a copy product itself, with no pass after it
+    assert all(any(out is f for *_, out in calls) for f in built)
+
+
+@pytest.mark.parametrize("scheme,inner,outer,prefix", [
+    (build_v, jean_koseleff, two_copy, "v6"),
+    (build_g, childs_wiebe5, two_copy, "g10"),
+    (build_cw_sqrt6_baseline, two_copy, jean_koseleff, "cw6"),
+])
+def test_composite_schemes_are_their_steps_relabelled(scheme, inner, outer, prefix):
+    for base in (s2(), s3(), scheme(s2() if prefix == "cw6" else s3())):
+        try:
+            got = scheme(base)
+        except InvalidInputError:
+            continue
+        want = outer(inner(base))
+        assert bits(got) == bits(want)
+        assert got.label == f"{prefix}({base.label})"
+        assert got.claimed_order == want.claimed_order

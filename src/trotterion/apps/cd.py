@@ -20,9 +20,9 @@ from .. import solver
 from ..bases import SIX_GATE_TAGS, f_r_params
 from ..errors import DomainError, InvalidInputError
 from ..formula import (GeneratorPair, ProductFormula, _grouped_product, _items_per_cap, as_count,
-                       as_real)
+                       as_flag, as_real)
 from ..matcore import eigh
-from .common import MAX_MAGNITUDE, quiet_small_r
+from .common import MAX_MAGNITUDE
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -160,6 +160,7 @@ def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
     for one `_grouped_product` call; only the two state updates run slice
     by slice. A failing ramp raises what the first failing slice raises.
     """
+    exact_coefficients = as_flag(exact_coefficients, "exact_coefficients")
     dt = cfg.tau / cfg.n_steps
     gens = GeneratorPair(-1j * FIELD, -1j * COUPLING)
     on_a = np.array(SIX_GATE_TAGS) == "A"
@@ -185,8 +186,7 @@ def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
             if exact_coefficients:  # each slice's own smallest root
                 coeffs = solver._solve_p_of_r_many(weights)[0]
             else:  # f_r_params refuses an R that overflowed
-                with quiet_small_r():
-                    coeffs = np.array([f_r_params(R).as_tuple() for R in weights.tolist()])
+                coeffs = np.array([f_r_params(R).as_tuple() for R in weights.tolist()])
             exponents = np.concatenate([np.tile(trotter_t, (n, 1)), coeffs * dt])
             exponents *= np.where(on_a, np.tile(field[:n], 2)[:, None], cfg.J)
             u = _grouped_product(gens, SIX_GATE_TAGS, exponents).reshape(2, n, 4, 4)

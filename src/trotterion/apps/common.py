@@ -9,13 +9,10 @@ n_step_target is that exact evolution.
 from __future__ import annotations
 
 import math
-import warnings
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..bases import AccuracyWarning
 from ..certify import ScanResult, power_errors, step_count_scan, step_grid
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair, ProductFormula
@@ -48,20 +45,6 @@ def step_weight(alpha: float, beta: float, n: int) -> float:
     return weight
 
 
-@contextmanager
-def quiet_small_r():
-    """Silence the small-R accuracy warning inside n-step repetitions.
-
-    The repetition loops deliberately drive the per-step commutator
-    weight through the small-R regime; the 1/n convergence of the
-    composite is what the simulators measure, so the single-shot
-    accuracy warning is noise there.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AccuracyWarning)
-        yield
-
-
 def n_step_target(gens: GeneratorPair, alpha: float, beta: float) -> np.ndarray:
     """exp(alpha (A + B + C) + beta [A, B]), with C left out when gens has none."""
     total = gens.a + gens.b if gens.c is None else gens.a + gens.b + gens.c
@@ -82,8 +65,7 @@ def n_step_scan(step: Callable[[float], ProductFormula], gens: GeneratorPair, al
     """
     grid = step_grid(ns)
     target = n_step_target(gens, alpha, beta)
-    with quiet_small_r():
-        steps = [step(step_weight(alpha, beta, n)) for n in grid]
+    steps = [step(step_weight(alpha, beta, n)) for n in grid]
     errors, refused = power_errors(gens, steps, [alpha / n for n in grid], grid, target)
     for exc in filter(None, refused):
         raise exc

@@ -105,18 +105,13 @@ def f_r_params(R: float) -> SixGateParams:
 
     Satisfies l = m = 1 and q = -R + 1/2 exactly; the third-order
     conditions r = s = 1/6 hold only approximately, with the residual
-    shrinking as R grows. Accurate use therefore wants R >= 4 or so.
+    shrinking as R grows. Accurate use therefore wants R >= 4 or so; only
+    `f_r`, the single step, warns below that, since the repeated steps
+    run small R by design.
     """
     R = _weight(R)
     if R <= -0.5:
         raise DomainError("R must exceed -1/2 for the closed-form coefficients")
-    if R < R_ACCURACY_FLOOR:
-        warnings.warn(
-            "closed-form sum+commutator coefficients requested below the "
-            "large-R regime; third-order residuals are O(1)",
-            AccuracyWarning,
-            stacklevel=2,
-        )
     g = GOLDEN
     u = math.sqrt(R + 0.5)
     return SixGateParams(
@@ -129,10 +124,26 @@ def f_r_params(R: float) -> SixGateParams:
     )
 
 
+def _closed_form(R: float) -> ProductFormula:
+    """The closed-form 6-gate step and its label, without the warning."""
+    return f_r_params(R).as_formula(label=f"fR[R={R:.12g}]", claimed_order=3)
+
+
 def f_r(R: float) -> ProductFormula:
-    """6-gate formula approximating exp(x(A+B) + R x^2 [A,B])."""
-    params = f_r_params(R)
-    return params.as_formula(label=f"fR[R={R:.12g}]", claimed_order=3)
+    """6-gate formula approximating exp(x(A+B) + R x^2 [A,B]).
+
+    Warns (AccuracyWarning, attributed to the caller) below
+    R_ACCURACY_FLOOR, where its third-order residuals are O(1).
+    """
+    f = _closed_form(R)
+    if R < R_ACCURACY_FLOOR:
+        warnings.warn(
+            "closed-form sum+commutator coefficients requested below the "
+            "large-R regime; third-order residuals are O(1)",
+            AccuracyWarning,
+            stacklevel=2,
+        )
+    return f
 
 
 def f_r_signed(R: float) -> ProductFormula:
@@ -147,8 +158,8 @@ def f_r_signed(R: float) -> ProductFormula:
     """
     R = _weight(R)
     if R > -0.5:
-        return f_r(R)
-    base = f_r(-R)
+        return _closed_form(R)
+    base = _closed_form(-R)
     steps = tuple(reversed(base.steps))
     return ProductFormula(steps, label=f"fR[R={R:.12g}][reflected]",
                           claimed_order=base.claimed_order)

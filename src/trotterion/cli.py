@@ -130,7 +130,12 @@ def _cmd_build(args) -> int:
     else:
         if args.R is None:
             raise InvalidInputError("--base fr needs --R")
-        f = f_r(args.R)
+        # f_r's accuracy warning as one `warning:` line, which names no
+        # source file; the filters in force still decide whether it shows
+        with warnings.catch_warnings(record=True) as caught:
+            f = f_r(args.R)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
     for name in args.scheme or []:
         f = apply_scheme(name, f)
     payload = to_json(f) + "\n"
@@ -358,28 +363,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show_warning(show, message, category, *args, **kwargs) -> None:
-    """An AccuracyWarning as one `warning:` line on stderr, which names no
-    source file; any other warning through `show`, Python's own handling."""
-    if issubclass(category, AccuracyWarning):
-        print(f"warning: {message}", file=sys.stderr)
-    else:
-        show(message, category, *args, **kwargs)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
-        try:
-            return args.handler(args)
-        except (InvalidInputError, DomainError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (SolverError, DegenerateScanError, BudgetExceededError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+    try:
+        return args.handler(args)
+    except (InvalidInputError, DomainError, AccuracyWarning, OSError) as exc:
+        # an AccuracyWarning is raised, not shown, where warnings are errors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (SolverError, DegenerateScanError, BudgetExceededError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -213,6 +213,8 @@ class ProductFormula:
     claimed_order: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise InvalidInputError(f"label must be a string, got {self.label!r}")
         clean = []
         try:
             steps = iter(self.steps)
@@ -334,6 +336,14 @@ def as_count(value, what: str) -> int:
     raise InvalidInputError(f"{what} must be an integer, got {value!r}")
 
 
+def as_flag(value, what: str) -> bool:
+    """The one on/off rule: value as a Python bool, from a bool or a numpy
+    bool. Any other value, a truthy string or 1 among them, is refused."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidInputError(f"{what} must be True or False, got {value!r}")
+    return bool(value)
+
+
 def as_real(value, what: str, positive: bool = False, limit: float | None = None,
             message: str | None = None) -> float:
     """The one real-number rule: value as a Python float, from any real
@@ -376,13 +386,12 @@ def copy_product(f: ProductFormula, copies: Sequence[tuple[float, bool]], label:
     return ProductFormula(tuple(merged_steps(steps)), label=label, claimed_order=claimed_order)
 
 
-def check_steps(name: str, f: ProductFormula, copies: int, cap: int) -> None:
-    """Refuse a product of `copies` copies of f with more than cap steps
-    (MAX_STEPS at the callers), before any copy is built; `name` names the
-    product."""
-    if copies * len(f) > cap:
+def check_steps(name: str, f: ProductFormula, copies: int) -> None:
+    """Refuse a product of `copies` copies of f with more than MAX_STEPS
+    steps, before any copy is built; `name` names the product."""
+    if copies * len(f) > MAX_STEPS:
         raise InvalidInputError(f"{name} of a {len(f)}-step formula would have "
-                                f"{copies * len(f)} steps, more than {cap}")
+                                f"{copies * len(f)} steps, more than {MAX_STEPS}")
 
 
 def repeat(f: ProductFormula, r: int, commutator_target: bool = True) -> ProductFormula:
@@ -395,8 +404,8 @@ def repeat(f: ProductFormula, r: int, commutator_target: bool = True) -> Product
     r = as_count(r, "repetition count")
     if r < 1:
         raise InvalidInputError("repetition count must be >= 1")
-    check_steps("repeat", f, r, MAX_STEPS)
-    scale = 1.0 / math.sqrt(r) if commutator_target else 1.0
+    check_steps("repeat", f, r)
+    scale = 1.0 / math.sqrt(r) if as_flag(commutator_target, "commutator_target") else 1.0
     return copy_product(f, [(scale, False)] * r, f.label, f.claimed_order)
 
 
@@ -470,8 +479,6 @@ def from_json(text: str | bytes | bytearray) -> ProductFormula:
         raise InvalidInputError("formula JSON must be an object with a 'steps' list")
     label = payload.get("label", "")
     order = payload.get("claimed_order")
-    if not isinstance(label, str):
-        raise InvalidInputError("'label' must be a string")
     if order is not None and type(order) is not int:
         raise InvalidInputError("'claimed_order' must be an integer or null")
     steps = payload["steps"]

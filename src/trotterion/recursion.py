@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from .bases import s2, s3
 from .errors import InvalidInputError
-from .formula import MAX_STEPS, ProductFormula, check_steps, copy_product
+from .formula import ProductFormula, check_steps, copy_product
 from .solver import solve_sqrt4
 
 
@@ -34,8 +34,8 @@ def _assemble(f: ProductFormula, name: str, gain: int, copies: list[tuple[float,
               label: str | None = None) -> ProductFormula:
     """`copy_product` of f over the (s, inverted) copies, labelled `label`
     (name(f) by default) and of order n + gain. A product of more than
-    MAX_STEPS steps is refused before it is built."""
-    check_steps(name, f, len(copies), MAX_STEPS)
+    formula.MAX_STEPS steps is refused before it is built."""
+    check_steps(name, f, len(copies))
     return copy_product(f, copies, f"{name}({f.label})" if label is None else label,
                         f.claimed_order + gain)
 

@@ -113,17 +113,16 @@ class PofRResult:
         return max(abs(v) for v in self.residuals)
 
 
-def _converged(p, res, largest=None) -> np.ndarray:
+def _converged(res, largest) -> np.ndarray:
     """Whether each candidate's residuals res = (l, m, q, r, s) are within
     P_OF_R_TOL or the rounding of their terms, eps * max|p|^degree for the
-    degrees 1, 1, 2, 3, 3 in p, which for r and s passes P_OF_R_TOL near
-    R = 1e4. P_OF_R_MAX_FLOOR keeps huge coefficients from passing.
+    degrees 1, 1, 2, 3, 3 in its coefficients p, which for r and s passes
+    P_OF_R_TOL near R = 1e4. P_OF_R_MAX_FLOOR keeps huge coefficients from
+    passing.
 
-    p = (p1, ..., p6) and res hold one array (or scalar) per coefficient
-    and per residual; `largest` is max|p| when the caller has it already.
+    res holds one array (or scalar) per residual, and `largest` each
+    candidate's max|p|.
     """
-    if largest is None:
-        largest = functools.reduce(np.maximum, (np.abs(col) for col in p))
     eps_p = np.finfo(float).eps * largest
     floor1, floor2, floor3 = (np.clip(f, P_OF_R_TOL, P_OF_R_MAX_FLOOR)
                               for f in (eps_p, eps_p * largest, eps_p * largest * largest))
@@ -189,7 +188,7 @@ def _best_roots(R: np.ndarray, p1: np.ndarray, p6: np.ndarray) -> tuple:
     p = _finish(R[:, None], p1, p6)
     largest = functools.reduce(np.maximum, (np.abs(col) for col in p))
     res = _p_of_r_residuals(p, R[:, None, None])
-    ranked = np.where(_converged(p, res, largest), largest, np.inf).reshape(R.size, 2 * p1.shape[1])
+    ranked = np.where(_converged(res, largest), largest, np.inf).reshape(R.size, 2 * p1.shape[1])
     best = np.argmin(ranked, axis=1)
     rows = np.arange(R.size)
     root, root_res = (np.stack([col.reshape(ranked.shape)[rows, best] for col in cols], axis=1)

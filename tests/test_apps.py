@@ -21,8 +21,8 @@ from trotterion import matcore, solve_p_of_r, solver
 from trotterion.apps import cd as cd_module
 from trotterion.apps import chain as chain_module
 from trotterion.apps.cd import GAP_TOL, MAX_SLICES, TROTTER_STEP
-from trotterion.apps.common import n_step_target, quiet_small_r
-from trotterion.bases import AccuracyWarning, f_r, f_r_signed
+from trotterion.apps.common import n_step_target
+from trotterion.bases import AccuracyWarning, f_r, f_r_params, f_r_signed
 from trotterion.errors import DomainError, InvalidInputError, TrotterionError
 from trotterion.formula import EVALUATION_BYTES, GeneratorPair
 from trotterion.matcore import commutator, eigh, spectral_norm
@@ -175,8 +175,7 @@ def _reference_cd_run(cfg, exact_coefficients):
         if exact_coefficients:
             step = solve_p_of_r(beta / dt).params.as_formula()
         else:
-            with quiet_small_r():
-                step = f_r(beta / dt)
+            step = f_r_params(beta / dt).as_formula()
         psi_cd = step.evaluate(gens, dt) @ psi_cd
         t = (k + 1) * dt
         gs, degenerate = ground_state(t)
@@ -507,3 +506,29 @@ def test_km_config_validation():
         km_simulate(cfg, ns=(0,))
     with pytest.raises(InvalidInputError):
         km_simulate(cfg, ns=(32, 16))
+
+
+# ---------------------------------------------------------------- warning state
+
+def test_runs_leave_the_warning_state_alone():
+    # a run at small R neither shows nor silences the accuracy warning, and
+    # leaves the filters as it found them: a filter change makes Python
+    # forget which "default" warnings it has shown, and show them again
+    runs = (lambda: chain_simulate(ChainConfig(L=6, t1=1.0, t2=0.5, T=1.0), ns=[8, 16]),
+            lambda: km_simulate(KMConfig(Lx=3, Ly=4, J=1.0, phi=1.0, T=1.0), ns=[8, 16]),
+            lambda: cd_run(CDConfig(J=-1.0, hz=5.0, tau=1.0, n_steps=10)))
+    for run in runs:  # imports warmed
+        run()
+
+    def warn():
+        warnings.warn("shown once", UserWarning)
+
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("default")
+        filters = list(warnings.filters)
+        warn()
+        for run in runs:
+            run()
+            warn()
+        assert warnings.filters == filters
+    assert [str(w.message) for w in shown] == ["shown once"]

@@ -9,7 +9,7 @@ import scipy.linalg
 
 from trotterion import (AccuracyWarning, GeneratorPair, SixGateParams, f_r, reparam, s2, s3,
                         word_sums)
-from trotterion.bases import f_r_params, f_r_with_c
+from trotterion.bases import f_r_params, f_r_signed, f_r_with_c
 from trotterion.errors import DomainError, InvalidInputError
 
 from conftest import PAULI_PAIR
@@ -97,10 +97,24 @@ def test_f_r_params_domain_and_warning():
         with pytest.raises(InvalidInputError, match="step coefficients must be finite"):
             f_r_params(R)
     with pytest.warns(AccuracyWarning):
-        f_r_params(2.0)
+        f_r(2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", AccuracyWarning)
         f_r_params(4.0)  # at the floor: no warning
+
+
+def test_only_the_single_step_warns():
+    # f_r warns its caller; the repeated steps build the same coefficients
+    # in silence, since the simulators run them at small R by design
+    with pytest.warns(AccuracyWarning) as record:
+        f_r(2.0)
+    assert [w.filename for w in record] == [__file__]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f_r_params(2.0)
+        f_r_signed(2.0)
+        f_r_signed(-1.0)
+        f_r_with_c(2.0)
 
 
 def test_f_r_formula_shape():

@@ -357,6 +357,17 @@ def test_accuracy_warning_is_one_line():
         assert proc.stderr == warning + tail
 
 
+def test_accuracy_warning_raised_as_error_exits_2():
+    # where warnings are errors the small-R warning is raised, and a raised
+    # one is bad input: one error line and no traceback
+    proc = subprocess.run([sys.executable, "-m", "trotterion.cli", "build", "--base", "fr",
+                           "--R", "2"], env={**CHILD_ENV, "PYTHONWARNINGS": "error"},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: closed-form sum+commutator coefficients requested below the "
+                           "large-R regime; third-order residuals are O(1)\n")
+
+
 def test_console_script_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "trotterion.cli", "build",
                            "--base", "s2"],

@@ -236,11 +236,15 @@ def test_numpy_scalars_give_the_python_result(name, kind, call, good):
     lambda: trotterion.apply_scheme("g10", None),
     lambda: trotterion.to_json(S3.steps),
     lambda: trotterion.to_json(None),
+    lambda: trotterion.ProductFormula((("A", 1.0),), label=5),
+    lambda: trotterion.repeat(S3, 2, commutator_target="no"),
+    lambda: apps.cd_run(apps.CDConfig(**CD), exact_coefficients="no"),
 ], ids=["ns-fractions", "ns-bool", "xs-strings", "window-strings", "string-matrix", "dict-matrix",
         "bool-matrix", "object-matrix", "spectral_norm-string", "eigh-strings", "sqrt4-float",
         "count-bool", "count-numpy-bool", "evaluate-nested", "evaluate-strings",
         "from_json-float", "from_json-none", "scheme-name-list", "scheme-formula-steps",
-        "scheme-formula-none", "to_json-steps", "to_json-none"])
+        "scheme-formula-none", "to_json-steps", "to_json-none", "label-int",
+        "repeat-flag-string", "cd_run-flag-string"])
 def test_values_inside_a_parameter_are_refused(call):
     with pytest.raises(InvalidInputError):
         call()
@@ -255,6 +259,8 @@ def test_input_contract_pins():
     assert fit_loglog(ROWS, (0.0, math.inf)) == fit_loglog(ROWS, None)
     with pytest.raises(InvalidInputError, match="fit window needs LO < HI"):
         fit_loglog(ROWS, (math.nan, 1.0))
+    # a numpy bool is a flag
+    assert trotterion.repeat(S3, 2, commutator_target=np.False_) == trotterion.repeat(S3, 2, False)
     # a refused value's message is the command line's error line
     with pytest.raises(InvalidInputError, match=r"^J must be finite and at most 1e\+15$"):
         apps.KMConfig(**{**KM, "J": 1e16})

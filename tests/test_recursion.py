@@ -8,9 +8,9 @@ import pytest
 from trotterion import (SCHEMES, apply_scheme, error_scan, pure_commutator_library, s2, s3,
                         word_sums)
 from trotterion.errors import InvalidInputError
-from trotterion import recursion
-from trotterion.formula import ProductFormula, concat
-from trotterion.recursion import (MAX_STEPS, build_cw_sqrt6_baseline, build_g, build_q, build_v, build_w,
+from trotterion import formula, recursion
+from trotterion.formula import MAX_STEPS, ProductFormula, concat
+from trotterion.recursion import (build_cw_sqrt6_baseline, build_g, build_q, build_v, build_w,
                                   childs_wiebe5, jean_koseleff, sum_comm_step, two_copy)
 
 from conftest import PAULI_PAIR, bits
@@ -177,7 +177,7 @@ def test_scheme_results_over_max_steps_are_refused():
 
 
 def test_max_steps_bounds_the_product_before_simplification(monkeypatch):
-    monkeypatch.setattr(recursion, "MAX_STEPS", 12)
+    monkeypatch.setattr(formula, "MAX_STEPS", 12)
     assert len(jean_koseleff(s2())) <= 12  # 3 copies of 4 steps: at the cap
     with pytest.raises(InvalidInputError, match="more than 12"):
         childs_wiebe5(s3())  # 5 copies of 6 steps

@@ -117,8 +117,7 @@ def test_p_of_r_multistart_crosses_seed_degeneracy():
     R = 0.5
     first = solve_p_of_r(R)
     again = solve_p_of_r(R)
-    assert solver._converged(np.array(first.params.as_tuple()),
-                             np.array(first.residuals))
+    assert solver._converged(np.array(first.residuals), np.max(np.abs(first.params.as_tuple())))
     assert first.max_residual <= 1e-10
     assert first.params.as_tuple() == again.params.as_tuple()
     assert max(abs(v) for v in first.params.as_tuple()) < 3.0
@@ -148,7 +147,7 @@ PINNED_ROOTS = {
 def test_p_of_r_roots_are_pinned(R):
     result = solve_p_of_r(R)
     p = np.array(result.params.as_tuple())
-    assert solver._converged(p, np.array(result.residuals))
+    assert solver._converged(np.array(result.residuals), np.max(np.abs(p)))
     assert np.max(np.abs(p)) <= max(abs(v) for v in PINNED_ROOTS[R])
 
 
@@ -176,8 +175,8 @@ SWEEP_WEIGHTS = sorted({*np.linspace(0.3, 0.68, 102)[1:-1].tolist(),
 def test_p_of_r_sweep_roots_converge_and_repeat():
     for R in SWEEP_WEIGHTS:
         result = solve_p_of_r(R)
-        assert solver._converged(np.array(result.params.as_tuple()),
-                                 np.array(result.residuals)), R
+        assert solver._converged(np.array(result.residuals),
+                                 np.max(np.abs(result.params.as_tuple()))), R
         again = solve_p_of_r(R)
         assert (again.params, again.residuals) == (result.params, result.residuals), R
 
@@ -235,7 +234,7 @@ def _unpruned_ranks(weights):
     with np.errstate(all="ignore"):
         p = solver._finish(weights[:, None], *solver._pairs(weights))
         largest = functools.reduce(np.maximum, (np.abs(col) for col in p))
-        found = solver._converged(p, solver._p_of_r_residuals(p, weights[:, None, None]), largest)
+        found = solver._converged(solver._p_of_r_residuals(p, weights[:, None, None]), largest)
     ranked = np.where(found, largest, np.inf).reshape(weights.size, -1)
     return tuple(col.reshape(ranked.shape) for col in p), ranked
 
@@ -346,8 +345,7 @@ def test_p_of_r_multistart_draws_further_rounds():
     # a weight at which every draw of the former solve's first round of 40
     # Newton starts failed
     result = solve_p_of_r(0.5946480095193062)
-    assert solver._converged(np.array(result.params.as_tuple()),
-                             np.array(result.residuals))
+    assert solver._converged(np.array(result.residuals), np.max(np.abs(result.params.as_tuple())))
     assert result.max_residual <= 1e-10
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from .. import solver
 from ..bases import SIX_GATE_TAGS, f_r_params
 from ..errors import DomainError, InvalidInputError
-from ..formula import (GeneratorPair, ProductFormula, _grouped_product, _items_per_cap, as_count,
-                       as_flag, as_real)
+from ..formula import (GeneratorPair, ProductFormula, _grouped_product, _items_per_cap,
+                       _tag_columns, as_count, as_flag, as_real)
 from ..matcore import eigh
 from .common import MAX_MAGNITUDE
 
@@ -157,13 +157,15 @@ def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
     serves the whole ramp. A chunk stacks its Trotter rows over its
     corrected rows in one table of exponents on SIX_GATE_TAGS (coefficient
     times dt times the slice's field strength on A-steps or J on B-steps)
-    for one `_grouped_product` call; only the two state updates run slice
-    by slice. A failing ramp raises what the first failing slice raises.
+    for one `_grouped_product` call, on their step layout, built once a
+    ramp; only the two state updates run slice by slice. A failing ramp
+    raises what the first failing slice raises.
     """
     exact_coefficients = as_flag(exact_coefficients, "exact_coefficients")
     dt = cfg.tau / cfg.n_steps
     gens = GeneratorPair(-1j * FIELD, -1j * COUPLING)
     on_a = np.array(SIX_GATE_TAGS) == "A"
+    layout = _tag_columns(SIX_GATE_TAGS)
     trotter_t = dt * np.array([coeff for _, coeff in TROTTER_STEP.steps])
     chunk = _slices_per_chunk()
     gs, degenerate = _ground_states(cfg, np.array([cfg.hz * (schedule(0.0, cfg.tau) - 1.0)]))
@@ -189,7 +191,7 @@ def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
                 coeffs = np.array([f_r_params(R).as_tuple() for R in weights.tolist()])
             exponents = np.concatenate([np.tile(trotter_t, (n, 1)), coeffs * dt])
             exponents *= np.where(on_a, np.tile(field[:n], 2)[:, None], cfg.J)
-            u = _grouped_product(gens, SIX_GATE_TAGS, exponents).reshape(2, n, 4, 4)
+            u = _grouped_product(gens, layout, exponents).reshape(2, n, 4, 4)
             states = np.empty((2, n, 4), dtype=complex)
             for i in range(n):
                 states[:, i] = psi = (u[:, i] @ psi[:, :, None])[:, :, 0]

@@ -165,9 +165,7 @@ def _cmd_scan(args) -> int:
         raise DegenerateScanError("fewer than two usable points in the window")
     _write(_csv("x,error", result.rows, result.slope, result.fit_window), args.out)
     if args.gnuplot is not None:
-        script = GNUPLOT_TEMPLATE.format(csv=args.out, title=f.label or "formula")
-        with open(args.gnuplot, "w", encoding="utf-8") as fh:
-            fh.write(script)
+        _write(GNUPLOT_TEMPLATE.format(csv=args.out, title=f.label or "formula"), args.gnuplot)
     return 0
 
 

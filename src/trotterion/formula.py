@@ -146,28 +146,18 @@ def _pairwise_product(stack: np.ndarray) -> np.ndarray:
     return stack[..., 0, :, :]
 
 
-@functools.lru_cache
-def _blocks(tags: tuple[str, ...], block: int) -> tuple:
-    """The steps cut into blocks of `block` (the last may be shorter): for
-    each, its first step, and each tag in it with its positions within the
-    block, as a read-only array. Cached, since a run evaluates few distinct
-    tag sequences, so an evaluation does no per-step Python work."""
-    out = []
-    for start in range(0, len(tags), block):
-        part = tags[start:start + block]
-        groups = []
-        for tag in dict.fromkeys(part):
-            cols = np.array([j for j, g in enumerate(part) if g == tag])
-            cols.flags.writeable = False
-            groups.append((tag, cols))
-        out.append((start, tuple(groups)))
-    return tuple(out)
+def _tag_columns(tags: Sequence[str]) -> tuple:
+    """For each tag, in order of first use, the sorted positions of its
+    steps: the step layout `_grouped_product` takes."""
+    tagged = np.array(tags)
+    return tuple((tag, np.flatnonzero(tagged == tag)) for tag in dict.fromkeys(tags))
 
 
-def _grouped_product(gens: GeneratorPair, tags: Sequence[str], t: np.ndarray) -> np.ndarray:
+def _grouped_product(gens: GeneratorPair, layout: Sequence[tuple[str, np.ndarray]],
+                     t: np.ndarray) -> np.ndarray:
     """Each row's product, first step leftmost, of the exponentials
-    e^{t[i, j] G_g} over the steps j with tags[j] = g, for a (rows, steps)
-    table t of exponents.
+    e^{t[i, j] G_g} over the steps j at the positions `layout` gives tag
+    g (`_tag_columns`), for a (rows, steps) table t of exponents.
 
     The one home of product-of-exponential evaluation: `ProductFormula.
     evaluate` and `certify.power_errors` call it through `_products`, and
@@ -175,7 +165,8 @@ def _grouped_product(gens: GeneratorPair, tags: Sequence[str], t: np.ndarray) ->
     steps are taken in blocks whose factors,
     over all rows, fit EVALUATION_BYTES. A block's factors come from one
     exponential call per tag into a stack, whose pairwise product is
-    folded into the running product.
+    folded into the running product. A block's columns of a tag are the
+    slice of its positions that two binary searches find.
     """
     rows, n = t.shape
     d = gens.dim
@@ -183,24 +174,28 @@ def _grouped_product(gens: GeneratorPair, tags: Sequence[str], t: np.ndarray) ->
         return np.broadcast_to(np.eye(d, dtype=complex), (rows, d, d)).copy()
     block = min(n, _items_per_cap(3 * 16 * d * d * rows))
     out = None
-    for start, groups in _blocks(tuple(tags), block):
+    for start in range(0, n, block):
         part = t[:, start:start + block]
         stack = np.empty(part.shape + (d, d), dtype=complex)
-        for tag, cols in groups:
-            stack[:, cols] = gens.exp(tag, part[:, cols].ravel()).reshape(rows, len(cols), d, d)
+        for tag, at in layout:
+            if block < n:
+                first, last = np.searchsorted(at, (start, start + block))
+                at = at[first:last] - start
+            if len(at):
+                stack[:, at] = gens.exp(tag, part[:, at].ravel()).reshape(rows, len(at), d, d)
         product = _pairwise_product(stack)
         out = product if out is None else out @ product
     return out
 
 
-def _products(gens: GeneratorPair, tags: Sequence[str], coeffs: np.ndarray,
-              x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _products(gens: GeneratorPair, layout: Sequence[tuple[str, np.ndarray]],
+              coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_grouped_product` of the exponents coeffs * x[:, None], a row per
     entry of the 1-D x, and which rows are finite. An exponent the
     exponential cannot take is refused there; a product that overflows is
     left for the caller to refuse."""
     with np.errstate(all="ignore"):
-        out = _grouped_product(gens, tags, coeffs * x[:, None])
+        out = _grouped_product(gens, layout, coeffs * x[:, None])
     return out, np.isfinite(out).all(axis=(1, 2))
 
 
@@ -243,12 +238,13 @@ class ProductFormula:
         return len(self.steps)
 
     @functools.cached_property
-    def _by_tag(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """The step tags, and the coefficients as a (1, steps) array.
-        Built on the first evaluation, since most formulas the recursion
-        makes are never evaluated."""
-        return (tuple(tag for tag, _ in self.steps),
-                np.array([[coeff for _, coeff in self.steps]]))
+    def _by_tag(self) -> tuple[tuple[str, ...], np.ndarray, tuple]:
+        """The step tags, the coefficients as a (1, steps) array and the
+        step layout (`_tag_columns`). Built on the first evaluation, since
+        most formulas the recursion makes are never evaluated, and freed
+        with the formula."""
+        tags = tuple(tag for tag, _ in self.steps)
+        return tags, np.array([[coeff for _, coeff in self.steps]]), _tag_columns(tags)
 
     def evaluate(self, gens: GeneratorPair, x) -> np.ndarray:
         """Multiply out the steps at argument x, first step leftmost, with
@@ -261,7 +257,8 @@ class ProductFormula:
             raise InvalidInputError("argument x must be a scalar or a 1-D array")
         if not np.isfinite(xs).all():
             raise InvalidInputError("argument x must be finite")
-        out, finite = _products(gens, *self._by_tag, xs.reshape(-1))
+        _, coeffs, layout = self._by_tag
+        out, finite = _products(gens, layout, coeffs, xs.reshape(-1))
         if not finite.all():
             raise InvalidInputError("product of exponentials overflows")
         return out if xs.ndim else out[0]
@@ -477,14 +474,8 @@ def from_json(text: str | bytes | bytearray) -> ProductFormula:
         raise InvalidInputError(f"malformed formula JSON: {exc}") from exc
     if not isinstance(payload, dict) or "steps" not in payload:
         raise InvalidInputError("formula JSON must be an object with a 'steps' list")
-    label = payload.get("label", "")
-    order = payload.get("claimed_order")
-    if order is not None and type(order) is not int:
-        raise InvalidInputError("'claimed_order' must be an integer or null")
     steps = payload["steps"]
     if not isinstance(steps, list):
         raise InvalidInputError("'steps' must be a list")
-    for step in steps:
-        if isinstance(step, list) and len(step) == 2 and type(step[1]) not in (int, float):
-            raise InvalidInputError(f"step coefficient {step[1]!r} is not a JSON number")
-    return ProductFormula(tuple(steps), label=label, claimed_order=order)
+    return ProductFormula(tuple(steps), label=payload.get("label", ""),
+                          claimed_order=payload.get("claimed_order"))

@@ -344,6 +344,11 @@ def test_json_rejects_malformed_payloads():
         from_json('{"steps": [["D", 1.0]]}')
     with pytest.raises(InvalidInputError):
         from_json('{"steps": [["A", 1.0]], "claimed_order": "three"}')
+    with pytest.raises(InvalidInputError, match="claimed_order must be an integer, got 3.0"):
+        from_json('{"steps": [["A", 1.0]], "claimed_order": 3.0}')
+    with pytest.raises(InvalidInputError,
+                       match="step coefficient must be a real number, got True"):
+        from_json('{"steps": [["A", true]]}')
     # text is a str, or bytes json.loads decodes; anything else is refused
     for text in (2.5, None, ["{}"]):
         with pytest.raises(InvalidInputError, match="formula JSON must be text"):

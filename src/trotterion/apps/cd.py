@@ -93,6 +93,7 @@ def schedule_rate(t: float, tau: float) -> float:
 
 def cd_hamiltonians(cfg: CDConfig, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """The ramped single-site field term and the fixed coupling term."""
+    lam = as_real(lam, "schedule value lam", limit=MAX_MAGNITUDE)
     return cfg.hz * (lam - 1.0) * FIELD, cfg.J * COUPLING
 
 

@@ -72,7 +72,7 @@ def chain_heff(cfg: ChainConfig) -> np.ndarray:
 
 def chain_gate_count(cfg: ChainConfig, n: int) -> int:
     """Elementary bond exponentials for an n-step run: 6 blocks of L/2 each."""
-    return 3 * n * cfg.L
+    return 3 * as_count(n, "step count", positive=True) * cfg.L
 
 
 def chain_simulate(cfg: ChainConfig, ns: Sequence[int] | None = None) -> ScanResult:

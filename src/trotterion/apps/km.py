@@ -57,7 +57,9 @@ class KMConfig:
 
 def phases_wrap_consistently(Ly: int, phi: float) -> bool:
     """Whether the row-phase pattern closes around the periodic y direction."""
-    return abs(math.remainder(Ly * phi, 2.0 * math.pi)) < WRAP_PHASE_TOL
+    Ly = as_count(Ly, "lattice extent", positive=True)
+    turn = as_real(as_real(Ly, "lattice extent") * as_real(phi, "flux"), "Ly*phi")
+    return abs(math.remainder(turn, 2.0 * math.pi)) < WRAP_PHASE_TOL
 
 
 def _wraps(cfg: KMConfig) -> bool:
@@ -75,8 +77,22 @@ def _site(cfg: KMConfig, m: int, n: int) -> int:
     return (m % cfg.Lx) * cfg.Ly + (n % cfg.Ly)
 
 
+def _cells(cfg: KMConfig, dm: int, dn: int) -> list[tuple[int, int]]:
+    """Sites (m, n), row-major, whose bond to (m + dm, n + dn) exists: every
+    site on a torus, otherwise those whose partner is on the lattice."""
+    wrap = _wraps(cfg)
+    return [(m, n) for m in range(cfg.Lx) for n in range(cfg.Ly)
+            if wrap or (m + dm < cfg.Lx and n + dn < cfg.Ly)]
+
+
+def _phase(cfg: KMConfig, n: int) -> complex:
+    """Phase exp(-i*row*phi) of row n, taken periodically."""
+    return np.exp(-1j * (n % cfg.Ly) * cfg.phi)
+
+
 def flat_band_coupling(J: float, phi: float) -> float:
     """Diagonal-bond coupling that flattens the lowest band."""
+    J, phi = as_real(J, "J"), as_real(phi, "flux")
     s = math.sin(0.5 * phi)
     if abs(s) < SIN_SINGULAR_TOL:
         raise InvalidInputError("flux must not be a multiple of 2*pi")
@@ -100,22 +116,14 @@ def km_hoppings(cfg: KMConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     and split the same way. Wrap bonds appear only when the boundary
     resolves to a torus.
     """
-    wrap = _wraps(cfg)
     size = cfg.Lx * cfg.Ly
-    mats = [np.zeros((size, size), dtype=complex) for _ in range(4)]
-    h1, h2, h3, h4 = mats
-    for m in range(cfg.Lx):
-        for n in range(cfg.Ly):
-            parity = (m + n) % 2
-            if wrap or m + 1 < cfg.Lx:
-                amp = -cfg.J * np.exp(-1j * n * cfg.phi)
-                h = h1 if parity == 0 else h2
-                h[_site(cfg, m + 1, n), _site(cfg, m, n)] += amp
-                h[_site(cfg, m, n), _site(cfg, m + 1, n)] += np.conj(amp)
-            if wrap or n + 1 < cfg.Ly:
-                h = h3 if parity == 1 else h4
-                h[_site(cfg, m, n + 1), _site(cfg, m, n)] += -cfg.J
-                h[_site(cfg, m, n), _site(cfg, m, n + 1)] += -cfg.J
+    h1, h2, h3, h4 = (np.zeros((size, size), dtype=complex) for _ in range(4))
+    for (dm, dn), even, odd in (((1, 0), h1, h2), ((0, 1), h4, h3)):
+        for m, n in _cells(cfg, dm, dn):
+            amp = -cfg.J * _phase(cfg, n) if dm else -cfg.J
+            h = even if (m + n) % 2 == 0 else odd
+            h[_site(cfg, m + dm, n + dn), _site(cfg, m, n)] += amp
+            h[_site(cfg, m, n), _site(cfg, m + dm, n + dn)] += amp.conjugate()
     return h1, h2, h3, h4
 
 
@@ -123,64 +131,41 @@ def km_nnn_identities(cfg: KMConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]
     """Both sides of the diagonal-bond commutator identities.
 
     Keys h1h3/h1h4/h2h3/h2h4 give -i[.,.] of one bond-color pair against
-    its explicit diagonal-bond sum; key "combined" gives
-    -i[H1-H2, H3-H4] against the
-    difference form i*J^2*(ph(n) - ph(n+1)) summed over both diagonals
-    of every cell, which reduces to a single phase times
+    its explicit diagonal-bond sum; key "combined" gives -i[H1-H2, H3-H4]
+    against the difference form i*J^2*(ph(n) - ph(n+1)) summed over both
+    diagonals of every cell, which reduces to a single phase times
     -2*J^2*sin(phi/2) wherever the row index does not wrap.
     """
-    wrap = _wraps(cfg)
     h1, h2, h3, h4 = km_hoppings(cfg)
     size = cfg.Lx * cfg.Ly
     jsq = cfg.J**2
 
-    def ph(k: int) -> complex:
-        row = k % cfg.Ly if wrap else k
-        return np.exp(-1j * row * cfg.phi)
-
-    def cells(direction: str):
-        # direction "ur": creation at (m+1, n+1), annihilation at (m, n).
-        # direction "dr": creation at (m+1, n), annihilation at (m, n+1).
-        for m in range(cfg.Lx):
-            for n in range(cfg.Ly):
-                if not wrap and (m + 1 >= cfg.Lx or n + 1 >= cfg.Ly):
-                    continue
-                if direction == "ur":
-                    yield m, n, _site(cfg, m + 1, n + 1), _site(cfg, m, n)
-                else:
-                    yield m, n, _site(cfg, m + 1, n), _site(cfg, m, n + 1)
-
-    def assemble(direction: str, weight) -> np.ndarray:
+    def diagonal(direction: str, weight) -> np.ndarray:
+        # cell (m, n)'s "ur" diagonal creates at (m+1, n+1) and annihilates at
+        # (m, n), its "dr" one at (m+1, n) and (m, n+1): it creates on row n + up
+        up = int(direction == "ur")
         out = np.zeros((size, size), dtype=complex)
-        for m, n, row, col in cells(direction):
-            out[row, col] += weight(m, n)
+        for m, n in _cells(cfg, 1, 1):
+            out[_site(cfg, m + 1, n + up), _site(cfg, m, n + 1 - up)] += weight(m, n, up)
         return out + out.conj().T
 
-    def minus_i_comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return -1j * commutator(x, y)
+    def split(parity: int):
+        # paired with the vertical color of this parity, cells of the parity carry
+        # -i*J^2 times the created row's phase, the others +i*J^2 the annihilated's
+        return lambda m, n, up: (-jsq * 1j * _phase(cfg, n + up) if (m + n) % 2 == parity
+                                 else jsq * 1j * _phase(cfg, n + 1 - up))
 
-    def parity_weight(direction_parity_neg: int, neg_row_shift: int,
-                      pos_row_shift: int):
-        # One parity class contributes -J^2*i*ph(n+shift), the other +.
-        def weight(m: int, n: int) -> complex:
-            if (m + n) % 2 == direction_parity_neg:
-                return -jsq * 1j * ph(n + neg_row_shift)
-            return jsq * 1j * ph(n + pos_row_shift)
-        return weight
+    def combined(m: int, n: int, up: int) -> complex:
+        return 1j * jsq * (_phase(cfg, n) - _phase(cfg, n + 1))
 
-    identities = {
-        "h1h3": (minus_i_comm(h1, h3), assemble("ur", parity_weight(1, 1, 0))),
-        "h1h4": (minus_i_comm(h1, h4), assemble("dr", parity_weight(0, 0, 1))),
-        "h2h3": (minus_i_comm(h2, h3), assemble("dr", parity_weight(1, 0, 1))),
-        "h2h4": (minus_i_comm(h2, h4), assemble("ur", parity_weight(0, 1, 0))),
+    return {
+        "h1h3": (-1j * commutator(h1, h3), diagonal("ur", split(1))),
+        "h1h4": (-1j * commutator(h1, h4), diagonal("dr", split(0))),
+        "h2h3": (-1j * commutator(h2, h3), diagonal("dr", split(1))),
+        "h2h4": (-1j * commutator(h2, h4), diagonal("ur", split(0))),
+        "combined": (-1j * commutator(h1 - h2, h3 - h4),
+                     diagonal("ur", combined) + diagonal("dr", combined)),
     }
-
-    def combined_weight(m: int, n: int) -> complex:
-        return 1j * jsq * (ph(n) - ph(n + 1))
-
-    combined_rhs = assemble("ur", combined_weight) + assemble("dr", combined_weight)
-    identities["combined"] = (minus_i_comm(h1 - h2, h3 - h4), combined_rhs)
-    return identities
 
 
 def km_commutator_check(cfg: KMConfig) -> float:
@@ -191,7 +176,7 @@ def km_commutator_check(cfg: KMConfig) -> float:
 
 def km_gate_count(cfg: KMConfig, n: int) -> int:
     """Elementary exponentials for an n-step run: 7 per step."""
-    return 7 * n
+    return 7 * as_count(n, "step count", positive=True)
 
 
 def km_simulate(cfg: KMConfig, ns: Sequence[int] | None = None) -> ScanResult:

@@ -418,6 +418,43 @@ def test_km_bond_partition_covers_hopping():
         assert np.all((np.abs(x) > 0) + (np.abs(y) > 0) < 2)
 
 
+def test_km_open_boundary_keeps_only_bonds_inside_the_lattice():
+    Lx, Ly, J, phi = 5, 4, -0.8, 0.7
+    cfg = KMConfig(Lx=Lx, Ly=Ly, J=J, phi=phi, T=1.0, boundary="open")
+    h1, h2, h3, h4 = km_hoppings(cfg)
+
+    def site(m, n):
+        return m * Ly + n
+
+    def bonds(pairs, value):
+        # the matrix with value(m, n) at [to, from] of each bond and its conjugate
+        out = np.zeros((Lx * Ly, Lx * Ly), dtype=complex)
+        for (m, n), to, frm in pairs:
+            out[to, frm] = value(m, n)
+            out[frm, to] = np.conj(value(m, n))
+        return out
+
+    def cells(dm, dn):
+        return [(m, n) for m in range(Lx - dm) for n in range(Ly - dn)]
+
+    horizontal = bonds([((m, n), site(m + 1, n), site(m, n)) for m, n in cells(1, 0)],
+                       lambda m, n: -J * np.exp(-1j * n * phi))
+    vertical = bonds([((m, n), site(m, n + 1), site(m, n)) for m, n in cells(0, 1)],
+                     lambda m, n: -J)
+    assert np.count_nonzero(horizontal) == 2 * Ly * (Lx - 1)
+    assert np.count_nonzero(vertical) == 2 * Lx * (Ly - 1)
+    for got, want in ((h1 + h2, horizontal), (h3 + h4, vertical)):
+        assert np.array_equal(got != 0, want != 0)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+    ur = bonds([((m, n), site(m + 1, n + 1), site(m, n)) for m, n in cells(1, 1)], lambda m, n: 1)
+    dr = bonds([((m, n), site(m + 1, n), site(m, n + 1)) for m, n in cells(1, 1)], lambda m, n: 1)
+    assert np.count_nonzero(ur) == np.count_nonzero(dr) == 2 * (Lx - 1) * (Ly - 1)
+    support = {"h1h3": ur, "h1h4": dr, "h2h3": dr, "h2h4": ur, "combined": ur + dr}
+    for key, (lhs, rhs) in km_nnn_identities(cfg).items():
+        assert np.array_equal(rhs != 0, support[key] != 0), key
+        assert spectral_norm(lhs - rhs) <= 1e-14, key
+
+
 def test_km_vertical_bonds_are_real():
     cfg = KMConfig(Lx=4, Ly=4, J=1.0, phi=np.pi / 4, T=1.0, boundary="torus")
     _, _, h3, h4 = km_hoppings(cfg)

@@ -468,6 +468,9 @@ HUGE_STEPS = "1" + "0" * 300  # within the float range, but its matrix power ove
 HUGE_COEFF_JSON = '{"steps": [["A", %s], ["B", 1.0]]}' % HUGE_INT
 # finite coefficients whose phases are past 2**52, where no double resolves a radian
 HUGE_PHASE_JSON = '{"steps": [["A", 1e300], ["B", 1e300]]}'
+# an output file in a directory that does not exist, and an existing directory
+OUT_IN_MISSING_DIR = str(G5_GOLDEN.parent / "no-such-directory" / "out")
+EXISTING_DIR = str(G5_GOLDEN.parent)
 BAD_INPUTS = [
     # files to write, argv (file names replaced by their paths), exit code
     pytest.param({"f.json": '{"steps": [5]}'}, ["scan", "--formula", "f.json"], 2,
@@ -627,6 +630,23 @@ BAD_INPUTS = [
     pytest.param({"f.json": GOOD_JSON},
                  ["scan", "--formula", "f.json", "--xs", "1:1.000000000001:1.2e-16"], 2,
                  id="scan-grid-points-do-not-increase"),
+    # an output that cannot be written
+    pytest.param({}, ["build", "--base", "s3", "--out", OUT_IN_MISSING_DIR], 2,
+                 id="build-out-in-missing-directory"),
+    pytest.param({"f.json": GOOD_JSON}, ["scan", "--formula", "f.json", "--out",
+                                         OUT_IN_MISSING_DIR], 2,
+                 id="scan-out-in-missing-directory"),
+    pytest.param({"f.json": to_json(s3())}, ["gates", "--formula", "f.json", "--xs",
+                                             "0.1:0.3:0.1", "--eps", "1e-4", "--out",
+                                             OUT_IN_MISSING_DIR], 2,
+                 id="gates-out-in-missing-directory"),
+    pytest.param({}, ["solve", "--pr", "10", "--out", OUT_IN_MISSING_DIR], 2,
+                 id="solve-pr-out-in-missing-directory"),
+    pytest.param({"f.json": GOOD_JSON, "scan.csv": ""},
+                 ["scan", "--formula", "f.json", "--out", "scan.csv", "--gnuplot",
+                  OUT_IN_MISSING_DIR], 2, id="scan-gnuplot-in-missing-directory"),
+    pytest.param({}, ["build", "--base", "s3", "--out", EXISTING_DIR], 2,
+                 id="build-out-is-a-directory"),
 ]
 
 # Rows run in a child process with a timeout, so that a grid made without

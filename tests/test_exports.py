@@ -163,6 +163,17 @@ def _entry_points():
          lambda v: apps.chain_simulate(apps.ChainConfig(**CHAIN), ns=v), [8, 16]),
         ("km_simulate ns", "sequence",
          lambda v: apps.km_simulate(apps.KMConfig(**KM), ns=v), [8, 16]),
+        ("flat_band_coupling J", "real", lambda v: apps.flat_band_coupling(v, 1.0), 1.0),
+        ("flat_band_coupling phi", "real", lambda v: apps.flat_band_coupling(1.0, v), 1.0),
+        ("phases_wrap_consistently Ly", "count",
+         lambda v: apps.phases_wrap_consistently(v, math.pi / 2), 4),
+        ("phases_wrap_consistently phi", "real",
+         lambda v: apps.phases_wrap_consistently(4, v), math.pi / 2),
+        ("km_gate_count n", "count", lambda v: apps.km_gate_count(apps.KMConfig(**KM), v), 8),
+        ("chain_gate_count n", "count",
+         lambda v: apps.chain_gate_count(apps.ChainConfig(**CHAIN), v), 8),
+        ("cd_hamiltonians lam", "real",
+         lambda v: apps.cd_hamiltonians(apps.CDConfig(**CD), v), 0.5),
     ]
     for cls, base in ((apps.ChainConfig, CHAIN), (apps.KMConfig, KM), (apps.CDConfig, CD)):
         for name, good in base.items():
@@ -246,6 +257,20 @@ def test_numpy_scalars_give_the_python_result(name, kind, call, good):
         "scheme-formula-none", "to_json-steps", "to_json-none", "label-int",
         "repeat-flag-string", "cd_run-flag-string"])
 def test_values_inside_a_parameter_are_refused(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: apps.km_gate_count(apps.KMConfig(**KM), 0),
+    lambda: apps.chain_gate_count(apps.ChainConfig(**CHAIN), -8),
+    lambda: apps.phases_wrap_consistently(0, math.pi / 2),
+    lambda: apps.phases_wrap_consistently(10**400, math.pi / 2),
+    lambda: apps.phases_wrap_consistently(10**300, 1e10),
+    lambda: apps.cd_hamiltonians(apps.CDConfig(**CD), 1e300),
+], ids=["km-gates-zero-steps", "chain-gates-negative-steps", "wrap-zero-extent",
+        "wrap-extent-beyond-float-range", "wrap-phase-overflows", "cd-lam-beyond-cap"])
+def test_helper_values_out_of_range_are_refused(call):
     with pytest.raises(InvalidInputError):
         call()
 

@@ -12,6 +12,7 @@ import scipy.linalg
 from trotterion import (GeneratorPair, ProductFormula, apply_scheme, concat,
                         from_json, pure_commutator_library, repeat, s2, s3,
                         to_json, word_sums)
+from trotterion import formula
 from trotterion.bases import f_r_with_c
 from trotterion.errors import InvalidInputError
 from trotterion.formula import MAX_STEPS, _pairwise_product, copy_product, word_series
@@ -197,10 +198,24 @@ def test_word_series_memory_is_words_times_degree():
     assert peak < 4 << 20
 
 
-@pytest.mark.parametrize("degree", [-1, 2.5, True, "3", None])
+@pytest.mark.parametrize("degree", [-1, 2.5, True, "3", None, 60])
 def test_word_series_rejects_a_bad_degree(degree):
     with pytest.raises(InvalidInputError):
         word_series(s3(), degree)
+
+
+def test_word_series_refuses_more_than_max_words_before_building(monkeypatch):
+    # S3's letters A and B make 2**(d+1) - 1 words to degree d
+    monkeypatch.setattr(formula, "MAX_WORDS", 31)
+    assert len(word_series(s3(), 4)) == 31
+    with pytest.raises(InvalidInputError, match="degree 5 over an alphabet of size 2 has "
+                                                "at least 63 words"):
+        word_series(s3(), 5)
+    # one letter makes d + 1 words
+    with pytest.raises(InvalidInputError, match="degree 31 over an alphabet of size 1 has "
+                                                "at least 32 words"):
+        word_series(ProductFormula((("A", 0.5),)), 31)
+    assert word_series(ProductFormula(()), 10**6) == {"": 1.0}
 
 
 def test_pairwise_product_batches_over_a_leading_axis():

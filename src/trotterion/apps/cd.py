@@ -70,8 +70,22 @@ class CDConfig:
             object.__setattr__(self, name, value)
 
 
+def _ramp_time(t, tau) -> tuple[float, float]:
+    """t and tau as Python floats (`as_real`): tau positive, and the ramp
+    phase pi t / (2 tau) finite, so every sine of the schedule is taken."""
+    tau = as_real(tau, "ramp time tau", positive=True)
+    t = as_real(t, "time t")
+    as_real(0.5 * math.pi * t / tau, "ramp phase pi t / (2 tau)")
+    return t, tau
+
+
 def schedule(t: float, tau: float) -> float:
     """Smooth ramp from 0 at t=0 to 1 at t=tau with vanishing endpoint rate."""
+    return _schedule(*_ramp_time(t, tau))
+
+
+def _schedule(t: float, tau: float) -> float:
+    """`schedule` without its checks, for `cd_run`'s slices."""
     v = 0.5 * math.pi * t / tau
     inner = math.sin(v) ** 2
     return math.sin(0.5 * math.pi * inner) ** 2
@@ -84,6 +98,11 @@ def schedule_rate(t: float, tau: float) -> float:
     mid-ramp. Past it the rate is taken at tau - t, which is exact there,
     so neither sine is evaluated near pi, where it would cancel.
     """
+    return _schedule_rate(*_ramp_time(t, tau))
+
+
+def _schedule_rate(t: float, tau: float) -> float:
+    """`schedule_rate` without its checks, for `cd_run`'s slices."""
     if 2.0 * t > tau:
         t = tau - t
     v = 0.5 * math.pi * t / tau
@@ -105,11 +124,17 @@ def cd_beta(cfg: CDConfig, t: float) -> float:
     distance 1 - schedule(t) is taken as schedule(tau - t), which stays
     positive and accurate where schedule(t) rounds to 1.
     """
+    t = as_real(t, "time t")
     if not (0.0 <= t < cfg.tau):
         raise DomainError("counterdiabatic weight is defined on [0, tau)")
-    gap = schedule(cfg.tau - t, cfg.tau)
+    return _cd_beta(cfg, t)
+
+
+def _cd_beta(cfg: CDConfig, t: float) -> float:
+    """`cd_beta` without its checks of t, for `cd_run`'s slices."""
+    gap = _schedule(cfg.tau - t, cfg.tau)
     denom = 4.0 * gap * (cfg.J**2 + 4.0 * gap**2 * cfg.hz**2)
-    beta = schedule_rate(t, cfg.tau) / denom if denom > 0.0 else math.inf
+    beta = _schedule_rate(t, cfg.tau) / denom if denom > 0.0 else math.inf
     if not math.isfinite(beta):  # J^2 and hz^2 underflow
         raise DomainError("counterdiabatic weight overflows: J and hz are too small")
     return beta
@@ -169,7 +194,7 @@ def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
     layout = _tag_columns(SIX_GATE_TAGS)
     trotter_t = dt * np.array([coeff for _, coeff in TROTTER_STEP.steps])
     chunk = _slices_per_chunk()
-    gs, degenerate = _ground_states(cfg, np.array([cfg.hz * (schedule(0.0, cfg.tau) - 1.0)]))
+    gs, degenerate = _ground_states(cfg, np.array([cfg.hz * (_schedule(0.0, cfg.tau) - 1.0)]))
     psi = np.stack([gs[0], gs[0]])  # the Trotter state and the corrected one
     prev = (1.0, 1.0, bool(degenerate[0]))
     points = []
@@ -178,13 +203,13 @@ def cd_run(cfg: CDConfig, exact_coefficients: bool = False) -> list[CDPoint]:
         betas, failure = [], None
         for t in ts[:-1]:
             try:
-                betas.append(cd_beta(cfg, t))
+                betas.append(_cd_beta(cfg, t))
             except DomainError as exc:  # raised once the slices before it ran
                 failure = exc
                 break
         n = len(betas)
         if n:
-            field = cfg.hz * (np.array([schedule(t, cfg.tau) for t in ts[:n + 1]]) - 1.0)
+            field = cfg.hz * (np.array([_schedule(t, cfg.tau) for t in ts[:n + 1]]) - 1.0)
             weights = np.array([beta / dt for beta in betas])
             if exact_coefficients:  # each slice's own smallest root
                 coeffs = solver._solve_p_of_r_many(weights)[0]

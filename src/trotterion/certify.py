@@ -18,7 +18,7 @@ import numpy as np
 
 from . import formula, matcore
 from .errors import BudgetExceededError, DegenerateScanError, InvalidInputError
-from .formula import GeneratorPair, ProductFormula, as_count, as_real, merged_steps, word_series
+from .formula import GeneratorPair, ProductFormula, as_count, as_real, merged_steps
 
 NOISE_FLOOR = 1e-14
 DEFAULT_XS = tuple(np.logspace(-2.0, -1.0, 20).tolist())
@@ -357,18 +357,19 @@ def extract_bch(f: ProductFormula, gens: GeneratorPair) -> BCHCoefficients:
     """M1, M2, M3 of log(f(x)), exactly, from the formula's word series.
 
     With P_k the sum of coeff(w) * G_w over the words w of length k
-    (`formula.word_series`), f(x) = I + P1 x + P2 x^2 + P3 x^3 + O(x^4),
+    (`formula.word_layers`), f(x) = I + P1 x + P2 x^2 + P3 x^3 + O(x^4),
     and the x, x^2 and x^3 terms of log(I + X) = X - X^2/2 + X^3/3 - ...
     give M1 = P1, M2 = P2 - P1^2/2 and M3 = P3 - (P1 P2 + P2 P1)/2 + P1^3/3.
     No exponential or logarithm is taken, so any generators serve: not
     anti-Hermitian, of large norm, or a C generator for C-tagged steps.
     """
-    words = {"": np.eye(gens.dim, dtype=complex)}  # word -> G_w
-    p = [np.zeros((gens.dim, gens.dim), dtype=complex) for _ in range(4)]
-    for word, coeff in word_series(f, 3).items():
-        if word:
-            words[word] = words[word[:-1]] @ gens.matrix(word[-1])
-        p[len(word)] += coeff * words[word]
-    _, p1, p2, p3 = p
+    letters, layers = formula.word_layers(f, 3)
+    d = gens.dim
+    mats = np.array([gens.matrix(tag) for tag in letters], dtype=complex).reshape(-1, d, d)
+    stack, p = np.eye(d, dtype=complex)[None], []  # G_w over a layer's words; P_k
+    for coeff in layers[1:]:
+        stack = (stack[:, None] @ mats).reshape(-1, d, d)
+        p.append((np.array(coeff)[:, None, None] * stack).sum(axis=0))
+    p1, p2, p3 = p
     return BCHCoefficients(order1=p1, order2=p2 - p1 @ p1 / 2.0,
                            order3=p3 - (p1 @ p2 + p2 @ p1) / 2.0 + p1 @ p1 @ p1 / 3.0)

@@ -10,6 +10,7 @@ the product.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -29,9 +30,11 @@ MERGE_TOL = 1e-14
 # level multiplies the steps by about 10: five levels on S3 make 555556
 # steps, a sixth would make millions.
 MAX_STEPS = 10**6
-# Most words `word_series` builds: S3 to degree 16 is 131071 words, 0.4 s and
-# an 81 MB process peak on a 2-vCPU Xeon, and each degree doubles all three.
-# Three g10 levels on S3 need degree 11, 4095 words.
+# Most words `word_layers` builds, and most updates one step of a one-letter
+# series makes, degree * (degree + 1) / 2, so one letter reaches degree 361.
+# S3 to degree 16 is 131071 words, 0.2 s and a 68 MB process peak on a
+# 2-vCPU Xeon, and each degree doubles all three. Three g10 levels on S3 need
+# degree 11, 4095 words.
 MAX_WORDS = 2**16
 
 
@@ -412,21 +415,25 @@ def repeat(f: ProductFormula, r: int, commutator_target: bool = True) -> Product
     return copy_product(f, [(scale, False)] * r, f.label, f.claimed_order)
 
 
-def word_series(f: ProductFormula, degree: int) -> dict[str, float]:
-    """Coefficient of every word of length <= degree, over the tags f uses,
-    in the formal expansion of the product of exp(c_i x G_i).
+def word_layers(f: ProductFormula, degree: int) -> tuple[str, list[list[float]]]:
+    """The letters f uses, sorted, and for each length k <= degree the
+    coefficients of the words w_1 ... w_k (G_{w_1} ... G_{w_k} x^k) in the
+    formal expansion of the product of exp(c_i x G_i), numbered in base L
+    over the L letters: word u of length k followed by letter g is entry
+    u * L + g of the next layer.
 
-    The word w = w_1 ... w_k, keyed as a string such as "BA", stands for
-    G_{w_1} ... G_{w_k} x^k; words come shortest first. One pass over the
-    steps builds it: a step (g, c) adds coeff(w[:-m]) * c^m / m! to each
-    word w that ends in a run of at least m g's. Words are updated longest
-    first, so each prefix is read before the step changes it. The memory
-    is O(words * degree), built per call, for at most MAX_WORDS words.
+    One pass over the steps builds them in one list, word u of length k at
+    first[k] + u, first[k] counting the shorter words. A step (g, c) adds
+    coeff(u) c^m / m! to each word u g^m, number first[m] (g + 1) + u L**m,
+    longest word first, m rising, so each prefix is read before the step
+    changes it. The memory is O(words * degree), built per call: at most
+    MAX_WORDS words, and for one letter at most MAX_WORDS updates a step. A
+    c^m / m! or a coefficient beyond the float range is refused.
     """
     degree = as_count(degree, "degree")
     if degree < 0:
         raise InvalidInputError(f"degree must be a non-negative integer, got {degree!r}")
-    letters = sorted({tag for tag, _ in f.steps})
+    letters = "".join(sorted({tag for tag, _ in f.steps}))
     n = len(letters)
     # the word count, the sum of n**k over k <= degree: for n >= 2 summed to
     # degree 64 at most, which already passes 2**64
@@ -434,31 +441,53 @@ def word_series(f: ProductFormula, degree: int) -> dict[str, float]:
     if count > MAX_WORDS:
         raise InvalidInputError(f"a word series to degree {degree} over an alphabet of size {n} "
                                 f"has at least {count} words, more than {MAX_WORDS}")
-    words = [""]
-    for length in range(degree):
-        words += [w + g for w in words if len(w) == length for g in letters]
-    index = {w: i for i, w in enumerate(words)}
-    # letter g -> (word, prefix, m) for each word ending in a run of >= m g's
-    runs: dict[str, list[tuple[int, int, int]]] = {g: [] for g in letters}
-    for i in reversed(range(1, len(words))):
-        w = words[i]
-        run = len(w) - len(w.rstrip(w[-1]))
-        runs[w[-1]] += [(i, index[w[:-m]], m) for m in range(1, run + 1)]
-    series = [1.0] + [0.0] * (len(words) - 1)
+    if n == 1 and degree * (degree + 1) // 2 > MAX_WORDS:
+        raise InvalidInputError(f"a one-letter word series to degree {degree} makes "
+                                f"{degree * (degree + 1) // 2} updates a step, "
+                                f"more than {MAX_WORDS}")
+    if n == 0:  # only the empty word
+        return letters, [[1.0]] + [[] for _ in range(degree)]
+    first = [k if n == 1 else (n**k - 1) // (n - 1) for k in range(degree + 2)]
+    # letter g -> (u g^m, u, m) over the numbers u, longest word first, m rising
+    updates = {g: [(first[m] * (i + 1) + u * n**m, u, m) for k in range(degree, 0, -1)
+                   for m in range(1, k + 1) for u in range(first[k - m], first[k - m + 1])]
+               for i, g in enumerate(letters)}
+    # c**m / m! as written while m! is a float, to m = 170; from one to the next after
+    low, high = range(min(degree, 170) + 1), range(171, degree + 1)
+    factorials = [math.factorial(m) for m in low]
+    overflow = f"word series to degree {degree} overflows"
+    series = [1.0] + [0.0] * (first[-1] - 1)
     for g, c in f.steps:
-        scale = [c**m / math.factorial(m) for m in range(degree + 1)]
-        for i, j, m in runs[g]:
+        try:
+            scale = [c**m / factorials[m] for m in low]
+        except OverflowError:  # from c**m
+            raise InvalidInputError(overflow) from None
+        for m in high:
+            scale.append(scale[-1] * c / m)
+        for i, j, m in updates[g]:
             series[i] += series[j] * scale[m]
-    return dict(zip(words, series))
+    if not all(map(math.isfinite, series)):
+        raise InvalidInputError(overflow)
+    return letters, [series[first[k]:first[k + 1]] for k in range(degree + 1)]
+
+
+def word_series(f: ProductFormula, degree: int) -> dict[str, float]:
+    """`word_layers` as one dict keyed by words such as "BA", shortest first."""
+    letters, layers = word_layers(f, degree)
+    words = ("".join(w) for k, layer in enumerate(layers) if layer
+             for w in itertools.product(letters, repeat=k))
+    return dict(zip(words, itertools.chain.from_iterable(layers)))
 
 
 def word_sums(f: ProductFormula) -> WordSums:
     """The nine word coefficients the fourth-order conditions use."""
     if any(tag == "C" for tag, _ in f.steps):
         raise InvalidInputError("word sums are defined for two-generator formulas only")
-    series = word_series(f, 4)
+    letters, layers = word_layers(f, 4)
+    digits = str.maketrans(letters, "01"[:len(letters)])  # a number in base 2: A, B or both
     words = ("A", "B", "BA", "ABA", "BAB", "AABA", "BBAB", "ABAB", "BABA")
-    return WordSums(*(series.get(w, 0.0) for w in words))
+    return WordSums(*(layers[len(w)][int(w.translate(digits), 2)] if set(w) <= set(letters)
+                      else 0.0 for w in words))
 
 
 def to_json(f: ProductFormula) -> str:

@@ -16,7 +16,7 @@ from trotterion.apps import ChainConfig, KMConfig, chain_hoppings, chain_simulat
 from trotterion.apps import chain as chain_module
 from trotterion.apps import common as common_module
 from trotterion.apps import km as km_module
-from trotterion.bases import SixGateParams, reparam
+from trotterion.bases import SixGateParams, f_r_with_c, reparam
 from trotterion.certify import (DEFAULT_XS, NOISE_FLOOR, BCHCoefficients, _matrix_powers,
                                 _repeat_gate_count, _targets, error_scan, extract_bch,
                                 fit_loglog, gates_to_accuracy, step_count_scan, step_grid)
@@ -24,7 +24,7 @@ from trotterion.errors import (BudgetExceededError, DegenerateScanError,
                                InvalidInputError)
 from trotterion.recursion import apply_scheme
 
-from conftest import PAULI_PAIR, SIGMA_X, SIGMA_Z
+from conftest import PAULI_PAIR, SIGMA_X, SIGMA_Z, word_sum
 
 PAULI_COMM = commutator(PAULI_PAIR.a, PAULI_PAIR.b)
 # the upper half of the default grid
@@ -209,6 +209,22 @@ def test_extract_bch_f_r_sum_terms():
     want1 = PAULI_PAIR.a + PAULI_PAIR.b
     assert np.linalg.norm(got.order1 - want1, 2) <= 1e-6
     assert np.linalg.norm(got.order2 - 6.0 * PAULI_COMM, 2) <= 1e-5 * 6.0
+
+
+def test_extract_bch_is_the_string_keyed_word_sum():
+    # the stacked G_w and sums against one word at a time, then the same
+    # log terms: equal to the last bit, on two and three letters
+    rng = np.random.default_rng(37)
+    four = GeneratorPair(*(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                           for _ in range(3)))
+    cases = [(f, PAULI_PAIR) for f in pure_commutator_library().values()]
+    cases.append((f_r_with_c(1.3), four))
+    for f, gens in cases:
+        _, p1, p2, p3 = word_sum(f, gens, 3)
+        want = (p1, p2 - p1 @ p1 / 2.0, p3 - (p1 @ p2 + p2 @ p1) / 2.0 + p1 @ p1 @ p1 / 3.0)
+        got = extract_bch(f, gens)
+        for name, w in zip(("order1", "order2", "order3"), want):
+            assert np.array_equal(getattr(got, name), w), (f.label, name)
 
 
 def _random_anti_hermitian(rng, dim):

@@ -174,6 +174,11 @@ def _entry_points():
          lambda v: apps.chain_gate_count(apps.ChainConfig(**CHAIN), v), 8),
         ("cd_hamiltonians lam", "real",
          lambda v: apps.cd_hamiltonians(apps.CDConfig(**CD), v), 0.5),
+        ("schedule t", "real", lambda v: apps.schedule(v, 1.0), 0.5),
+        ("schedule tau", "real", lambda v: apps.schedule(0.5, v), 1.0),
+        ("schedule_rate t", "real", lambda v: apps.schedule_rate(v, 1.0), 0.25),
+        ("schedule_rate tau", "real", lambda v: apps.schedule_rate(0.25, v), 1.0),
+        ("cd_beta t", "real", lambda v: apps.cd_beta(apps.CDConfig(**CD), v), 0.5),
     ]
     for cls, base in ((apps.ChainConfig, CHAIN), (apps.KMConfig, KM), (apps.CDConfig, CD)):
         for name, good in base.items():
@@ -268,8 +273,14 @@ def test_values_inside_a_parameter_are_refused(call):
     lambda: apps.phases_wrap_consistently(10**400, math.pi / 2),
     lambda: apps.phases_wrap_consistently(10**300, 1e10),
     lambda: apps.cd_hamiltonians(apps.CDConfig(**CD), 1e300),
+    lambda: apps.schedule(0.5, 0.0),
+    lambda: apps.schedule_rate(0.5, -1.0),
+    lambda: apps.schedule(1e300, 1e-300),
+    lambda: apps.schedule_rate(1.5e308, 1.7e308),
 ], ids=["km-gates-zero-steps", "chain-gates-negative-steps", "wrap-zero-extent",
-        "wrap-extent-beyond-float-range", "wrap-phase-overflows", "cd-lam-beyond-cap"])
+        "wrap-extent-beyond-float-range", "wrap-phase-overflows", "cd-lam-beyond-cap",
+        "schedule-zero-tau", "schedule_rate-negative-tau", "schedule-phase-overflows",
+        "schedule_rate-phase-overflows"])
 def test_helper_values_out_of_range_are_refused(call):
     with pytest.raises(InvalidInputError):
         call()

@@ -1,7 +1,10 @@
 """Formula algebra: evaluation order, inverse, simplify, word sums, JSON."""
 
+import hashlib
 import json
 import math
+import pathlib
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from trotterion import (GeneratorPair, ProductFormula, apply_scheme, concat,
+from trotterion import (GeneratorPair, ProductFormula, apply_scheme, concat, extract_bch,
                         from_json, pure_commutator_library, repeat, s2, s3,
                         to_json, word_sums)
 from trotterion import formula
@@ -17,7 +20,7 @@ from trotterion.bases import f_r_with_c
 from trotterion.errors import InvalidInputError
 from trotterion.formula import MAX_STEPS, _pairwise_product, copy_product, word_series
 
-from conftest import PAULI_PAIR, bits
+from conftest import PAULI_PAIR, bits, word_sum
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -136,12 +139,7 @@ def test_word_series_is_the_expansion_of_the_product():
         gens = GeneratorPair(*mats)
         f = ProductFormula(tuple(("ABC"[int(rng.integers(3))], float(rng.uniform(-2, 2)))
                                  for _ in range(int(rng.integers(3, 9)))))
-        words = {"": np.eye(3, dtype=complex)}
-        p = [np.zeros((3, 3), dtype=complex) for _ in range(4)]
-        for word, coeff in word_series(f, 3).items():
-            if word:
-                words[word] = words[word[:-1]] @ gens.matrix(word[-1])
-            p[len(word)] += coeff * words[word]
+        p = word_sum(f, gens, 3)
         errors = [np.linalg.norm(f.evaluate(gens, x) - sum(x**k * p[k] for k in range(4)), 2)
                   for x in (0.02, 0.01, 0.005, 0.0025)]
         for big, small in zip(errors, errors[1:]):
@@ -215,7 +213,61 @@ def test_word_series_refuses_more_than_max_words_before_building(monkeypatch):
     with pytest.raises(InvalidInputError, match="degree 31 over an alphabet of size 1 has "
                                                 "at least 32 words"):
         word_series(ProductFormula((("A", 0.5),)), 31)
+    # and d (d + 1) / 2 updates a step
+    assert len(word_series(ProductFormula((("A", 0.5),)), 7)) == 8
+    with pytest.raises(InvalidInputError, match="a one-letter word series to degree 8 makes "
+                                                "36 updates a step, more than 31"):
+        word_series(ProductFormula((("A", 0.5),)), 8)
     assert word_series(ProductFormula(()), 10**6) == {"": 1.0}
+
+
+def test_word_series_of_one_letter_past_the_float_factorials():
+    # 171! is beyond the float range: from there c^m / m! comes from the
+    # one before it
+    series = word_series(ProductFormula((("A", 50.0),)), 171)
+    for m in (170, 171):
+        want = math.exp(m * math.log(50.0) - math.lgamma(m + 1))
+        assert series["A" * m] == pytest.approx(want, rel=1e-12)
+    start = time.perf_counter()
+    with pytest.raises(InvalidInputError, match="500500 updates a step"):
+        word_series(ProductFormula((("A", 0.5),)), 1000)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_word_series_refuses_a_series_beyond_the_float_range():
+    # c^4 overflows; then two finite coefficients whose sum does
+    with pytest.raises(InvalidInputError, match="^word series to degree 4 overflows$"):
+        word_sums(ProductFormula((("A", 1e100), ("B", 1.0))))
+    with pytest.raises(InvalidInputError, match="^word series to degree 1 overflows$"):
+        word_series(ProductFormula((("A", 1e308), ("A", 1e308))), 1)
+    with pytest.raises(InvalidInputError, match="^word series to degree 3 overflows$"):
+        extract_bch(ProductFormula((("A", 1e120), ("B", 1.0))), PAULI_PAIR)
+
+
+# float.hex of every word, recorded from the string-keyed engine the numbered
+# one replaced: each library formula to its claimed order + 2, g10(g10(S3))
+# to degree 9 and f_r_with_c(5.0) to degree 6, in the series' word order
+WORD_SERIES_BITS = pathlib.Path(__file__).resolve().parent / "data" / "word_series.json"
+
+
+def test_word_series_keeps_the_recorded_bits():
+    cases = {f.label: f for f in pure_commutator_library().values()}
+    cases["g10(g10(S3))"] = apply_scheme("g10", apply_scheme("g10", s3()))
+    cases["fRC[R=5]"] = f_r_with_c(5.0)
+    recorded = json.loads(WORD_SERIES_BITS.read_text(encoding="utf-8"))
+    assert sorted(recorded) == sorted(cases)
+    for label, pin in recorded.items():
+        series = word_series(cases[label], pin["degree"])
+        assert [(w, c.hex()) for w, c in series.items()] == list(pin["words"].items()), label
+
+
+def test_word_series_of_three_g10_levels_keeps_the_recorded_digest():
+    # sha256 of the lines "<word> <float.hex>" of g10(g10(g10(S3))) to
+    # degree 11, 4095 words, recorded from the string-keyed engine
+    f = apply_scheme("g10", apply_scheme("g10", apply_scheme("g10", s3())))
+    text = "\n".join(f"{w} {c.hex()}" for w, c in word_series(f, 11).items())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "db1dddbaabfb587ab799ce9418753a0824be3965f902fcbd8c85170986b3e9e1")
 
 
 def test_pairwise_product_batches_over_a_leading_axis():

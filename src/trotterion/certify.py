@@ -362,14 +362,20 @@ def extract_bch(f: ProductFormula, gens: GeneratorPair) -> BCHCoefficients:
     give M1 = P1, M2 = P2 - P1^2/2 and M3 = P3 - (P1 P2 + P2 P1)/2 + P1^3/3.
     No exponential or logarithm is taken, so any generators serve: not
     anti-Hermitian, of large norm, or a C generator for C-tagged steps.
+    A P_k or M_k that overflows is refused, as `evaluate` refuses a product.
     """
     letters, layers = formula.word_layers(f, 3)
     d = gens.dim
     mats = np.array([gens.matrix(tag) for tag in letters], dtype=complex).reshape(-1, d, d)
     stack, p = np.eye(d, dtype=complex)[None], []  # G_w over a layer's words; P_k
-    for coeff in layers[1:]:
-        stack = (stack[:, None] @ mats).reshape(-1, d, d)
-        p.append((np.array(coeff)[:, None, None] * stack).sum(axis=0))
-    p1, p2, p3 = p
-    return BCHCoefficients(order1=p1, order2=p2 - p1 @ p1 / 2.0,
-                           order3=p3 - (p1 @ p2 + p2 @ p1) / 2.0 + p1 @ p1 @ p1 / 3.0)
+    with np.errstate(all="ignore"):
+        for coeff in layers[1:]:
+            stack = (stack[:, None] @ mats).reshape(-1, d, d)
+            p.append((np.array(coeff)[:, None, None] * stack).sum(axis=0))
+        p1, p2, p3 = p
+        m = (p1, p2 - p1 @ p1 / 2.0, p3 - (p1 @ p2 + p2 @ p1) / 2.0 + p1 @ p1 @ p1 / 3.0)
+    # M_k is P_k less products of the lower P, so a non-finite P_k shows
+    # in M_k or in a lower M
+    if not all(np.isfinite(mk).all() for mk in m):
+        raise InvalidInputError("BCH word products overflow")
+    return BCHCoefficients(*m)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
+import stat
 import sys
 import warnings
 from typing import Iterable, Sequence
@@ -100,11 +102,28 @@ def _parse_counts(text: str) -> list[int]:
 
 
 def _write(text: str, out: str | None) -> None:
+    """Write text to stdout, or over the file `out` in place.
+
+    Text with no UTF-8 encoding is refused before the file is opened. A
+    regular file is cut at the end of the text after the write, not
+    truncated before it, which on ext4 makes close() flush the file.
+    """
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidInputError(f"cannot write {out or 'stdout'}: text is not UTF-8: {exc}")
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _read_text(path: str, what: str) -> str:

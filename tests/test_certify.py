@@ -261,6 +261,20 @@ def test_extract_bch_at_large_generator_norm(scale):
     assert np.linalg.norm(got.order2 - comm, 2) <= 1e-12 * np.linalg.norm(comm, 2)
 
 
+def test_extract_bch_refuses_word_products_that_overflow():
+    gens = GeneratorPair(1e200 * SIGMA_X, 1e200 * SIGMA_Z)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidInputError, match="^BCH word products overflow$"):
+            extract_bch(s3(), gens)
+    assert caught == []
+    # where warnings are errors, the same refusal and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="^BCH word products overflow$"):
+            extract_bch(s3(), gens)
+
+
 def test_extract_bch_takes_no_exponential_or_log(monkeypatch):
     calls = []
 

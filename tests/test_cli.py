@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import random
+import stat
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,8 @@ from trotterion import SixGateParams, apply_scheme, reparam, s3
 from trotterion.apps import CDConfig, cd_beta
 from trotterion.apps.cd import MAX_SLICES
 from trotterion.apps.common import MAX_MODES
-from trotterion.cli import MAX_GRID_POINTS, _parse_grid, main
+from trotterion.cli import MAX_GRID_POINTS, _parse_grid, _write, main
+from trotterion.errors import InvalidInputError
 from trotterion.formula import from_json, to_json
 
 
@@ -63,6 +65,9 @@ def test_build_matches_recipe_examples(tmp_path, capsys):
     assert f.claimed_order == 7
 
 
+# a formula whose label, a lone surrogate, has no UTF-8 encoding
+SURROGATE_LABEL_JSON = '{"label": "\\ud800", "steps": [["A", 0.5], ["B", 1.0], ["A", 0.5]]}'
+
 # `build --base s3 --scheme g10` as written before formulas were built in
 # one pass and their JSON written without the standard library's encoder
 G5_GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "g5.json"
@@ -74,6 +79,57 @@ def test_build_writes_the_golden_bytes(tmp_path, capsys):
     assert out.encode("utf-8") == G5_GOLDEN.read_bytes()
     path = build_file(tmp_path, capsys, "g5.json", "--base", "s3", "--scheme", "g10")
     assert pathlib.Path(path).read_bytes() == G5_GOLDEN.read_bytes()
+
+
+def test_build_overwrites_a_longer_file_with_exactly_the_golden_bytes(tmp_path, capsys):
+    (tmp_path / "g5.json").write_bytes(b"x" * 100_000)
+    path = build_file(tmp_path, capsys, "g5.json", "--base", "s3", "--scheme", "g10")
+    assert pathlib.Path(path).read_bytes() == G5_GOLDEN.read_bytes()
+
+
+def test_out_overwrites_an_existing_file_in_place(tmp_path, capsys):
+    path, link = tmp_path / "s3.json", tmp_path / "link.json"
+    path.write_text("an older and longer text " * 100)
+    path.chmod(0o600)
+    os.link(path, link)
+    inode = path.stat().st_ino
+    build_file(tmp_path, capsys, "s3.json", "--base", "s3")
+    _, want, _ = run_cli(capsys, "build", "--base", "s3")
+    assert path.stat().st_ino == inode
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert link.read_text() == path.read_text() == want
+
+
+def test_out_is_opened_without_truncation(tmp_path, capsys, monkeypatch):
+    # truncating a non-empty file first makes ext4 flush it on close
+    flags, os_open = [], os.open
+    monkeypatch.setattr(os, "open",
+                        lambda path, flag, *a: flags.append(flag) or os_open(path, flag, *a))
+    build_file(tmp_path, capsys, "s3.json", "--base", "s3")
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+
+
+def test_out_creates_a_file_with_the_mode_open_gives(tmp_path, capsys):
+    (tmp_path / "ref").write_text("")
+    path = pathlib.Path(build_file(tmp_path, capsys, "s3.json", "--base", "s3"))
+    assert path.stat().st_mode == (tmp_path / "ref").stat().st_mode
+
+
+def test_out_to_dev_null_exits_0(capsys):
+    assert run_cli(capsys, "build", "--base", "s3", "--out", os.devnull) == (
+        0, "", "gates=6 order=3 label=S3\n")
+
+
+def test_text_that_is_not_utf8_leaves_the_file_as_it_was(tmp_path, capsys):
+    formula, plot = tmp_path / "f.json", tmp_path / "plot.gp"
+    formula.write_text(SURROGATE_LABEL_JSON)
+    plot.write_text("an earlier plot")
+    code, _, err = run_cli(capsys, "scan", "--formula", str(formula), "--out",
+                           str(tmp_path / "scan.csv"), "--gnuplot", str(plot))
+    assert code == 2 and err.startswith("error: cannot write")
+    assert plot.read_text() == "an earlier plot"
+    with pytest.raises(InvalidInputError, match="^cannot write stdout: text is not UTF-8"):
+        _write("\ud800", None)
 
 
 def test_build_parity_violation_exits_2(capsys):
@@ -647,6 +703,9 @@ BAD_INPUTS = [
                   OUT_IN_MISSING_DIR], 2, id="scan-gnuplot-in-missing-directory"),
     pytest.param({}, ["build", "--base", "s3", "--out", EXISTING_DIR], 2,
                  id="build-out-is-a-directory"),
+    pytest.param({"f.json": SURROGATE_LABEL_JSON, "scan.csv": "", "plot.gp": "an earlier plot"},
+                 ["scan", "--formula", "f.json", "--out", "scan.csv", "--gnuplot", "plot.gp"],
+                 2, id="scan-gnuplot-text-not-utf8"),
 ]
 
 # Rows run in a child process with a timeout, so that a grid made without

@@ -215,7 +215,7 @@ def power_errors(gens: GeneratorPair, steps: Sequence[ProductFormula], xs: Seque
     refused row, and for each row None or, where its step f(x) or its power
     is not finite, the InvalidInputError that row alone raises, for the
     caller to raise if it needs the row. Each run of rows whose steps share
-    their tags goes in chunks, on the first row's step layout: one
+    their tags goes in chunks, on the step layout of its first step: one
     `formula._products`, one `_matrix_powers` and one norm call each. A
     row holds up to 16 d x d slots for its power and norm, as a scan point
     does, or 3 a step for its factors, all in one product block, so that
@@ -224,13 +224,12 @@ def power_errors(gens: GeneratorPair, steps: Sequence[ProductFormula], xs: Seque
     errors, refused = [math.inf] * len(steps), [None] * len(steps)
     for tags, run in itertools.groupby(range(len(steps)), lambda i: steps[i]._by_tag[0]):
         rows = list(run)
-        layout = steps[rows[0]]._by_tag[2]
         size = formula._items_per_cap(16 * gens.dim**2 * max(16, 3 * len(tags)))
         for first in range(0, len(rows), size):
             part = rows[first:first + size]
             coeffs = np.concatenate([steps[i]._by_tag[1] for i in part])
             x = np.array([xs[i] for i in part])
-            product, finite = formula._products(gens, layout, coeffs, x)
+            product, finite = formula._products(gens, steps[rows[0]], coeffs, x)
             with np.errstate(all="ignore"):  # a power that overflows reads inf or NaN
                 diff = _matrix_powers(product, [powers[i] for i in part]) - target
             power_ok = np.isfinite(diff).all(axis=(1, 2))

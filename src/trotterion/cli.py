@@ -101,29 +101,39 @@ def _parse_counts(text: str) -> list[int]:
         raise argparse.ArgumentTypeError("step counts must be comma-separated integers")
 
 
-def _write(text: str, out: str | None) -> None:
-    """Write text to stdout, or over the file `out` in place.
+def _write(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, out) output of one command: to stdout where out
+    is None, otherwise over the file `out` in place.
 
-    Text with no UTF-8 encoding is refused before the file is opened. A
-    regular file is cut at the end of the text after the write, not
-    truncated before it, which on ext4 makes close() flush the file.
+    Every text is encoded, then every file opened, before anything is
+    written, so a text with no UTF-8 encoding or a file that cannot be
+    opened leaves each existing file as it was. A regular file is cut at
+    the end of its text after the write, not truncated before it, which on
+    ext4 makes close() flush the file.
     """
+    data = []
+    for text, out in outputs:
+        try:
+            data.append(text.encode("utf-8"))
+        except UnicodeEncodeError as exc:
+            raise InvalidInputError(f"cannot write {out or 'stdout'}: text is not UTF-8: {exc}")
+    fds = []
     try:
-        data = text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise InvalidInputError(f"cannot write {out or 'stdout'}: text is not UTF-8: {exc}")
-    if out is None:
-        sys.stdout.write(text)
-        return
-    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
+        for _, out in outputs:
+            fds.append(None if out is None else os.open(out, os.O_WRONLY | os.O_CREAT, 0o666))
+        for (text, _), fd, raw in zip(outputs, fds, data):
+            if fd is None:
+                sys.stdout.write(text)
+                continue
+            view = memoryview(raw)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(raw))
     finally:
-        os.close(fd)
+        for fd in fds:
+            if fd is not None:
+                os.close(fd)
 
 
 def _read_text(path: str, what: str) -> str:
@@ -158,7 +168,7 @@ def _cmd_build(args) -> int:
     for name in args.scheme or []:
         f = apply_scheme(name, f)
     payload = to_json(f) + "\n"
-    _write(payload, args.out)
+    _write((payload, args.out))
     order = "none" if f.claimed_order is None else str(f.claimed_order)
     print(f"gates={f.gate_count()} order={order} label={f.label}", file=sys.stderr)
     return 0
@@ -182,9 +192,11 @@ def _cmd_scan(args) -> int:
                         window=args.window)
     if args.window is not None and result.slope is None:
         raise DegenerateScanError("fewer than two usable points in the window")
-    _write(_csv("x,error", result.rows, result.slope, result.fit_window), args.out)
+    outputs = [(_csv("x,error", result.rows, result.slope, result.fit_window), args.out)]
     if args.gnuplot is not None:
-        _write(GNUPLOT_TEMPLATE.format(csv=args.out, title=f.label or "formula"), args.gnuplot)
+        outputs.append((GNUPLOT_TEMPLATE.format(csv=args.out, title=f.label or "formula"),
+                        args.gnuplot))
+    _write(*outputs)
     return 0
 
 
@@ -213,7 +225,7 @@ def _cmd_gates(args) -> int:
     f = _load_formula(args.formula)
     gens = default_generators()
     rows = [(x, *gates_to_accuracy(f, gens, x, args.eps)) for x in args.xs]
-    _write(_csv("x,r,gates", rows), args.out)
+    _write((_csv("x,r,gates", rows), args.out))
     return 0
 
 
@@ -227,7 +239,7 @@ def _cmd_solve(args) -> int:
         result = solve_p_of_r(args.pr)
         values = (args.pr, *result.params.as_tuple(), result.max_residual)
         text = _csv("R,p1,p2,p3,p4,p5,p6,max_residual", [[f"{v:.12g}" for v in values]])
-    _write(text, args.out)
+    _write((text, args.out))
     return 0
 
 
@@ -235,7 +247,7 @@ def _cmd_cd(args) -> int:
     cfg = CDConfig(J=args.J, hz=args.hz, tau=args.tau, n_steps=args.N)
     rows = [(p.t, p.fidelity_trotter, p.fidelity_cd, p.beta)
             for p in cd_run(cfg, exact_coefficients=args.exact_pr)]
-    _write(_csv("t,fidelity_trotter,fidelity_cd,beta", rows), args.out)
+    _write((_csv("t,fidelity_trotter,fidelity_cd,beta", rows), args.out))
     return 0
 
 
@@ -243,7 +255,7 @@ def _write_n_steps(result, gate_count, out: str | None) -> None:
     """The n,error,gates CSV of a simulator's step-count scan, with its
     slope footer; gate_count(n) is the gates of n steps."""
     rows = [(int(n), err, gate_count(int(n))) for n, err in result.rows]
-    _write(_csv("n,error,gates", rows, result.slope, result.fit_window), out)
+    _write((_csv("n,error,gates", rows, result.slope, result.fit_window), out))
 
 
 def _step_counts(args) -> list[int] | None:
@@ -271,18 +283,21 @@ def _cmd_km(args) -> int:
 def _cmd_trajectory(args) -> int:
     f = _load_formula(args.formula)
     sums = f.trajectory(args.gen)
-    _write(_csv("step,partial_sum", enumerate(sums, start=1)), args.out)
+    _write((_csv("step,partial_sum", enumerate(sums, start=1)), args.out))
     return 0
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a negative float in any form (-1e-3, -inf) as a value, where
-    argparse alone knows only -5 and -0.5; subparsers take this class too."""
+    """Reads a negative float in any form (-1e-3, -inf) as a value, and so a
+    grid LO:HI:STEP or a window LO:HI with a negative LO (-0.3:-0.1:0.1,
+    -inf:0.05), where argparse alone knows only -5 and -0.5; subparsers take
+    this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        unsigned = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)"  # a float literal
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+            rf"^-{unsigned}(:[-+]?{unsigned}){{0,2}}$", re.IGNORECASE)
 
 
 @functools.cache

@@ -44,15 +44,17 @@ class GeneratorPair:
 
     `c` is optional; it is only consulted when a formula contains
     "C"-tagged steps. Construction decides for each generator whether it
-    is anti-Hermitian (to matcore.HERMITICITY_TOL); such a generator's
-    eigendecomposition is built on its first exponential and kept on
-    this object, so each factor e^{tG} after that costs one product.
+    is anti-Hermitian (to matcore.HERMITICITY_TOL) and builds each such
+    generator's eigendecomposition, so each factor e^{tG} costs one
+    product. Nothing on the pair changes after construction.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray | None = None
-    # tag -> its SkewSpectrum once built; holds the anti-Hermitian tags only
+    # tag -> its matrix, over the tags bound to a generator
+    _matrices: dict = field(init=False, repr=False, compare=False)
+    # tag -> its SkewSpectrum, over the anti-Hermitian tags
     _spectra: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -67,41 +69,36 @@ class GeneratorPair:
             if mc.shape != ma.shape:
                 raise InvalidInputError("generator C must match A and B in dimension")
             object.__setattr__(self, "c", mc)
-        bound = {"A": self.a, "B": self.b, "C": self.c}
-        object.__setattr__(self, "_spectra", {
-            tag: None for tag, g in bound.items()
-            if g is not None and matcore.is_hermitian(-1j * g)})
+        bound = {tag: g for tag, g in zip(TAGS, (self.a, self.b, self.c)) if g is not None}
+        with np.errstate(all="ignore"):  # a spectrum that overflows is NaN, which exp refuses
+            spectra = {tag: matcore.SkewSpectrum(-1j * g) for tag, g in bound.items()
+                       if matcore.is_hermitian(-1j * g)}
+        object.__setattr__(self, "_matrices", bound)
+        object.__setattr__(self, "_spectra", spectra)
 
     @property
     def dim(self) -> int:
         return self.a.shape[0]
 
     def matrix(self, tag: str) -> np.ndarray:
-        if tag == "A":
-            return self.a
-        if tag == "B":
-            return self.b
-        if tag == "C":
-            if self.c is None:
-                raise InvalidInputError("formula uses tag C but no C generator was supplied")
-            return self.c
-        raise InvalidInputError(f"unknown generator tag {tag!r}")
+        if tag not in TAGS:
+            raise InvalidInputError(f"unknown generator tag {tag!r}")
+        if tag not in self._matrices:
+            raise InvalidInputError("formula uses tag C but no C generator was supplied")
+        return self._matrices[tag]
 
     def exp(self, tag: str, t) -> np.ndarray:
         """e^{t G} for the generator bound to `tag`, for a scalar t or a
         1-D array of k values (then a (k, d, d) stack).
 
-        Spectral for an anti-Hermitian generator, from its kept
-        decomposition; one matcore.expm of the stack t G for any other,
-        which gives each value what its own call gives.
+        Spectral for an anti-Hermitian generator, from its decomposition;
+        one matcore.expm of the stack t G for any other, which gives each
+        value what its own call gives.
         """
         g = self.matrix(tag)
-        if tag not in self._spectra:
-            return matcore.expm(np.asarray(t, dtype=float)[..., None, None] * g)
-        spectrum = self._spectra[tag]
-        if spectrum is None:
-            spectrum = self._spectra[tag] = matcore.SkewSpectrum(-1j * g)
-        return spectrum.exp(t)
+        if tag in self._spectra:
+            return self._spectra[tag].exp(t)
+        return matcore.expm(np.asarray(t, dtype=float)[..., None, None] * g)
 
 
 @dataclass(frozen=True)
@@ -153,18 +150,10 @@ def _pairwise_product(stack: np.ndarray) -> np.ndarray:
     return stack[..., 0, :, :]
 
 
-def _tag_columns(tags: Sequence[str]) -> tuple:
-    """For each tag, in order of first use, the sorted positions of its
-    steps: the step layout `_grouped_product` takes."""
-    tagged = np.array(tags)
-    return tuple((tag, np.flatnonzero(tagged == tag)) for tag in dict.fromkeys(tags))
-
-
-def _grouped_product(gens: GeneratorPair, layout: Sequence[tuple[str, np.ndarray]],
-                     t: np.ndarray) -> np.ndarray:
+def _grouped_product(gens: GeneratorPair, f: "ProductFormula", t: np.ndarray) -> np.ndarray:
     """Each row's product, first step leftmost, of the exponentials
-    e^{t[i, j] G_g} over the steps j at the positions `layout` gives tag
-    g (`_tag_columns`), for a (rows, steps) table t of exponents.
+    e^{t[i, j] G_g} over the steps j that f tags g, for a (rows, steps)
+    table t of exponents, on f's step layout (`ProductFormula._by_tag`).
 
     The one home of product-of-exponential evaluation: `ProductFormula.
     evaluate` and `certify.power_errors` call it through `_products`, and
@@ -184,7 +173,7 @@ def _grouped_product(gens: GeneratorPair, layout: Sequence[tuple[str, np.ndarray
     for start in range(0, n, block):
         part = t[:, start:start + block]
         stack = np.empty(part.shape + (d, d), dtype=complex)
-        for tag, at in layout:
+        for tag, at in f._by_tag[2]:
             if block < n:
                 first, last = np.searchsorted(at, (start, start + block))
                 at = at[first:last] - start
@@ -195,14 +184,14 @@ def _grouped_product(gens: GeneratorPair, layout: Sequence[tuple[str, np.ndarray
     return out
 
 
-def _products(gens: GeneratorPair, layout: Sequence[tuple[str, np.ndarray]],
-              coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _products(gens: GeneratorPair, f: "ProductFormula", coeffs: np.ndarray,
+              x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_grouped_product` of the exponents coeffs * x[:, None], a row per
     entry of the 1-D x, and which rows are finite. An exponent the
     exponential cannot take is refused there; a product that overflows is
     left for the caller to refuse."""
     with np.errstate(all="ignore"):
-        out = _grouped_product(gens, layout, coeffs * x[:, None])
+        out = _grouped_product(gens, f, coeffs * x[:, None])
     return out, np.isfinite(out).all(axis=(1, 2))
 
 
@@ -247,11 +236,14 @@ class ProductFormula:
     @functools.cached_property
     def _by_tag(self) -> tuple[tuple[str, ...], np.ndarray, tuple]:
         """The step tags, the coefficients as a (1, steps) array and the
-        step layout (`_tag_columns`). Built on the first evaluation, since
-        most formulas the recursion makes are never evaluated, and freed
-        with the formula."""
+        step layout `_grouped_product` reads: for each tag, in order of
+        first use, the sorted positions of its steps. Built on the first
+        evaluation, since most formulas the recursion makes are never
+        evaluated, and freed with the formula."""
         tags = tuple(tag for tag, _ in self.steps)
-        return tags, np.array([[coeff for _, coeff in self.steps]]), _tag_columns(tags)
+        tagged = np.array(tags)
+        layout = tuple((tag, np.flatnonzero(tagged == tag)) for tag in dict.fromkeys(tags))
+        return tags, np.array([[coeff for _, coeff in self.steps]]), layout
 
     def evaluate(self, gens: GeneratorPair, x) -> np.ndarray:
         """Multiply out the steps at argument x, first step leftmost, with
@@ -264,8 +256,7 @@ class ProductFormula:
             raise InvalidInputError("argument x must be a scalar or a 1-D array")
         if not np.isfinite(xs).all():
             raise InvalidInputError("argument x must be finite")
-        _, coeffs, layout = self._by_tag
-        out, finite = _products(gens, layout, coeffs, xs.reshape(-1))
+        out, finite = _products(gens, self, self._by_tag[1], xs.reshape(-1))
         if not finite.all():
             raise InvalidInputError("product of exponentials overflows")
         return out if xs.ndim else out[0]

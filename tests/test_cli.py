@@ -121,15 +121,18 @@ def test_out_to_dev_null_exits_0(capsys):
 
 
 def test_text_that_is_not_utf8_leaves_the_file_as_it_was(tmp_path, capsys):
-    formula, plot = tmp_path / "f.json", tmp_path / "plot.gp"
+    formula, scan, plot = tmp_path / "f.json", tmp_path / "scan.csv", tmp_path / "plot.gp"
     formula.write_text(SURROGATE_LABEL_JSON)
+    scan.write_text("an earlier scan")
     plot.write_text("an earlier plot")
-    code, _, err = run_cli(capsys, "scan", "--formula", str(formula), "--out",
-                           str(tmp_path / "scan.csv"), "--gnuplot", str(plot))
+    code, _, err = run_cli(capsys, "scan", "--formula", str(formula), "--out", str(scan),
+                           "--gnuplot", str(plot))
     assert code == 2 and err.startswith("error: cannot write")
+    # the CSV, which could be written, is not written either
+    assert scan.read_text() == "an earlier scan"
     assert plot.read_text() == "an earlier plot"
     with pytest.raises(InvalidInputError, match="^cannot write stdout: text is not UTF-8"):
-        _write("\ud800", None)
+        _write(("\ud800", None))
 
 
 def test_build_parity_violation_exits_2(capsys):
@@ -275,21 +278,40 @@ def test_solve_pr_row(capsys):
     assert np.allclose((rp.l, rp.m, rp.q, rp.r, rp.s), want, rtol=0.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("argv,want", [
-    (["chain", "--L", "6", "--t1", "1", "--t2", "-1e-3", "--T", "1", "--ns", "8,16"], 0),
-    (["cd", "--J", "-1e0", "--hz", "5", "--tau", "1", "--N", "4"], 0),
-    (["solve", "--pr", "-1e-1"], 0),
-    (["km", "--Lx", "4", "--Ly", "4", "--J", "-inf", "--phi", "1", "--T", "1"], 2),
-], ids=["chain-e-notation", "cd-e-notation", "solve-e-notation", "km-minus-inf"])
-def test_negative_float_given_as_separate_argument(capsys, argv, want):
-    # argparse alone takes -1e-3 or -inf after a flag for an unknown option
+# the input files of the rows below
+NEGATIVE_ARGUMENT_FILES = {"s3.json": to_json(s3()),
+                           "scan.csv": "x,error\n0.01,1e-08\n0.02,1.6e-07\n0.1,0.0001\n"}
+
+
+@pytest.mark.parametrize("argv,want,line", [
+    (["chain", "--L", "6", "--t1", "1", "--t2", "-1e-3", "--T", "1", "--ns", "8,16"], 0, None),
+    (["cd", "--J", "-1e0", "--hz", "5", "--tau", "1", "--N", "4"], 0, None),
+    (["solve", "--pr", "-1e-1"], 0, None),
+    (["km", "--Lx", "4", "--Ly", "4", "--J", "-inf", "--phi", "1", "--T", "1"], 2,
+     "error: J must be finite and at most 1e+15"),
+    (["gates", "--formula", "s3.json", "--eps", "1e-4", "--xs", "-0.3:-0.1:0.1"], 0, None),
+    (["scan", "--formula", "s3.json", "--xs", "-0.1:0.1:0.05"], 2,
+     "error: scan grid must contain positive values"),
+    (["fit", "--csv", "scan.csv", "--window", "-inf:0.05"], 0, None),
+], ids=["chain-e-notation", "cd-e-notation", "solve-e-notation", "km-minus-inf",
+        "gates-negative-grid", "scan-grid-through-zero", "fit-window-open-below"])
+def test_negative_float_given_as_separate_argument(tmp_path, capsys, argv, want, line):
+    # argparse alone takes -1e-3, -inf or -0.3:-0.1:0.1 after a flag for an
+    # unknown option
+    for name, text in NEGATIVE_ARGUMENT_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in NEGATIVE_ARGUMENT_FILES else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == want, err
     if want == 0:
         assert err == "" and out
     else:
         lines = err.strip().split("\n")
-        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert lines == [line]
+    # the same run as with the value joined to its flag by "="
+    at = next(i for i, a in enumerate(argv) if a.startswith("-") and not a.startswith("--"))
+    joined = argv[:at - 1] + [f"{argv[at - 1]}={argv[at]}"] + argv[at + 1:]
+    assert run_cli(capsys, *joined) == (code, out, err)
 
 
 def test_cd_run_csv(tmp_path, capsys):
@@ -698,12 +720,13 @@ BAD_INPUTS = [
                  id="gates-out-in-missing-directory"),
     pytest.param({}, ["solve", "--pr", "10", "--out", OUT_IN_MISSING_DIR], 2,
                  id="solve-pr-out-in-missing-directory"),
-    pytest.param({"f.json": GOOD_JSON, "scan.csv": ""},
+    pytest.param({"f.json": GOOD_JSON, "scan.csv": "an earlier scan"},
                  ["scan", "--formula", "f.json", "--out", "scan.csv", "--gnuplot",
                   OUT_IN_MISSING_DIR], 2, id="scan-gnuplot-in-missing-directory"),
     pytest.param({}, ["build", "--base", "s3", "--out", EXISTING_DIR], 2,
                  id="build-out-is-a-directory"),
-    pytest.param({"f.json": SURROGATE_LABEL_JSON, "scan.csv": "", "plot.gp": "an earlier plot"},
+    pytest.param({"f.json": SURROGATE_LABEL_JSON, "scan.csv": "an earlier scan",
+                  "plot.gp": "an earlier plot"},
                  ["scan", "--formula", "f.json", "--out", "scan.csv", "--gnuplot", "plot.gp"],
                  2, id="scan-gnuplot-text-not-utf8"),
 ]
@@ -754,6 +777,11 @@ def test_malformed_input_exits_with_one_error_line(request, tmp_path, capsys, fi
     assert lines[0] == RAMP_ERRORS.get(request.node.callspec.id, lines[0])
     if any(isinstance(text, bytes) for text in files.values()):
         assert str(tmp_path) in lines[0]  # an unreadable file is named
+    # a command that fails leaves every file it was given as it was, an
+    # --out file among them
+    for name, text in files.items():
+        got = (tmp_path / name).read_bytes()
+        assert got == (text if isinstance(text, bytes) else text.encode("utf-8"))
 
 
 def test_km_step_scale_whose_square_underflows_runs(capsys):

@@ -108,7 +108,7 @@ def test_block_boundaries(monkeypatch, factors):
     gens = GeneratorPair(gens.a, gens.b, (c - c.conj().T) / 2.0)
     tags = ("A", "B", "A", "C", "B") * 11
     t = rng.normal(size=(3, len(tags)))
-    got = formula._grouped_product(gens, formula._tag_columns(tags), t)
+    got = formula._grouped_product(gens, ProductFormula(tuple(zip(tags, t[0]))), t)
     assert got.shape == (3, 4, 4)
     for row, product in zip(t, got):
         want = reference(ProductFormula(tuple(zip(tags, row))), gens, 1.0)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import math
 import pathlib
 import re
@@ -205,6 +206,53 @@ def _same(a, b) -> bool:
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
     return a == b or (a != a and b != b)
+
+
+# Public names whose numbers no contract checks: plain records, which the
+# solver fills with arrays and cd_run with the numbers it computed
+CONTRACT_EXEMPT = {"SixGateParams", "reparam", "CDPoint"}
+
+
+def numeric_parameters() -> list[tuple[str, str, bool]]:
+    """(name, parameter, whether it is the only one) for each parameter of
+    each callable in trotterion.__all__ and trotterion.apps.__all__, outside
+    CONTRACT_EXEMPT and the exception classes, whose annotation names int,
+    float or ndarray, or that has no annotation."""
+    out = []
+    for module in (trotterion, apps):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if (name in CONTRACT_EXEMPT or not callable(obj)
+                    or isinstance(obj, type) and issubclass(obj, Exception)):
+                continue
+            params = inspect.signature(obj).parameters.values()
+            out += [(name, p.name, len(params) == 1) for p in params
+                    if p.annotation is p.empty
+                    or re.search(r"\b(int|float|ndarray)\b", str(p.annotation))]
+    return out
+
+
+def unchecked_parameters(rows) -> list[str]:
+    """The numeric parameters no row covers: the row "NAME PARAM" covers that
+    parameter, and the row "NAME" the only parameter of NAME."""
+    names = {row[0] for row in rows}
+    return [f"{name} {param}" for name, param, only in numeric_parameters()
+            if f"{name} {param}" not in names and not (only and name in names)]
+
+
+def test_every_public_numeric_parameter_has_a_contract_row():
+    assert unchecked_parameters(ENTRY_POINTS) == []
+
+
+def test_taking_out_a_contract_row_fails_the_parameter_walk():
+    # each walked parameter has a row of its own: without it the walk
+    # names that parameter, and nothing else
+    named = []
+    for i in range(len(ENTRY_POINTS)):
+        missing = unchecked_parameters(ENTRY_POINTS[:i] + ENTRY_POINTS[i + 1:])
+        assert len(missing) <= 1
+        named += missing
+    assert sorted(named) == sorted(f"{name} {param}" for name, param, _ in numeric_parameters())
 
 
 @pytest.mark.parametrize("name,call,bad", [

@@ -17,6 +17,8 @@ from trotterion.apps import (ChainConfig, KMConfig, chain_heff, chain_hoppings,
                              chain_simulate, flat_band_coupling, km_hoppings,
                              km_simulate)
 from trotterion.bases import f_r_signed, f_r_with_c
+from trotterion.certify import error_scan
+from trotterion.cli import default_generators
 from trotterion.errors import InvalidInputError
 from trotterion.formula import GeneratorPair, ProductFormula
 from trotterion.recursion import pure_commutator_library
@@ -152,10 +154,32 @@ def test_pairs_of_one_shape_never_share_spectra():
         assert rel_diff(f.evaluate(gens, 0.4), pade_product(f, gens, 0.4)) <= REL_TOL
 
 
+def test_pair_builds_every_spectrum_at_construction_and_keeps_it():
+    # the command line's pair: its zero C is anti-Hermitian too
+    gens = default_generators()
+    spectra = dict(gens._spectra)
+    assert sorted(spectra) == ["A", "B", "C"]
+    assert all(isinstance(s, matcore.SkewSpectrum) for s in spectra.values())
+    gens.exp("C", np.array([0.1, 0.2]))
+    f_r_with_c(10.0).evaluate(gens, 0.1)
+    error_scan(pure_commutator_library()["G5"], gens)
+    assert gens._spectra.keys() == spectra.keys()
+    assert all(gens._spectra[tag] is spectrum for tag, spectrum in spectra.items())
+    # only the anti-Hermitian generators of a mixed pair get one
+    rng = np.random.default_rng(12)
+    mixed = GeneratorPair(random_anti_hermitian(rng, 3), rng.normal(size=(3, 3)))
+    assert list(mixed._spectra) == ["A"]
+
+
 def test_non_finite_exponent_is_rejected():
     gens = GeneratorPair(random_anti_hermitian(np.random.default_rng(9), 2), np.zeros((2, 2)))
     with pytest.raises(InvalidInputError):
         ProductFormula((("A", 1e300),)).evaluate(gens, 1e300)
+    # a generator whose eigensolve overflows gives its pair, without a
+    # warning, a spectrum that refuses every exponent
+    gens = GeneratorPair(1e308 * np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2)))
+    with pytest.raises(InvalidInputError):
+        ProductFormula((("A", 1.0),)).evaluate(gens, 0.1)
 
 
 def test_lattice_simulators_make_no_pade_call(pade_calls):

@@ -15,11 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from ..bases import f_r_signed
-from ..certify import ScanResult
+from ..certify import ScanResult, step_count_scan
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair, as_count, as_real
 from ..matcore import commutator, expm  # noqa: F401 -- perfbench's tracer tests read chain.expm
-from .common import MAX_MAGNITUDE, MAX_MODES, n_step_scan
+from .common import MAX_MAGNITUDE, MAX_MODES
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ def chain_simulate(cfg: ChainConfig, ns: Sequence[int] | None = None) -> ScanRes
     One step is the signed 6-gate sum-plus-commutator formula at argument
     -t1*T/n whose n-fold product targets exp(-i*T*Heff). ns is the run's
     only step-count input; its check, its default and the log-log fit are
-    n_step_scan's, and the expected slope is -1.
+    step_count_scan's, and the expected slope is -1.
     """
     h0, h1 = chain_hoppings(cfg)
-    return n_step_scan(f_r_signed, GeneratorPair(1j * h0, 1j * h1), -cfg.t1 * cfg.T,
-                       -cfg.t2 * cfg.T, ns)
+    return step_count_scan(f_r_signed, GeneratorPair(1j * h0, 1j * h1), -cfg.t1 * cfg.T,
+                           -cfg.t2 * cfg.T, ns)

@@ -17,11 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from ..bases import f_r_with_c
-from ..certify import ScanResult
+from ..certify import ScanResult, step_count_scan
 from ..errors import InvalidInputError
 from ..formula import GeneratorPair, as_count, as_real
 from ..matcore import commutator, spectral_norm
-from .common import MAX_MAGNITUDE, MAX_MODES, n_step_scan
+from .common import MAX_MAGNITUDE, MAX_MODES
 
 BOUNDARIES = ("auto", "torus", "open")
 
@@ -187,9 +187,9 @@ def km_simulate(cfg: KMConfig, ns: Sequence[int] | None = None) -> ScanResult:
     the composite converges like 1/n. Either sign of the weight works,
     so any nonzero J and any flux off the multiples of 2*pi run. The
     grid ns is the only step-count input; its check, its default and the
-    fit are n_step_scan's, as in chain_simulate.
+    fit are step_count_scan's, as in chain_simulate.
     """
     h1, h2, h3, h4 = km_hoppings(cfg)
     gens = GeneratorPair(1j * (h1 - h2), 1j * (h3 - h4), 1j * (2.0 * h2 + 2.0 * h4))
     beta = flat_band_coupling(cfg.J, cfg.phi) * cfg.T
-    return n_step_scan(f_r_with_c, gens, cfg.T, beta, ns)
+    return step_count_scan(f_r_with_c, gens, cfg.T, beta, ns)

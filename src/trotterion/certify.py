@@ -159,21 +159,42 @@ def error_scan(f: ProductFormula, gens: GeneratorPair,
     return _scan(grid, errors, window, name, len(f) * np.finfo(float).eps)
 
 
-def step_grid(ns: Sequence[int] | None = None) -> list[int]:
-    """The step counts ns as ints (`as_count`), DEFAULT_STEP_GRID when None,
-    refused unless positive, strictly increasing and within the float range."""
+def step_count_scan(step: Callable[[float], ProductFormula], gens: GeneratorPair,
+                    alpha: float, beta: float, ns: Sequence[int] | None = None) -> ScanResult:
+    """Error of the n-fold product of one step against exp(alpha (A + B + C)
+    + beta [A, B]), C left out when gens has none, over step counts n.
+
+    One step is step(R) at argument alpha/n with R = (beta/alpha)(n/alpha),
+    divided one factor of alpha at a time, so that a step scale whose
+    square underflows gives an overflowing weight, refused like one that
+    underflows to zero itself. R grows linearly with n, which limits the
+    composite to 1/n convergence. The step counts ns, DEFAULT_STEP_GRID
+    when None, are read as counts (`as_count`) and refused unless positive,
+    strictly increasing and within the float range, before the target or
+    any step is built; then alpha and beta are read as real numbers
+    (`as_real`). The errors come from one `power_errors` pass; a
+    power that overflows is refused as bad input, at the first such n. The
+    fit runs over the whole grid. An n-step product accumulates about n
+    roundings, so DegenerateScanError is raised if every error is below
+    n * NOISE_FLOOR: the slope would then be rounding.
+    """
     grid = _grid(DEFAULT_STEP_GRID if ns is None else ns, as_count, "step count")
     if any(n > sys.float_info.max for n in grid):
         raise InvalidInputError("step counts must lie within the float range")
     _check_grid(grid)
-    return grid
-
-
-def step_count_scan(grid: list[int], errors: list[float]) -> ScanResult:
-    """Rows (n, error) over a `step_grid` and their log-log fit over all of
-    it. An n-step product accumulates about n roundings, so
-    DegenerateScanError is raised if every error is below n * NOISE_FLOOR:
-    the slope would then be rounding."""
+    alpha, beta = as_real(alpha, "step scale alpha"), as_real(beta, "commutator scale beta")
+    total = gens.a + gens.b if gens.c is None else gens.a + gens.b + gens.c
+    target = matcore.expm(alpha * total + beta * matcore.commutator(gens.a, gens.b))
+    steps = []
+    for n in grid:
+        weight = (beta / alpha) * (n / alpha) if alpha != 0.0 else math.inf
+        if not math.isfinite(weight):
+            raise InvalidInputError("per-step commutator weight overflows; "
+                                    "the step scale is too small")
+        steps.append(step(weight))
+    errors, refused = power_errors(gens, steps, [alpha / n for n in grid], grid, target)
+    for exc in filter(None, refused):
+        raise exc
     result = _scan(grid, errors, None, "custom")
     if all(err < n * NOISE_FLOOR for n, err in result.rows):
         raise DegenerateScanError("scan errors sit at the noise floor; no order signal")

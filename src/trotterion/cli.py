@@ -20,8 +20,6 @@ import sys
 import warnings
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .apps.cd import SIGMA_X, SIGMA_Z, CDConfig, cd_run
 from .apps.chain import ChainConfig, chain_gate_count, chain_simulate
 from .apps.km import BOUNDARIES, KMConfig, km_gate_count, km_simulate
@@ -50,9 +48,9 @@ def _csv(header: str, rows: Iterable[Sequence], slope: float | None = None,
 
 
 def default_generators() -> GeneratorPair:
-    """The standard desk-scale test pair, with a zero third generator."""
-    return GeneratorPair(-1j * SIGMA_X, -1j * SIGMA_Z,
-                         np.zeros((2, 2), dtype=complex))
+    """The standard desk-scale test pair, A = -i sigma_x and B = -i sigma_z,
+    with no C: a formula file with C-tagged steps is refused."""
+    return GeneratorPair(-1j * SIGMA_X, -1j * SIGMA_Z)
 
 
 # Largest --xs grid: the default scan has 20 points. On a 2-vCPU Xeon a

@@ -88,17 +88,19 @@ class GeneratorPair:
         return self._matrices[tag]
 
     def exp(self, tag: str, t) -> np.ndarray:
-        """e^{t G} for the generator bound to `tag`, for a scalar t or a
-        1-D array of k values (then a (k, d, d) stack).
+        """e^{t G} for the generator bound to `tag`, for a real scalar t or a
+        1-D array of k reals (then a (k, d, d) stack), read by
+        `matcore.as_numeric`, so a bool or a string is refused on either route.
 
         Spectral for an anti-Hermitian generator, from its decomposition;
         one matcore.expm of the stack t G for any other, which gives each
         value what its own call gives.
         """
+        t = matcore.as_numeric(t, "exponent t", float)
         g = self.matrix(tag)
         if tag in self._spectra:
             return self._spectra[tag].exp(t)
-        return matcore.expm(np.asarray(t, dtype=float)[..., None, None] * g)
+        return matcore.expm(t[..., None, None] * g)
 
 
 @dataclass(frozen=True)

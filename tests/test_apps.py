@@ -1,6 +1,8 @@
 """Tests for the three application simulators."""
 
+import json
 import math
+import pathlib
 import sys
 import tracemalloc
 import warnings
@@ -17,11 +19,9 @@ from trotterion.apps import (CDConfig, ChainConfig, KMConfig,
                              km_nnn_identities, km_simulate,
                              phases_wrap_consistently, schedule,
                              schedule_rate)
-from trotterion import matcore, solve_p_of_r, solver
+from trotterion import certify, matcore, solve_p_of_r, solver
 from trotterion.apps import cd as cd_module
-from trotterion.apps import chain as chain_module
 from trotterion.apps.cd import GAP_TOL, MAX_SLICES, TROTTER_STEP
-from trotterion.apps.common import n_step_target
 from trotterion.bases import AccuracyWarning, f_r, f_r_params, f_r_signed
 from trotterion.errors import DomainError, InvalidInputError, TrotterionError
 from trotterion.formula import EVALUATION_BYTES, GeneratorPair
@@ -318,14 +318,18 @@ def test_chain_heff_properties():
 
 
 def test_chain_target_is_the_heff_evolution(monkeypatch):
-    # the target n_step_scan builds from the arguments chain_simulate passes
+    # the target chain_simulate's scan hands to power_errors
     cfg = ChainConfig(L=8, t1=1.3, t2=0.7, T=1.1)
     passed = []
-    monkeypatch.setattr(chain_module, "n_step_scan", lambda *args: passed.append(args))
+
+    def record(gens, steps, xs, powers, target):
+        passed.append(target)
+        return [1.0 / n for n in powers], [None] * len(powers)
+
+    monkeypatch.setattr(certify, "power_errors", record)
     chain_simulate(cfg)
-    _, gens, alpha, beta, _ = passed[0]
     want = scipy.linalg.expm(-1j * cfg.T * chain_heff(cfg))
-    assert spectral_norm(n_step_target(gens, alpha, beta) - want) <= 1e-12
+    assert spectral_norm(passed[0] - want) <= 1e-12
 
 
 def test_chain_simulate_slope_and_decay():
@@ -543,6 +547,31 @@ def test_km_config_validation():
         km_simulate(cfg, ns=(0,))
     with pytest.raises(InvalidInputError):
         km_simulate(cfg, ns=(32, 16))
+
+
+# float.hex of every row (n, error) and slope over the default step grid,
+# recorded before the n-step scan moved into certify.step_count_scan. The
+# chain cases take both tag orders of f_r_signed (t2 > 0 gives a negative
+# weight), the lattice cases a torus, an open 4x4 lattice and a 5x3 one.
+# The errors go through BLAS products and an SVD, so a BLAS with other
+# kernels may round them differently; x86-64 OpenBLAS under numpy 2 keeps
+# them to the bit.
+STEP_SCAN_BITS = pathlib.Path(__file__).resolve().parent / "data" / "step_scans.json"
+
+
+def test_step_scans_keep_the_recorded_bits():
+    cases = {f"chain L={L} t2={t2:g}": (chain_simulate, ChainConfig(L=L, t1=1.0, t2=t2, T=1.0))
+             for L in (6, 16) for t2 in (0.5, -0.5, 2.0)}
+    for Lx, Ly, boundary in ((4, 4, "auto"), (4, 4, "open"), (5, 3, "auto")):
+        cfg = KMConfig(Lx=Lx, Ly=Ly, J=1.0, phi=math.pi / 2, T=1.0, boundary=boundary)
+        cases[f"km {Lx}x{Ly} {boundary}"] = (km_simulate, cfg)
+    recorded = json.loads(STEP_SCAN_BITS.read_text(encoding="utf-8"))
+    assert sorted(recorded) == sorted(cases)
+    for label, pin in recorded.items():
+        simulate, cfg = cases[label]
+        result = simulate(cfg)
+        assert [[n.hex(), e.hex()] for n, e in result.rows] == pin["rows"], label
+        assert result.slope.hex() == pin["slope"], label
 
 
 # ---------------------------------------------------------------- warning state

@@ -14,12 +14,11 @@ from trotterion import (AccuracyWarning, GeneratorPair, ProductFormula, commutat
 from trotterion import certify, formula, matcore
 from trotterion.apps import ChainConfig, KMConfig, chain_hoppings, chain_simulate, km_simulate
 from trotterion.apps import chain as chain_module
-from trotterion.apps import common as common_module
 from trotterion.apps import km as km_module
-from trotterion.bases import SixGateParams, f_r_with_c, reparam
+from trotterion.bases import SixGateParams, f_r_signed, f_r_with_c, reparam
 from trotterion.certify import (DEFAULT_XS, NOISE_FLOOR, BCHCoefficients, _matrix_powers,
                                 _repeat_gate_count, _targets, error_scan, extract_bch,
-                                fit_loglog, gates_to_accuracy, step_count_scan, step_grid)
+                                fit_loglog, gates_to_accuracy, step_count_scan)
 from trotterion.errors import (BudgetExceededError, DegenerateScanError,
                                InvalidInputError)
 from trotterion.recursion import apply_scheme
@@ -141,13 +140,25 @@ def test_error_scan_validates_grid():
         error_scan(s3(), PAULI_PAIR, target="commutator", R=3.0)
 
 
-def test_step_count_scan_noise_floor_grows_with_n():
+def test_step_count_scan_noise_floor_grows_with_n(monkeypatch):
     # an n-step product accumulates about n roundings
-    grid = step_grid()
+    def errors(scale):
+        return lambda gens, steps, xs, powers, target: ([scale * n * NOISE_FLOOR for n in powers],
+                                                         [None] * len(powers))
+
+    monkeypatch.setattr(certify, "power_errors", errors(0.9))
     with pytest.raises(DegenerateScanError):
-        step_count_scan(grid, [0.9 * n * NOISE_FLOOR for n in grid])
-    result = step_count_scan(grid, [2.0 * n * NOISE_FLOOR for n in grid])
+        step_count_scan(f_r_signed, PAULI_PAIR, 1.0, 1.0)
+    monkeypatch.setattr(certify, "power_errors", errors(2.0))
+    result = step_count_scan(f_r_signed, PAULI_PAIR, 1.0, 1.0)
+    assert [n for n, _ in result.rows] == list(certify.DEFAULT_STEP_GRID)
     assert result.slope == pytest.approx(1.0)
+
+
+def test_step_count_scan_reads_its_scales_as_real_numbers():
+    for alpha, beta in ((True, 1.0), (1.0, "1"), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(InvalidInputError, match="scale"):
+            step_count_scan(f_r_signed, PAULI_PAIR, alpha, beta, [8, 16])
 
 
 def test_malformed_grids_are_refused_before_any_target_or_step(monkeypatch):
@@ -155,7 +166,6 @@ def test_malformed_grids_are_refused_before_any_target_or_step(monkeypatch):
         raise AssertionError("built before the grid was checked")
 
     monkeypatch.setattr(matcore, "expm", fail)
-    monkeypatch.setattr(common_module, "expm", fail)
     monkeypatch.setattr(ProductFormula, "evaluate", fail)
     monkeypatch.setattr(chain_module, "f_r_signed", fail)
     monkeypatch.setattr(km_module, "f_r_with_c", fail)
@@ -167,7 +177,7 @@ def test_malformed_grids_are_refused_before_any_target_or_step(monkeypatch):
     lattice = KMConfig(Lx=4, Ly=4, J=1.0, phi=math.pi / 2, T=1.0)
     for ns in ([], [16, 8], [8, 8], [0, 8], [-1], [10**400]):
         with pytest.raises(InvalidInputError, match="scan grid|float range"):
-            step_grid(ns)
+            step_count_scan(fail, PAULI_PAIR, 1.0, 1.0, ns)
         with pytest.raises(InvalidInputError, match="scan grid|float range"):
             chain_simulate(chain, ns=ns)
         with pytest.raises(InvalidInputError, match="scan grid|float range"):

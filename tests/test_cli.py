@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import trotterion
-from trotterion import SixGateParams, apply_scheme, reparam, s3
+from trotterion import SixGateParams, apply_scheme, cli, reparam, s3
 from trotterion.apps import CDConfig, cd_beta
 from trotterion.apps.cd import MAX_SLICES
 from trotterion.apps.common import MAX_MODES
@@ -546,6 +546,9 @@ HUGE_STEPS = "1" + "0" * 300  # within the float range, but its matrix power ove
 HUGE_COEFF_JSON = '{"steps": [["A", %s], ["B", 1.0]]}' % HUGE_INT
 # finite coefficients whose phases are past 2**52, where no double resolves a radian
 HUGE_PHASE_JSON = '{"steps": [["A", 1e300], ["B", 1e300]]}'
+# a formula with a C-tagged step, and the error line of a pair without C
+C_TAGGED_JSON = '{"steps": [["C", 1.0], ["A", 0.5], ["B", 0.5]]}'
+C_MISSING = "error: formula uses tag C but no C generator was supplied"
 # an output file in a directory that does not exist, and an existing directory
 OUT_IN_MISSING_DIR = str(G5_GOLDEN.parent / "no-such-directory" / "out")
 EXISTING_DIR = str(G5_GOLDEN.parent)
@@ -583,6 +586,12 @@ BAD_INPUTS = [
     pytest.param({"f.json": GOOD_JSON}, ["scan", "--formula", "f.json", "--target",
                                          "sum-commutator", "--R", "1e308"], 2,
                  id="scan-commutator-weight-phase-beyond-resolution"),
+    # the command line's pair has no C generator; see ERROR_LINES
+    pytest.param({"f.json": C_TAGGED_JSON}, ["scan", "--formula", "f.json"], 2,
+                 id="scan-c-tagged-formula"),
+    pytest.param({"f.json": C_TAGGED_JSON},
+                 ["gates", "--formula", "f.json", "--eps", "1e-4", "--xs", "0.1:0.2:0.1"], 2,
+                 id="gates-c-tagged-formula"),
     pytest.param({"f.json": '{"steps": [["A", true], ["B", 1.0]]}'},
                  ["scan", "--formula", "f.json"], 2, id="step-coefficient-bool"),
     pytest.param({"f.json": '{"steps": [["A", "1e-3"], ["B", 1.0]]}'},
@@ -680,7 +689,7 @@ BAD_INPUTS = [
                  id="cd-no-coupling-and-no-field"),
     pytest.param({}, ["cd", "--J", "1e-200", "--hz", "1e-200", "--tau", "1", "--N", "5"], 2,
                  id="cd-weight-denominator-underflows"),
-    # a ramp ends with the error of its first failing slice; see RAMP_ERRORS
+    # a ramp ends with the error of its first failing slice; see ERROR_LINES
     pytest.param({}, ["cd", "--J", "1e-5", "--hz", "1e-5", "--tau", "1", "--N", "10",
                       "--exact-pr"], 2, id="cd-exact-weight-beyond-cap"),
     pytest.param({}, ["cd", "--J", "1e-200", "--hz", "1e-200", "--tau", "1", "--N", "10",
@@ -737,10 +746,13 @@ BAD_INPUTS = [
 CHILD_PROCESS_ROWS = {"scan-grid-step-below-spacing", "gates-grid-step-below-spacing",
                       "scan-grid-points-do-not-increase"}
 
-# The error line of the ramps above. With J = 0 and hz = 1e-152 the weight
-# R = beta/dt is finite beyond the exact solve's cap from slice 1, overflows
-# to inf on slice 8, and beta itself overflows on slice 9.
-RAMP_ERRORS = {
+# The error line of some rows above. A ramp ends with the error of its first
+# failing slice: with J = 0 and hz = 1e-152 the weight R = beta/dt is finite
+# beyond the exact solve's cap from slice 1, overflows to inf on slice 8, and
+# beta itself overflows on slice 9.
+ERROR_LINES = {
+    "scan-c-tagged-formula": C_MISSING,
+    "gates-c-tagged-formula": C_MISSING,
     "cd-exact-weight-beyond-cap": "error: R must be finite and at most 1e+08 in magnitude",
     "cd-exact-weight-denominator-underflows":
         "error: counterdiabatic weight overflows: J and hz are too small",
@@ -774,7 +786,7 @@ def test_malformed_input_exits_with_one_error_line(request, tmp_path, capsys, fi
     lines = err.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
-    assert lines[0] == RAMP_ERRORS.get(request.node.callspec.id, lines[0])
+    assert lines[0] == ERROR_LINES.get(request.node.callspec.id, lines[0])
     if any(isinstance(text, bytes) for text in files.values()):
         assert str(tmp_path) in lines[0]  # an unreadable file is named
     # a command that fails leaves every file it was given as it was, an
@@ -799,42 +811,89 @@ def test_km_step_scale_whose_square_underflows_runs(capsys):
 # Magnitudes for the fuzz below. Each argument is extreme with probability
 # FUZZ_EXTREME_SHARE: zero, subnormal, underflowing squares, the 1e15 cap
 # and either side of it, overflowing squares or non-finite; otherwise it is
-# ordinary, so that runs also get past the argument checks.
+# ordinary, so that runs also get past the argument checks. Integer options
+# (sizes, step counts, the 4-copy order) draw from their own two pools and
+# keep their sign, so that a size is as often valid as a float is; the
+# extreme ones are all refused or cheap: a size or slice count past its
+# cap, a step count whose power needs at most 63 squarings, or one past the
+# float range.
 FUZZ_ORDINARY = (0.37, 1.0, 3.0)
 FUZZ_EXTREMES = (0.0, 5e-324, 1e-300, 1e-200, 1e-160, 1e-20, 1e8, 1e15, 1.1e15,
                  1e200, 1e300, math.inf, math.nan)
+FUZZ_ORDINARY_INTS = (4, 6, 7)
+FUZZ_EXTREME_INTS = (-1, 0, 1, 2, 3, 2**31, 2**63, 10**300, 10**400)
 FUZZ_EXTREME_SHARE = 0.4
-FUZZ_CASES = 300
+FUZZ_CASES = 600
 
 
-def _fuzz_argv(rng: random.Random) -> list[str]:
-    def value(flag: str) -> str:
+def _fuzz_options() -> dict:
+    """Each subcommand with a float or int option, from the command line's
+    own parser: (its numeric options, as (flag, type, required), its
+    store-true flags, and its groups of mutually exclusive options)."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {}
+    for name, p in sub.choices.items():
+        numeric = [(a.option_strings[0], a.type, a.required) for a in p._actions
+                   if a.type in (float, int)]
+        if numeric:
+            switches = [a.option_strings[0] for a in p._actions
+                        if isinstance(a, argparse._StoreTrueAction)]
+            groups = [[a.option_strings[0] for a in g._group_actions]
+                      for g in p._mutually_exclusive_groups]
+            options[name] = (numeric, switches, groups)
+    return options
+
+
+def _fuzz_other_args(command: str, flags: set) -> list[str]:
+    """What a fuzzed command needs besides its numeric options: a formula
+    file and a grid, a base for build --R, the weighted target for scan
+    --R, and a step-count grid where no single count is drawn."""
+    if command == "build":
+        return ["--base", "fr"]
+    if command == "scan":
+        return ["--formula", str(G5_GOLDEN)] + (["--target", "sum-commutator"]
+                                                if "--R" in flags else [])
+    if command == "gates":
+        return ["--formula", str(G5_GOLDEN), "--xs", "0.1:0.2:0.1"]
+    if command in ("chain", "km") and "--n" not in flags:
+        return ["--ns", "8,64"]
+    return []
+
+
+def _fuzz_argv(rng: random.Random, options: dict) -> list[str]:
+    """One command with every required numeric option, each optional one
+    with probability 1/2, one option of each mutually exclusive group and
+    each store-true flag with probability 1/2; a float takes either sign."""
+    def value(flag: str, kind) -> str:
         # "--flag=-1e-20"; test_negative_float_given_as_separate_argument
         # covers the separate form
-        v = rng.choice(FUZZ_EXTREMES if rng.random() < FUZZ_EXTREME_SHARE else FUZZ_ORDINARY)
+        extreme = rng.random() < FUZZ_EXTREME_SHARE
+        if kind is int:
+            return f"{flag}={rng.choice(FUZZ_EXTREME_INTS if extreme else FUZZ_ORDINARY_INTS)}"
+        v = rng.choice(FUZZ_EXTREMES if extreme else FUZZ_ORDINARY)
         return f"{flag}={-v if rng.random() < 0.5 else v!r}"
 
-    kind = rng.choice(("cd", "chain", "km", "solve"))
-    if kind == "cd":
-        argv = ["cd", value("--J"), value("--hz"), value("--tau"),
-                "--N", str(rng.choice((1, 2, 5)))]
-        return argv + ["--exact-pr"] if rng.random() < 0.5 else argv
-    if kind == "chain":
-        return ["chain", "--L", str(rng.choice((4, 6))), value("--t1"), value("--t2"),
-                value("--T"), "--ns", "8,64"]
-    if kind == "km":
-        return ["km", "--Lx", "3", "--Ly", str(rng.choice((3, 4))), value("--J"),
-                value("--phi"), value("--T"), "--ns", "8,64"]
-    return ["solve", value("--pr")]
+    command = rng.choice(sorted(options))
+    numeric, switches, groups = options[command]
+    grouped = {flag for group in groups for flag in group}
+    flags = {rng.choice(group) for group in groups}
+    flags |= {flag for flag, _, required in numeric
+              if flag not in grouped and (required or rng.random() < 0.5)}
+    argv = [command] + [value(flag, kind) for flag, kind, _ in numeric if flag in flags]
+    argv += [flag for flag in switches if rng.random() < 0.5]
+    return argv + _fuzz_other_args(command, flags)
 
 
 def test_extreme_arguments_fuzz(capsys):
-    """Seeded fuzz of extreme cd, chain, km and solve --pr arguments: every
-    run ends in exit 0, 2 or 3, a failure prints exactly one error line, and
-    nothing prints a traceback or a RuntimeWarning."""
+    """Seeded fuzz of the float and int options of every subcommand that
+    has one: every run ends in exit 0, 2 or 3, a failure prints exactly
+    one error line, and nothing prints a traceback or a RuntimeWarning."""
+    options = _fuzz_options()
+    assert sorted(options) == ["build", "cd", "chain", "gates", "km", "scan", "solve"]
     rng = random.Random(20211)
     for _ in range(FUZZ_CASES):
-        argv = _fuzz_argv(rng)
+        argv = _fuzz_argv(rng, options)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:

@@ -18,10 +18,11 @@ from trotterion.apps import (ChainConfig, KMConfig, chain_heff, chain_hoppings,
                              km_simulate)
 from trotterion.bases import f_r_signed, f_r_with_c
 from trotterion.certify import error_scan
-from trotterion.cli import default_generators
 from trotterion.errors import InvalidInputError
 from trotterion.formula import GeneratorPair, ProductFormula
 from trotterion.recursion import pure_commutator_library
+
+from conftest import SIGMA_X, SIGMA_Z
 
 REL_TOL = 1e-10
 DIMS = (2, 3, 4, 7, 16, 33, 64)
@@ -155,8 +156,8 @@ def test_pairs_of_one_shape_never_share_spectra():
 
 
 def test_pair_builds_every_spectrum_at_construction_and_keeps_it():
-    # the command line's pair: its zero C is anti-Hermitian too
-    gens = default_generators()
+    # the Pauli pair with a zero C, which is anti-Hermitian too
+    gens = GeneratorPair(-1j * SIGMA_X, -1j * SIGMA_Z, np.zeros((2, 2), dtype=complex))
     spectra = dict(gens._spectra)
     assert sorted(spectra) == ["A", "B", "C"]
     assert all(isinstance(s, matcore.SkewSpectrum) for s in spectra.values())
@@ -180,6 +181,19 @@ def test_non_finite_exponent_is_rejected():
     gens = GeneratorPair(1e308 * np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2)))
     with pytest.raises(InvalidInputError):
         ProductFormula((("A", 1.0),)).evaluate(gens, 0.1)
+
+
+@pytest.mark.parametrize("t", [True, "1", np.array([True, False])],
+                         ids=["bool", "string", "bool-array"])
+def test_exponent_that_is_not_real_numbers_is_refused_on_both_routes(t):
+    rng = np.random.default_rng(10)
+    gens = GeneratorPair(random_anti_hermitian(rng, 3), rng.normal(size=(3, 3)))
+    assert list(gens._spectra) == ["A"]  # A spectral, B on Pade
+    for tag in ("A", "B"):
+        with pytest.raises(InvalidInputError, match="exponent t must hold reals"):
+            gens.exp(tag, t)
+        # an integer is a real number
+        assert np.array_equal(gens.exp(tag, 1), gens.exp(tag, 1.0))
 
 
 def test_lattice_simulators_make_no_pade_call(pade_calls):

@@ -554,8 +554,8 @@ def test_km_config_validation():
 # chain cases take both tag orders of f_r_signed (t2 > 0 gives a negative
 # weight), the lattice cases a torus, an open 4x4 lattice and a 5x3 one.
 # The errors go through BLAS products and an SVD, so a BLAS with other
-# kernels may round them differently; x86-64 OpenBLAS under numpy 2 keeps
-# them to the bit.
+# kernels may round them differently; they were recorded with x86-64
+# OpenBLAS under numpy 2.
 STEP_SCAN_BITS = pathlib.Path(__file__).resolve().parent / "data" / "step_scans.json"
 
 
